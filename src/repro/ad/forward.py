@@ -68,6 +68,10 @@ class _ForwardTransform:
         self.pm: dict[Value, Value] = {}
         self.tm: dict[Value, Value] = {}   # float value -> tangent
         self.sm: dict[Value, Value] = {}   # pointer/handle -> shadow
+        #: Pointers into Const (non-Duplicated) argument buffers.  Their
+        #: "shadow" is the primal buffer itself, so float tangents read
+        #: through them are zero and tangent writes are dropped.
+        self.inactive: set[Value] = set()
 
     # ------------------------------------------------------------------
     def build(self) -> str:
@@ -105,6 +109,7 @@ class _ForwardTransform:
                 self.sm[a] = next(gi)
             elif isinstance(a.type, PointerType):
                 self.sm[a] = ga
+                self.inactive.add(a)
 
         self.b = IRBuilder(self.module)
         self.b._fn = self.grad
@@ -172,6 +177,10 @@ class _ForwardTransform:
                                self._v(op.operands[1]))
                 b.emit(new)
                 self.pm[op.result] = new.result
+                if op.operands[0] in self.inactive:
+                    self.sm[op.result] = new.result
+                    self.inactive.add(op.result)
+                    continue
                 tw = PtrAddOp(self._s(op.operands[0]),
                               self._v(op.operands[1]))
                 b.emit(tw)
@@ -182,6 +191,13 @@ class _ForwardTransform:
                 b.emit(new)
                 self.pm[op.result] = new.result
                 elem = op.result.type
+                if op.operands[0] in self.inactive:
+                    # Const data: zero tangent; a loaded pointer keeps
+                    # pointing into Const memory.
+                    if elem is not F64:
+                        self.sm[op.result] = new.result
+                        self.inactive.add(op.result)
+                    continue
                 tw = LoadOp(self._s(op.operands[0]),
                             self._v(op.operands[1]))
                 b.emit(tw)
@@ -193,6 +209,8 @@ class _ForwardTransform:
                 val = op.operands[0]
                 b.emit(StoreOp(self._v(val), self._v(op.operands[1]),
                                self._v(op.operands[2])))
+                if op.operands[1] in self.inactive:
+                    continue
                 if val.type is F64:
                     b.emit(StoreOp(self._coerce_t(val),
                                    self._s(op.operands[1]),
@@ -206,6 +224,8 @@ class _ForwardTransform:
                                    self._v(op.operands[0]),
                                    self._v(op.operands[1]),
                                    self._v(op.operands[2])))
+                if op.operands[1] in self.inactive:
+                    continue
                 if op.attrs["kind"] == "add":
                     b.emit(AtomicRMWOp("add", self._coerce_t(op.operands[0]),
                                        self._s(op.operands[1]),
@@ -217,6 +237,8 @@ class _ForwardTransform:
                 b.emit(MemsetOp(self._v(op.operands[0]),
                                 self._v(op.operands[1]),
                                 self._v(op.operands[2])))
+                if op.operands[0] in self.inactive:
+                    continue
                 b.emit(MemsetOp(self._s(op.operands[0]),
                                 Constant(0.0, F64),
                                 self._v(op.operands[2])))
@@ -224,6 +246,14 @@ class _ForwardTransform:
                 b.emit(MemcpyOp(self._v(op.operands[0]),
                                 self._v(op.operands[1]),
                                 self._v(op.operands[2])))
+                if op.operands[0] in self.inactive:
+                    continue
+                if op.operands[1] in self.inactive:
+                    # Copy from Const data: the destination tangent is 0.
+                    b.emit(MemsetOp(self._s(op.operands[0]),
+                                    Constant(0.0, F64),
+                                    self._v(op.operands[2])))
+                    continue
                 b.emit(MemcpyOp(self._s(op.operands[0]),
                                 self._s(op.operands[1]),
                                 self._v(op.operands[2])))

@@ -134,7 +134,7 @@ class _ManagedStrategy(AdjointStrategy):
         if op.attrs.get("workshare"):
             return "worksharing loops reverse in-place (§VI-A2)"
         if op.attrs.get("simd"):
-            return "simd loops reverse through the vectorized plan"
+            return "simd loops reverse in place as simd loops (§IV-A)"
         if not all(_value_defined_at_depth0(o) for o in op.operands):
             return "loop bounds are not function-entry values"
         for inner in _walk(op.body):

@@ -16,6 +16,17 @@ cheapest correct mechanism:
 Falling back to "always atomic" is legal but slow — that is exactly the
 ``atomic_everywhere`` ablation knob in :class:`repro.ad.api.ADConfig`.
 
+That decision is about *threads*.  A ``for simd`` loop reverses into a
+``for simd`` loop, which the executors run as one vector statement per
+op, so an increment that is thread-``serial`` gets a second, *lane*
+level decision (:func:`lane_kind`): lanes that provably hit distinct
+cells keep the plain load-add-store; everything else becomes a
+**lanes** accumulate — a conflict-safe vector read-modify-write that
+combines colliding lanes in lane order.  On one core that is exactly
+the serial load-add-store sequence it replaces, and it is costed as
+such (``load 8w + flop w + store 8w``), never as an atomic or a
+cross-thread reduction.
+
 Note that only *load* adjoints need this analysis: the adjoint of a
 store touches exactly the locations the primal stored, so a race-free
 primal implies a race-free store adjoint.
@@ -32,6 +43,7 @@ from ..passes.aliasing import AliasInfo
 SERIAL = "serial"
 ATOMIC = "atomic"
 REDUCTION = "reduction"
+LANES = "lanes"
 
 
 class ReductionCatalog:
@@ -55,11 +67,14 @@ class ReductionCatalog:
 DEFAULT_REDUCTIONS = ReductionCatalog()
 
 
-def _index_form(v: Value, par_ivars: set[Value],
-                depth: int = 0) -> Optional[dict]:
+def _index_form(v: Value, par_ivars: set[Value], depth: int = 0,
+                uniform=None) -> Optional[dict]:
     """Describe integer expression ``v`` as strides over parallel ivars.
 
     Returns ``{ivar: stride, ..., "_inner": bool}`` or None for unknown.
+    ``uniform`` is an optional predicate naming further leaves that are
+    the same for every instance of the ivars (the lane analysis passes
+    "defined outside the vectorised loop").
     """
     if depth > 24:
         return None
@@ -67,6 +82,8 @@ def _index_form(v: Value, par_ivars: set[Value],
         return {"_inner": False}
     if v in par_ivars:
         return {v: 1, "_inner": False}
+    if uniform is not None and uniform(v):
+        return {"_inner": False}
     if isinstance(v, BlockArg):
         owner = v.owner
         if owner is not None and owner.opcode in ("for", "while"):
@@ -80,8 +97,8 @@ def _index_form(v: Value, par_ivars: set[Value],
         op = v.op
         oc = op.opcode
         if oc == "iadd" or oc == "isub":
-            a = _index_form(op.operands[0], par_ivars, depth + 1)
-            b = _index_form(op.operands[1], par_ivars, depth + 1)
+            a = _index_form(op.operands[0], par_ivars, depth + 1, uniform)
+            b = _index_form(op.operands[1], par_ivars, depth + 1, uniform)
             if a is None or b is None:
                 return None
             out = {"_inner": a["_inner"] or b["_inner"]}
@@ -92,8 +109,8 @@ def _index_form(v: Value, par_ivars: set[Value],
                 out[k] = a.get(k, 0) + sign * b.get(k, 0)
             return out
         if oc == "imul":
-            a = _index_form(op.operands[0], par_ivars, depth + 1)
-            b = _index_form(op.operands[1], par_ivars, depth + 1)
+            a = _index_form(op.operands[0], par_ivars, depth + 1, uniform)
+            b = _index_form(op.operands[1], par_ivars, depth + 1, uniform)
             if a is None or b is None:
                 return None
             a_const = isinstance(op.operands[0], Constant)
@@ -112,6 +129,10 @@ def _index_form(v: Value, par_ivars: set[Value],
                     if k != "_inner":
                         out[k] = s * c
                 return out
+            if uniform is not None and len(a) == 1 and len(b) == 1:
+                # Lane analysis only: a product of lane-uniform factors
+                # (``tid * n`` recomputed inside the loop) is uniform.
+                return {"_inner": a["_inner"] or b["_inner"]}
             return None
     # Function arguments and other scalars: uniform.
     from ..ir.values import Argument
@@ -172,6 +193,56 @@ def increment_kind(ptr: Value, idx: Value, par_ivars: list[Value],
     if cls == "uniform" and catalog.supports("f64", "add"):
         return REDUCTION
     return ATOMIC
+
+
+def lane_loop(op: Op) -> Optional[Op]:
+    """The loop whose iterations are the vector lanes ``op`` executes
+    on: the outermost enclosing ``for simd`` loop (``op`` itself when it
+    is one).  Inner ``simd`` loops run serially inside it, one vector
+    statement per step.  None when there is no such loop, or when a
+    ``parallel_for`` encloses it — its thread chunks are then the vector
+    context and the thread-level analysis already covers its ivar."""
+    lane: Optional[Op] = None
+    node: Optional[Op] = op
+    while node is not None:
+        if node.opcode == "parallel_for":
+            return None
+        if node.opcode == "for" and node.attrs.get("simd"):
+            lane = node
+        blk = node.parent
+        node = blk.parent_op if blk is not None else None
+    return lane
+
+
+def classify_lane_index(idx: Value, lane: Op) -> str:
+    """Classify an access index relative to the lanes of ``lane``:
+    "disjoint" (affine with non-zero stride in the lane ivar, every
+    other term lane-uniform — serial ivars inside the loop are uniform
+    per vector statement), "uniform", or "unknown"."""
+    ivar = lane.body.args[0]
+
+    def outside(v: Value) -> bool:
+        owner = v.owner if isinstance(v, BlockArg) else getattr(v, "op", None)
+        return owner is None or not (owner is lane
+                                     or _alloc_inside(owner, lane))
+
+    form = _index_form(idx, {ivar}, uniform=outside)
+    if form is None:
+        return "unknown"
+    return "disjoint" if form.get(ivar, 0) != 0 else "uniform"
+
+
+def lane_kind(ptr: Value, idx: Value, lane: Op, aliasing: AliasInfo) -> str:
+    """Lane-level mechanism for a thread-``serial`` shadow increment
+    inside the vectorised loop ``lane``: SERIAL when the lanes provably
+    touch distinct cells (a buffer allocated inside the loop is
+    privatised per lane; a lane-disjoint index), else LANES."""
+    alloc = aliasing.points_to_single_alloc(ptr)
+    if alloc is not None and _alloc_inside(alloc, lane):
+        return SERIAL
+    if classify_lane_index(idx, lane) == "disjoint":
+        return SERIAL
+    return LANES
 
 
 def _alloc_inside(alloc_op: Op, region_op: Op) -> bool:

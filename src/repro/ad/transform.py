@@ -14,12 +14,15 @@ Key mechanisms (paper section in parentheses):
 * every pointer-producing op gets a *shadow twin* in the forward pass,
   so shadow memory mirrors primal memory structure (§VI-A);
 * shadow increments choose serial / reduction / atomic per the
-  thread-locality analysis (§VI-A1);
+  thread-locality analysis (§VI-A1), and thread-serial increments inside
+  a vectorised ``simd`` loop choose plain / lane-combining per the lane
+  analysis (:mod:`repro.ad.tls`);
 * values needed by adjoints are recomputed or cached per the min-cut
   plan; caches are indexed by loop iteration / thread id (§VI-B) or
   pushed to dynamic caches for unknown trip counts (§IV-C);
 * ``parallel_for`` reverses into an augmented forward region plus a
-  reverse region over the same iteration space (Fig. 4); ``fork``
+  reverse region over the same iteration space (Fig. 4), and a ``for
+  simd`` loop reverses into a ``for simd`` loop of adjoint bodies; ``fork``
   regions reverse op-by-op with barriers preserved; a ``spawn`` in the
   primal becomes a wait in the reverse pass and a wait becomes a spawn
   (§IV-A);
@@ -31,6 +34,7 @@ Key mechanisms (paper section in parentheses):
 
 from __future__ import annotations
 
+import contextlib as _ctx
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -70,7 +74,16 @@ from .cacheplan import (
     nest_of,
 )
 from .rules import RULES, ZERO_DERIVATIVE
-from .tls import ATOMIC, REDUCTION, SERIAL, increment_kind, parallel_context
+from .tls import (
+    ATOMIC,
+    LANES,
+    REDUCTION,
+    SERIAL,
+    increment_kind,
+    lane_kind,
+    lane_loop,
+    parallel_context,
+)
 
 
 class ADTransformError(Exception):
@@ -91,8 +104,9 @@ class ADConfig:
     #: recompute-vs-cache analysis (§IV-C ablation).
     cache_all: bool = False
     #: Use an atomic increment for every shadow accumulation inside
-    #: parallel regions, ignoring the thread-locality analysis
+    #: thread-parallel regions, ignoring the thread-locality analysis
     #: (§VI-A1 ablation: "legal but not desirable for performance").
+    #: Single-thread ``simd`` loops are not thread-parallel regions.
     atomic_everywhere: bool = False
     #: Run the IR verifier on the generated gradient.
     verify: bool = True
@@ -115,10 +129,11 @@ class ADConfig:
     #: provable race.  Lint results are kept on the transform
     #: (``ADTransform.lint_result``) either way.
     sanitize: bool = False
-    #: Testing/ablation override: force every parallel-region shadow
-    #: increment to "serial" / "reduction" / "atomic" regardless of the
-    #: thread-locality analysis.  "serial" deliberately seeds races —
-    #: the sanitizer's cross-validation harness uses it.
+    #: Testing/ablation override: force every shadow increment inside
+    #: a thread-parallel region to "serial" / "reduction" / "atomic"
+    #: regardless of the thread-locality (and lane) analysis.  "serial"
+    #: deliberately seeds races — the sanitizer's cross-validation
+    #: harness uses it.
     force_increment_kind: Optional[str] = None
     #: Run the static MPI communication analyzer and adjoint-duality
     #: verifier on the generated gradient (commcheck is the
@@ -205,6 +220,12 @@ class ADTransform:
         self.adj_storage: dict[Value, str] = {}
         self.adj_slots: dict[Value, CacheSlot] = {}
         self.rev_parallel_stack: list[Op] = []
+        #: Primal ``for simd`` loop whose (vectorised) reverse body is
+        #: being emitted — the lane context of :func:`tls.lane_loop`.
+        self._rev_lane: Optional[Op] = None
+        #: Vectorised loop -> adjoint slots that are one cell per lane,
+        #: allocated at the top of that loop's reverse body.
+        self._lane_slots: dict[Op, list[CacheSlot]] = {}
         self.ret_value: Optional[Value] = None      # primal returned value
         self.seed_arg: Optional[Argument] = None
         self._active_scalar: Optional[Argument] = None
@@ -426,11 +447,23 @@ class ADTransform:
         # Values returned at top level keep SSA storage unless flagged.
 
     def _make_adj_slot(self, v: Value, op: Op) -> None:
-        par_dims = [d for d in dims_for_op(op)
-                    if d.opcode in ("parallel_for", "fork")
-                    or (d.opcode == "for" and d.attrs.get("workshare"))]
-        slot = CacheSlot(key=("adj", v), elem=F64, dims=par_dims,
-                         dyn_anchor=None, slot_id=-1)
+        lane = lane_loop(op)
+        if lane is not None and not lane.attrs.get("workshare"):
+            # Defined inside a vectorised loop: one cell per lane,
+            # allocated (lane-privatised by the executors, and zeroed)
+            # each time the loop's reverse body runs.  ``dyn_anchor``
+            # names that loop, as it names the loop whose iterations
+            # allocate a dynamic cache.  Worksharing simd loops keep
+            # the per-iteration dimension below instead.
+            slot = CacheSlot(key=("adj", v), elem=F64, dims=[],
+                             dyn_anchor=lane, slot_id=-1)
+            self._lane_slots.setdefault(lane, []).append(slot)
+        else:
+            par_dims = [d for d in dims_for_op(op)
+                        if d.opcode in ("parallel_for", "fork")
+                        or (d.opcode == "for" and d.attrs.get("workshare"))]
+            slot = CacheSlot(key=("adj", v), elem=F64, dims=par_dims,
+                             dyn_anchor=None, slot_id=-1)
         # Reuse the planner's slot-id space.
         slot.slot_id = 100_000 + len(self.adj_slots)
         self.adj_slots[v] = slot
@@ -1030,6 +1063,9 @@ class ADTransform:
                 raise ValueError(
                     f"force_increment_kind={kind!r}; expected one of "
                     f"{SERIAL!r}, {ATOMIC!r}, {REDUCTION!r}")
+        elif kind == SERIAL and self._rev_lane is not None:
+            kind = lane_kind(op.operands[0], op.operands[1], self._rev_lane,
+                             self.aliasing)
         self._emit_increment(kind, adj, sp, idx)
 
     def _emit_increment(self, kind: str, adj: Value, sp: Value,
@@ -1038,9 +1074,9 @@ class ADTransform:
         if kind == SERIAL:
             cur = b.load(sp, idx)
             b.store(b.add(cur, adj), sp, idx)
-        elif kind == REDUCTION:
+        elif kind in (REDUCTION, LANES):
             o = AtomicRMWOp("add", adj, sp, idx)
-            o.attrs["via"] = "reduction"
+            o.attrs["via"] = kind
             b.emit(o)
         else:
             b.atomic_add(adj, sp, idx)
@@ -1137,10 +1173,26 @@ class ADTransform:
             inner.bind(op.body.args[0], new.body.args[0])
             self.rev_parallel_stack.append(op)
             try:
-                with b.at(new.body):
+                with b.at(new.body), self._lane_scope(op):
                     self._reverse_block(op.body, inner)
             finally:
                 self.rev_parallel_stack.pop()
+            return
+        if op.attrs.get("simd"):
+            # A simd loop of bodies becomes a simd loop of adjoint
+            # bodies (§IV-A) over the same iteration space: iterations
+            # are independent, so no order needs reversing.
+            new = ForOp(lb, ub, step, simd=True,
+                        ivar_name="r" + op.body.args[0].name)
+            b.emit(new)
+            inner = _Scope(scope, op, new.body, new)
+            inner.bind(op.body.args[0], new.body.args[0])
+            with b.at(new.body), self._lane_scope(op):
+                for slot in self._lane_slots.get(op, ()):
+                    inner.bind(("adjcell", slot.slot_id),
+                               b.alloc(1, F64, name=f"adj{slot.slot_id}"))
+                self._pop_dyn_arrays(op, inner)
+                self._reverse_block(op.body, inner)
             return
         # Serial loop: iterate reversed.
         ntrips = b.idiv(b.add(b.max(b.sub(ub, lb), 0), b.sub(step, 1)), step)
@@ -1154,6 +1206,18 @@ class ADTransform:
             inner.bind(op.body.args[0], i_rev)
             self._pop_dyn_arrays(op, inner)
             self._reverse_block(op.body, inner)
+
+    @_ctx.contextmanager
+    def _lane_scope(self, op: ForOp):
+        """Emit the reverse body of ``op`` with it as the lane context
+        when it is the loop the executors vectorise."""
+        prev = self._rev_lane
+        if lane_loop(op) is op:
+            self._rev_lane = op
+        try:
+            yield
+        finally:
+            self._rev_lane = prev
 
     def _reverse_while(self, op: WhileOp, scope: _Scope) -> None:
         b = self.b
@@ -1518,8 +1582,6 @@ class ADTransform:
             s = s.parent
         return s
 
-    import contextlib as _ctx
-
     @_ctx.contextmanager
     def _emit_hoisted(self, target: _Scope, current: _Scope):
         if target is current:
@@ -1681,22 +1743,30 @@ class ADTransform:
             return scope.lookup(("adj", v))
         if storage == "active-cell":
             return self.b.load(self._active_cell, 0)
-        slot = self.adj_slots[v]
         b = self.b
-        buf = self.slot_buffers[slot.slot_id]
-        idx = self._slot_flat_index(
-            slot, lambda ba: self._avail_ivar(ba, scope))
+        buf, idx = self._adj_slot_ref(self.adj_slots[v], scope)
         out = b.load(buf, idx)
         b.store(0.0, buf, idx)  # reset for reuse across serial iterations
         return out
+
+    def _adj_slot_ref(self, slot: CacheSlot, scope: _Scope
+                      ) -> tuple[Value, Value]:
+        """(buffer, index) of an adjoint slot in this reverse scope."""
+        if slot.dyn_anchor is not None:     # per-lane cell (_make_adj_slot)
+            return scope.lookup(("adjcell", slot.slot_id)), Constant(0, I64)
+        return self.slot_buffers[slot.slot_id], self._slot_flat_index(
+            slot, lambda ba: self._avail_ivar(ba, scope))
 
     def _adj_accum(self, v: Value, contrib: Value, scope: _Scope) -> None:
         if isinstance(v, Constant) or v.type is not F64:
             return
         if isinstance(v, Argument):
             if v is self._active_scalar:
-                kind = SERIAL if not self.rev_parallel_stack else (
-                    ATOMIC if self.config.atomic_everywhere else REDUCTION)
+                if self.rev_parallel_stack:
+                    kind = (ATOMIC if self.config.atomic_everywhere
+                            else REDUCTION)
+                else:
+                    kind = SERIAL if self._rev_lane is None else LANES
                 self._emit_increment(kind, contrib, self._active_cell,
                                      Constant(0, I64))
             return
@@ -1714,18 +1784,18 @@ class ADTransform:
             return
         # Slot storage.
         slot = self.adj_slots[v]
-        buf = self.slot_buffers[slot.slot_id]
-        idx = self._slot_flat_index(
-            slot, lambda ba: self._avail_ivar(ba, scope))
+        buf, idx = self._adj_slot_ref(slot, scope)
         kind = self._slot_increment_kind(slot)
         self._emit_increment(kind, contrib, buf, idx)
 
     def _slot_increment_kind(self, slot: CacheSlot) -> str:
-        if not self.rev_parallel_stack:
+        if slot.dyn_anchor is not None:
+            return SERIAL       # per-lane cell, private by construction
+        if self.rev_parallel_stack and \
+                self.rev_parallel_stack[-1] not in slot.dims:
+            return ATOMIC if self.config.atomic_everywhere else REDUCTION
+        # Thread-private; lane-private only when the vectorised loop
+        # is one of the slot's dimensions.
+        if self._rev_lane is None or self._rev_lane in slot.dims:
             return SERIAL
-        innermost = self.rev_parallel_stack[-1]
-        if innermost in slot.dims:
-            return SERIAL
-        if self.config.atomic_everywhere:
-            return ATOMIC
-        return REDUCTION
+        return LANES

@@ -19,10 +19,12 @@ codegen time — see :mod:`repro.interp.fusion`):
 * ``_ld``/``_st``/``_at`` — statically-unmasked generics (no mask
   handling at all, plus scalar fast paths and a sequential-fold atomic
   fast path);
-* ``_ldm``/``_stm`` — unmasked monotone-index vector access: endpoint
-  bounds checks instead of ``O(width)`` min/max reductions, and slice
-  copies instead of gather/scatter when a strictly-monotone index is
-  contiguous at runtime;
+* ``_ldm``/``_stm`` (and the bounds-certified ``_ldmu``/``_stmu``) —
+  unmasked monotone-index vector access: endpoint bounds checks instead
+  of ``O(width)`` min/max reductions, and slice copies instead of
+  gather/scatter when a strictly-monotone index is contiguous at
+  runtime.  One factory (``_make_mono_helpers``) builds all four, and
+  the native tier builds its own four from it around its C loops;
 * ``_ldk``/``_stk``/``_atk`` — masked generics used inside lowered
   vectorized-``if`` branches, consulting ``rt.mask`` exactly like the
   interpreter.
@@ -147,74 +149,104 @@ def _ld(rt, ptr, idx):
     return val
 
 
-def _ldm(rt, ptr, idx, d):
-    """Unmasked vector load with a statically-monotone index.
+def _make_mono_helpers(gather=None, scatter=None) -> dict:
+    """Build the monotone-index vector helpers ``_ldm``/``_ldmu``/
+    ``_stm``/``_stmu`` — one body per direction, specialised on whether
+    the site keeps its endpoint bounds check (the ``u`` variants serve
+    sites the interval analysis certified in-bounds).
 
     ``d`` is the static monotonicity class of ``ptr.offset + idx``:
     ±1 monotone non-strict, ±2 strictly monotone.  Bounds come from the
     endpoint lanes (the extremes of any monotone vector); a strictly
     monotone index whose endpoint span equals ``size - 1`` is
-    consecutive (pigeonhole), so the gather becomes a slice copy.
+    consecutive (pigeonhole), so the gather/scatter becomes a slice
+    copy.  NumPy's last-wins fancy-assignment semantics are preserved:
+    duplicates only occur in the non-strict case, which keeps the fancy
+    path.
+
+    ``gather(data, at)`` / ``scatter(data, at, val)`` are optional
+    accelerated kernels for the strictly-monotone (duplicate-free) but
+    non-contiguous case; each returns None to decline, and the fancy
+    NumPy access runs instead (the native tier passes its C loops).
     """
-    off = ptr.offset
-    at = idx if type(off) is int and not off else off + idx
-    if not isinstance(at, np.ndarray) or at.ndim != 1 or at.size == 0:
-        return _ld(rt, ptr, idx)
-    buf = ptr.buffer
-    if buf.freed:
-        buf.check_alive()
-    data = buf.data
-    n = at.size
-    if d > 0:
-        lo, hi = int(at[0]), int(at[n - 1])
-    else:
-        lo, hi = int(at[n - 1]), int(at[0])
-    if lo < 0 or hi >= len(data):
-        Memory._check_bounds(buf, at)  # raises with the exact message
-    if hi - lo == n - 1 and (d == 2 or d == -2):
-        sl = data[lo:hi + 1]
-        val = sl[::-1].copy() if d < 0 else sl.copy()
-    else:
-        val = data[at]  # fancy gather (copies)
-    c = rt.cost
-    w = n if n > 1 else 1
-    if buf.stream:
-        c.stream_bytes += w * 8
-    else:
-        c.load_bytes += w * 8
-    return val
+    def load(check):
+        def ld(rt, ptr, idx, d):
+            off = ptr.offset
+            at = idx if type(off) is int and not off else off + idx
+            if not isinstance(at, np.ndarray) or at.ndim != 1 or at.size == 0:
+                return _ld(rt, ptr, idx)
+            buf = ptr.buffer
+            if buf.freed:
+                buf.check_alive()
+            data = buf.data
+            n = at.size
+            if d > 0:
+                lo, hi = int(at[0]), int(at[n - 1])
+            else:
+                lo, hi = int(at[n - 1]), int(at[0])
+            if check and (lo < 0 or hi >= len(data)):
+                Memory._check_bounds(buf, at)  # raises, exact message
+            val = None
+            if d == 2 or d == -2:
+                if hi - lo == n - 1:
+                    sl = data[lo:hi + 1]
+                    val = sl[::-1].copy() if d < 0 else sl.copy()
+                elif gather is not None:
+                    val = gather(data, at)
+            if val is None:
+                val = data[at]  # fancy gather (copies)
+            c = rt.cost
+            w = n if n > 1 else 1
+            if buf.stream:
+                c.stream_bytes += w * 8
+            else:
+                c.load_bytes += w * 8
+            return val
+        return ld
 
+    def store(check):
+        def st(rt, val, ptr, idx, d):
+            off = ptr.offset
+            at = idx if type(off) is int and not off else off + idx
+            if not isinstance(at, np.ndarray) or at.ndim != 1 or at.size == 0:
+                _st(rt, val, ptr, idx)
+                return
+            buf = ptr.buffer
+            if buf.freed:
+                buf.check_alive()
+            data = buf.data
+            n = at.size
+            if d > 0:
+                lo, hi = int(at[0]), int(at[n - 1])
+            else:
+                lo, hi = int(at[n - 1]), int(at[0])
+            if check and (lo < 0 or hi >= len(data)):
+                Memory._check_bounds(buf, at)
+            val_is_arr = isinstance(val, np.ndarray)
+            strict = d == 2 or d == -2
+            if (strict and hi - lo == n - 1
+                    and (not val_is_arr or (val.ndim == 1 and (
+                        val.size == n or val.size == 1)))):
+                if val_is_arr and val.size == n and n > 1 and d < 0:
+                    data[lo:hi + 1] = val[::-1]
+                else:
+                    data[lo:hi + 1] = val
+            elif not (strict and scatter is not None
+                      and scatter(data, at, val)):
+                data[at] = val
+            c = rt.cost
+            wv = val.size if val_is_arr and val.size > 1 else 1
+            wi = idx.size if isinstance(idx, np.ndarray) and idx.size > 1 \
+                else 1
+            w = wv if wv > wi else wi
+            if buf.stream:
+                c.stream_bytes += w * 8
+            else:
+                c.store_bytes += w * 8
+        return st
 
-def _ldmu(rt, ptr, idx, d):
-    """``_ldm`` for statically bounds-certified sites: the interval
-    analysis proved every lane in range, so the endpoint bounds check
-    is dropped (the slice fast path and cost accounting are
-    unchanged)."""
-    off = ptr.offset
-    at = idx if type(off) is int and not off else off + idx
-    if not isinstance(at, np.ndarray) or at.ndim != 1 or at.size == 0:
-        return _ld(rt, ptr, idx)
-    buf = ptr.buffer
-    if buf.freed:
-        buf.check_alive()
-    data = buf.data
-    n = at.size
-    if d > 0:
-        lo, hi = int(at[0]), int(at[n - 1])
-    else:
-        lo, hi = int(at[n - 1]), int(at[0])
-    if hi - lo == n - 1 and (d == 2 or d == -2):
-        sl = data[lo:hi + 1]
-        val = sl[::-1].copy() if d < 0 else sl.copy()
-    else:
-        val = data[at]  # fancy gather (copies)
-    c = rt.cost
-    w = n if n > 1 else 1
-    if buf.stream:
-        c.stream_bytes += w * 8
-    else:
-        c.load_bytes += w * 8
-    return val
+    return {"_ldm": load(True), "_ldmu": load(False),
+            "_stm": store(True), "_stmu": store(False)}
 
 
 def _ldk(rt, ptr, idx):
@@ -276,85 +308,6 @@ def _st(rt, val, ptr, idx):
         c.store_bytes += w * 8
 
 
-def _stm(rt, val, ptr, idx, d):
-    """Unmasked vector store with a statically-monotone index (see
-    ``_ldm``); a contiguous strictly-monotone scatter is a slice
-    assignment.  NumPy's last-wins fancy-assignment semantics are
-    preserved: duplicates only occur in the non-strict case, which
-    keeps the fancy path."""
-    off = ptr.offset
-    at = idx if type(off) is int and not off else off + idx
-    if not isinstance(at, np.ndarray) or at.ndim != 1 or at.size == 0:
-        _st(rt, val, ptr, idx)
-        return
-    buf = ptr.buffer
-    if buf.freed:
-        buf.check_alive()
-    data = buf.data
-    n = at.size
-    if d > 0:
-        lo, hi = int(at[0]), int(at[n - 1])
-    else:
-        lo, hi = int(at[n - 1]), int(at[0])
-    if lo < 0 or hi >= len(data):
-        Memory._check_bounds(buf, at)
-    val_is_arr = isinstance(val, np.ndarray)
-    if (hi - lo == n - 1 and (d == 2 or d == -2)
-            and (not val_is_arr
-                 or (val.ndim == 1 and (val.size == n or val.size == 1)))):
-        if val_is_arr and val.size == n and n > 1 and d < 0:
-            data[lo:hi + 1] = val[::-1]
-        else:
-            data[lo:hi + 1] = val
-    else:
-        data[at] = val
-    c = rt.cost
-    wv = val.size if val_is_arr and val.size > 1 else 1
-    wi = idx.size if isinstance(idx, np.ndarray) and idx.size > 1 else 1
-    w = wv if wv > wi else wi
-    if buf.stream:
-        c.stream_bytes += w * 8
-    else:
-        c.store_bytes += w * 8
-
-
-def _stmu(rt, val, ptr, idx, d):
-    """``_stm`` for statically bounds-certified sites (no endpoint
-    bounds check; see ``_ldmu``)."""
-    off = ptr.offset
-    at = idx if type(off) is int and not off else off + idx
-    if not isinstance(at, np.ndarray) or at.ndim != 1 or at.size == 0:
-        _st(rt, val, ptr, idx)
-        return
-    buf = ptr.buffer
-    if buf.freed:
-        buf.check_alive()
-    data = buf.data
-    n = at.size
-    if d > 0:
-        lo, hi = int(at[0]), int(at[n - 1])
-    else:
-        lo, hi = int(at[n - 1]), int(at[0])
-    val_is_arr = isinstance(val, np.ndarray)
-    if (hi - lo == n - 1 and (d == 2 or d == -2)
-            and (not val_is_arr
-                 or (val.ndim == 1 and (val.size == n or val.size == 1)))):
-        if val_is_arr and val.size == n and n > 1 and d < 0:
-            data[lo:hi + 1] = val[::-1]
-        else:
-            data[lo:hi + 1] = val
-    else:
-        data[at] = val
-    c = rt.cost
-    wv = val.size if val_is_arr and val.size > 1 else 1
-    wi = idx.size if isinstance(idx, np.ndarray) and idx.size > 1 else 1
-    w = wv if wv > wi else wi
-    if buf.stream:
-        c.stream_bytes += w * 8
-    else:
-        c.store_bytes += w * 8
-
-
 def _stk(rt, val, ptr, idx):
     """Masked generic store."""
     mask = rt.mask
@@ -371,10 +324,15 @@ def _stk(rt, val, ptr, idx):
 _AT_UFUNC = {"add": np.add, "min": np.minimum, "max": np.maximum}
 
 
-def _at(rt, kind, via_reduction, val, ptr, idx, d=0):
+def _at(rt, kind, via, val, ptr, idx, d=0):
     """Statically-unmasked atomic with fast paths for the two hot
     shapes: a scalar target accumulating a lane vector (the adjoint of
     a broadcast read) and a duplicate-free monotone scatter.
+
+    ``via`` is the op's lowering tag (None: hardware atomic,
+    ``"reduction"``, ``"lanes"``); it only selects the cost charged
+    (:meth:`CostVector.add_rmw`) — all three execute the same
+    conflict-safe read-modify-write.
 
     ``ufunc.at`` applies lanes *sequentially*; the scalar-target path
     reproduces that exact left fold with ``ufunc.accumulate`` over
@@ -443,28 +401,17 @@ def _at(rt, kind, via_reduction, val, ptr, idx, d=0):
         wv = val.size if isinstance(val, np.ndarray) and val.size > 1 else 1
         wi = idx.size if isinstance(idx, np.ndarray) and idx.size > 1 else 1
         w = wv if wv > wi else wi
-    c = rt.cost
-    if via_reduction:
-        c.reduction_ops += w
-        c.store_bytes += w * 8
-    else:
-        c.atomic_ops += w
-        c.store_bytes += w * 8
-        c.load_bytes += w * 8
+    rt.cost.add_rmw(via, w)
 
 
-def _atk(rt, kind, via_reduction, val, ptr, idx):
+def _atk(rt, kind, via, val, ptr, idx):
     """Masked generic atomic."""
     mask = rt.mask
     if mask is not None and isinstance(idx, np.ndarray):
         idx = np.where(mask, idx, 0)
     w = max(rt._width(val), rt._width(idx))
     rt.memory.atomic(kind, ptr, idx, val, mask=mask)
-    if via_reduction:
-        rt.cost.add_reduction(w)
-        rt.cost.add_store(w * 8)
-    else:
-        rt.cost.add_atomic(w, w * 8)
+    rt.cost.add_rmw(via, w)
 
 
 def _al(rt, op, count_val):
@@ -616,7 +563,7 @@ _HELPER_GLOBALS = {
     "BarrierEvent": BarrierEvent,
     "chunk_bounds": chunk_bounds,
     "_acc": _acc, "_aw": _aw, "_ld": _ld, "_st": _st, "_at": _at,
-    "_ldm": _ldm, "_stm": _stm, "_ldmu": _ldmu, "_stmu": _stmu,
+    **_make_mono_helpers(),
     "_ldk": _ldk, "_stk": _stk, "_atk": _atk,
     "_al": _al, "_ms": _ms, "_mc": _mc, "_bg": _bg, "_ca": _ca,
     "_cu": _cu, "_rf": _rf,

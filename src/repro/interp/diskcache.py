@@ -28,7 +28,7 @@ a working program into a crash.
 The directory is resolved per :class:`~repro.interp.interpreter.
 ExecConfig`: ``compile_cache`` names it directly, ``"off"`` disables,
 and ``None`` defers to the ``REPRO_CACHE_DIR`` environment variable
-(no caching when unset).
+(no caching when unset, empty, or ``off``).
 """
 
 from __future__ import annotations
@@ -92,13 +92,14 @@ def config_fingerprint(config) -> str:
 
 
 def resolve_cache_dir(config) -> Optional[str]:
-    """Cache directory for ``config``, or None when caching is off."""
-    v = getattr(config, "compile_cache", None)
-    if v == "off":
-        return None
-    if v:
-        return v
-    return os.environ.get("REPRO_CACHE_DIR") or None
+    """Cache directory for ``config``, or None when caching is off.
+
+    The config field wins when set; otherwise ``REPRO_CACHE_DIR``
+    decides.  ``"off"`` disables caching from either source — it never
+    names a directory — and so does an empty environment value."""
+    v = getattr(config, "compile_cache", None) or \
+        os.environ.get("REPRO_CACHE_DIR")
+    return None if v in (None, "", "off") else v
 
 
 def open_cache(config) -> Optional["CompileCache"]:

@@ -53,7 +53,7 @@ from typing import Optional
 
 #: Bump when fused codegen changes in a way that invalidates persisted
 #: compiled artifacts (see :mod:`repro.interp.diskcache`).
-LOWERING_VERSION = 3
+LOWERING_VERSION = 4
 
 #: Caps keeping one fused statement's source manageable: compute ops
 #: folded into a single expression and total expression characters.

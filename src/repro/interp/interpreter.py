@@ -98,8 +98,8 @@ class ExecConfig:
     fusion: bool = True
     #: Disk-persistent compile cache directory for the compiled
     #: backend.  ``None`` defers to the ``REPRO_CACHE_DIR`` environment
-    #: variable (cache disabled when that is unset too); ``"off"``
-    #: force-disables; any other string is the cache directory.
+    #: variable (cache disabled when that is unset, empty or ``off``);
+    #: ``"off"`` force-disables; any other string is the cache directory.
     compile_cache: Optional[str] = None
     #: C compiler command for the native backend.  ``None`` defers to
     #: the ``CC`` environment variable, then the conventional candidates
@@ -500,7 +500,10 @@ class Interpreter:
         idx = self._get(op.operands[2], env)
         mask = self.mask
         if self.racecheck is not None:
-            self.racecheck.on_write(self._rc_tid, ptr, idx, op, mask)
+            # A uniform value stored from every lane is benign; only
+            # lane-varying values make colliding lanes a conflict.
+            self.racecheck.on_write(self._rc_tid, ptr, idx, op, mask,
+                                    lanes=self._width(val))
         if mask is not None and isinstance(idx, np.ndarray):
             idx = np.where(mask, idx, 0)
             # keep mask for the scatter itself
@@ -520,16 +523,12 @@ class Interpreter:
         mask = self.mask
         if self.racecheck is not None:
             self.racecheck.on_write(self._rc_tid, ptr, idx, op, mask,
-                                    atomic=True)
+                                    atomic=op.attrs.get("via") != "lanes")
         if mask is not None and isinstance(idx, np.ndarray):
             idx = np.where(mask, idx, 0)
         w = max(self._width(val), self._width(idx))
         self.memory.atomic(op.attrs["kind"], ptr, idx, val, mask=mask)
-        if op.attrs.get("via") == "reduction":
-            self.cost.add_reduction(w)
-            self.cost.add_store(w * 8)
-        else:
-            self.cost.add_atomic(w, w * 8)
+        self.cost.add_rmw(op.attrs.get("via"), w)
         if self.tape is not None and ptr.buffer.elem is F64:
             self.tape.on_atomic(op, ptr, idx, val, w, mask)
 

@@ -22,9 +22,11 @@ interpreter instance (``rt``) as shared runtime state:
   state *statically*, so code outside masked branches uses memory
   helpers with no mask handling at all;
 * loads/stores whose index vector is statically monotone (induction
-  vectors and affine combinations) use endpoint bounds checks and
-  slice-copy fast paths instead of ``O(width)`` reductions and
-  gather/scatter (helpers ``_ldm``/``_stm``);
+  vectors and affine combinations) call the ``_ldm``/``_stm`` helper
+  family: endpoint bounds checks and slice-copy fast paths instead of
+  ``O(width)`` reductions and gather/scatter.  These are one-line
+  calls on purpose — generated source size, not helper-call overhead,
+  is what sets ``compile()`` time and peak memory for a large adjoint;
 * instruction-cost accounting is aggregated statically: each
   straight-line segment contributes one ``_acc(...)`` call instead of
   one ``CostVector`` update per op, with per-lane counts scaled by the
@@ -387,10 +389,10 @@ class Lowerer:
         elif oc == "store":
             self.lower_store(op)
         elif oc == "atomic":
-            via_red = op.attrs.get("via") == "reduction"
+            via = op.attrs.get("via")
             proven = self._bounds_proven(op)
             if self.masked:
-                self.emit(f"_atk(rt, {op.attrs['kind']!r}, {via_red!r}, "
+                self.emit(f"_atk(rt, {op.attrs['kind']!r}, {via!r}, "
                           f"{self.ref(op.operands[0])}, "
                           f"{self.ref(op.operands[1])}, "
                           f"{self.ref(op.operands[2])})")
@@ -408,8 +410,8 @@ class Lowerer:
                     v = self.ref_local(val_v)
                     p = self.ref_local(ptr_v)
                     i = self.ref_local(idx_v)
-                    b, x, dd, w = (self.fresh("_b"), self.fresh("_x"),
-                                   self.fresh("_d"), self.fresh("_w"))
+                    b, x, dd = (self.fresh("_b"), self.fresh("_x"),
+                                self.fresh("_d"))
                     self.emit(f"if type({v}) is np.ndarray "
                               f"and {v}.ndim == 1:")
                     self._ind += 1
@@ -436,26 +438,24 @@ class Lowerer:
                         self.emit(f"else: {dd}[{x}] = {r}")
                     else:
                         self.emit(f"{dd}[{x}] = {fold}")
-                    self.emit(f"{w} = {v}.size if {v}.size > 1 else 1")
-                    if via_red:
-                        self.emit(f"rt.cost.reduction_ops += {w}")
-                        self.emit(f"rt.cost.store_bytes += {w} * 8")
-                    else:
-                        self.emit(f"rt.cost.atomic_ops += {w}")
-                        self.emit(f"rt.cost.store_bytes += {w} * 8")
-                        self.emit(f"rt.cost.load_bytes += {w} * 8")
+                    self.emit(f"rt.cost.add_rmw({via!r}, "
+                              f"{v}.size if {v}.size > 1 else 1)")
                     self._ind -= 1
                     self.emit(f"else: _at(rt, {op.attrs['kind']!r}, "
-                              f"{via_red!r}, {v}, {p}, {i}, 0)")
+                              f"{via!r}, {v}, {p}, {i}, 0)")
                     return
                 d = mono_add(self.mono_of(ptr_v), self.mono_of(idx_v))
-                self.emit(f"_at(rt, {op.attrs['kind']!r}, {via_red!r}, "
+                self.emit(f"_at(rt, {op.attrs['kind']!r}, {via!r}, "
                           f"{self.ref(val_v)}, "
                           f"{self.ref(ptr_v)}, "
                           f"{self.ref(idx_v)}, {d or 0})")
         elif oc == "alloc":
             vec = self.depth > 0
-            res = self.bind(op.result, vec, 1 if vec else 0)
+            # Lane-privatised offsets are arange(w) * count: strictly
+            # increasing for a positive constant count.
+            cnt = op.operands[0]
+            strict = type(cnt) is Constant and cnt.value >= 1
+            res = self.bind(op.result, vec, (2 if strict else 1) if vec else 0)
             self.emit(f"{res} = _al(rt, {self.konst(op)}, "
                       f"{self.ref(op.operands[0])})")
         elif oc == "ptradd":
@@ -704,69 +704,18 @@ class Lowerer:
             return
         vec = (self.vary_of(ptr_v) is True or self.vary_of(idx_v) is True)
         d = mono_add(self.mono_of(ptr_v), self.mono_of(idx_v))
-        if not self.masked and vec and (d == 2 or d == -2):
-            # Strictly-monotone vector gather, open-coded (the call
-            # overhead of ``_ldm`` rivals the slice copy itself at
-            # typical chunk widths).  Same observable effects as the
-            # helper, statement by statement.
-            self.fuser.stats.mono_loads += 1
-            p = self.ref_local(ptr_v)
-            i = self.ref_local(idx_v)
-            res = self.bind(op.result, varying)
-            o, b, x, dd = (self.fresh("_o"), self.fresh("_b"),
-                           self.fresh("_x"), self.fresh("_d"))
-            n, lo, hi, w = (self.fresh("_n"), self.fresh("_lo"),
-                            self.fresh("_hi"), self.fresh("_w"))
-            self.emit(f"{o} = {p}.offset")
-            self.emit(f"{x} = {i} if type({o}) is int and not {o} "
-                      f"else {o} + {i}")
-            self.emit(f"if type({x}) is np.ndarray and {x}.ndim == 1 "
-                      f"and {x}.size:")
-            self._ind += 1
-            self.emit(f"{b} = {p}.buffer")
-            self.emit(f"if {b}.freed: {b}.check_alive()")
-            self.emit(f"{dd} = {b}.data")
-            self.emit(f"{n} = {x}.size")
-            if d > 0:
-                self.emit(f"{lo} = int({x}[0]); {hi} = int({x}[{n} - 1])")
-            else:
-                self.emit(f"{lo} = int({x}[{n} - 1]); {hi} = int({x}[0])")
-            if proven:
-                self.fuser.stats.checks_elided += 1
-            else:
-                self.emit(f"if {lo} < 0 or {hi} >= {dd}.size: "
-                          f"Memory._check_bounds({b}, {x})")
-            self.emit(f"if {hi} - {lo} == {n} - 1:")
-            if d > 0:
-                self.emit(f"    {res} = {dd}[{lo}:{hi} + 1].copy()")
-            else:
-                self.emit(f"    {res} = {dd}[{lo}:{hi} + 1][::-1].copy()")
-            if self.native is not None:
-                # Non-contiguous monotone span: C gather beats NumPy
-                # fancy indexing; bounds were checked above via the
-                # endpoint lanes (monotone extremes are endpoints) or
-                # statically certified by the interval analysis.
-                self.emit("else:")
-                self._ind += 1
-                self.emit(f"{res} = {self.native.gather_name(proven)}"
-                          f"({dd}, {x})")
-                self.emit(f"if {res} is None: {res} = {dd}[{x}]")
-                self._ind -= 1
-            else:
-                self.emit(f"else: {res} = {dd}[{x}]")
-            self.emit(f"{w} = {n} if {n} > 1 else 1")
-            self.emit(f"if {b}.stream: rt.cost.stream_bytes += {w} * 8")
-            self.emit(f"else: rt.cost.load_bytes += {w} * 8")
-            self._ind -= 1
-            self.emit(f"else: {res} = _ld(rt, {p}, {i})")
-            return
         res = self.bind(op.result, varying)
         if not self.masked and vec and d:
+            # Monotone vector gather: endpoint bounds + slice copy when
+            # contiguous, all inside the helper (one table for every
+            # tier; see compile._make_mono_helpers).
             self.fuser.stats.mono_loads += 1
             helper = "_ldm"
             if proven:
                 helper = "_ldmu"
                 self.fuser.stats.checks_elided += 1
+            if self.native is not None and (d == 2 or d == -2):
+                self.native.claim_gather(proven)
             self.emit(f"{res} = {helper}(rt, {self.ref(ptr_v)}, "
                       f"{self.ref(idx_v)}, {d})")
         else:
@@ -792,78 +741,14 @@ class Lowerer:
             return
         vec = (self.vary_of(ptr_v) is True or self.vary_of(idx_v) is True)
         d = mono_add(self.mono_of(ptr_v), self.mono_of(idx_v))
-        if not self.masked and vec and (d == 2 or d == -2):
-            # Strictly-monotone vector scatter, open-coded (see the
-            # matching load path); preserves NumPy last-wins fancy
-            # semantics exactly like ``_stm``.
-            self.fuser.stats.mono_stores += 1
-            v = self.fresh("_v")
-            self.emit(f"{v} = {val}")
-            p = self.ref_local(ptr_v)
-            i = self.ref_local(idx_v)
-            o, b, x, dd = (self.fresh("_o"), self.fresh("_b"),
-                           self.fresh("_x"), self.fresh("_d"))
-            n, lo, hi, w = (self.fresh("_n"), self.fresh("_lo"),
-                            self.fresh("_hi"), self.fresh("_w"))
-            wi = self.fresh("_wi")
-            self.emit(f"{o} = {p}.offset")
-            self.emit(f"{x} = {i} if type({o}) is int and not {o} "
-                      f"else {o} + {i}")
-            self.emit(f"if type({x}) is np.ndarray and {x}.ndim == 1 "
-                      f"and {x}.size:")
-            self._ind += 1
-            self.emit(f"{b} = {p}.buffer")
-            self.emit(f"if {b}.freed: {b}.check_alive()")
-            self.emit(f"{dd} = {b}.data")
-            self.emit(f"{n} = {x}.size")
-            if d > 0:
-                self.emit(f"{lo} = int({x}[0]); {hi} = int({x}[{n} - 1])")
-            else:
-                self.emit(f"{lo} = int({x}[{n} - 1]); {hi} = int({x}[0])")
-            if proven:
-                self.fuser.stats.checks_elided += 1
-            else:
-                self.emit(f"if {lo} < 0 or {hi} >= {dd}.size: "
-                          f"Memory._check_bounds({b}, {x})")
-            self.emit(f"if {hi} - {lo} == {n} - 1 and "
-                      f"(type({v}) is not np.ndarray or ({v}.ndim == 1 "
-                      f"and ({v}.size == {n} or {v}.size == 1))):")
-            self._ind += 1
-            if d > 0:
-                self.emit(f"{dd}[{lo}:{hi} + 1] = {v}")
-            else:
-                self.emit(f"if type({v}) is np.ndarray and "
-                          f"{v}.size == {n} and {n} > 1:")
-                self.emit(f"    {dd}[{lo}:{hi} + 1] = {v}[::-1]")
-                self.emit(f"else: {dd}[{lo}:{hi} + 1] = {v}")
-            self._ind -= 1
-            if self.native is not None:
-                # Strictly monotone => duplicate-free, so NumPy's
-                # last-wins fancy-scatter order is unobservable and
-                # the C loop is exact.
-                self.emit("else:")
-                self._ind += 1
-                self.emit(f"if {self.native.scatter_name(proven)}"
-                          f"({dd}, {x}, {v}) is None: {dd}[{x}] = {v}")
-                self._ind -= 1
-            else:
-                self.emit(f"else: {dd}[{x}] = {v}")
-            self.emit(f"{w} = {v}.size if type({v}) is np.ndarray "
-                      f"and {v}.size > 1 else 1")
-            self.emit(f"{wi} = {i}.size if type({i}) is np.ndarray "
-                      f"and {i}.size > 1 else 1")
-            self.emit(f"if {wi} > {w}: {w} = {wi}")
-            self.emit(f"if {b}.stream: rt.cost.stream_bytes += {w} * 8")
-            self.emit(f"else: rt.cost.store_bytes += {w} * 8")
-            self._ind -= 1
-            self.emit(f"else: _st(rt, {v}, {p}, {i})")
-            return
         if not self.masked and vec and d:
             self.fuser.stats.mono_stores += 1
             helper = "_stm"
             if proven:
                 helper = "_stmu"
                 self.fuser.stats.checks_elided += 1
+            if self.native is not None and (d == 2 or d == -2):
+                self.native.claim_scatter(proven)
             self.emit(f"{helper}(rt, {val}, {self.ref(ptr_v)}, "
                       f"{self.ref(idx_v)}, {d})")
         else:

@@ -2,8 +2,8 @@
 
 The compiled backend (:mod:`repro.interp.compile`) already isolates the
 hot kernels statically: trace fusion collapses single-use elementwise
-chains into one generated NumPy expression, monotone loads/stores are
-open-coded gather/scatter fast paths, and scalar-target reductions are
+chains into one generated NumPy expression, monotone loads/stores call
+the ``_ldm``/``_stm`` helper family, and scalar-target reductions are
 open-coded ordered folds.  This module adds a third tier that emits C
 source for exactly those kernels, compiles it with the system C
 compiler into one shared object per function, and calls the machine
@@ -61,6 +61,7 @@ from .compile import (
     compile_function,
     _at as _py_at,
     _ld as _py_ld,
+    _make_mono_helpers,
     _st as _py_st,
 )
 
@@ -342,6 +343,9 @@ long long repro_scatter_fold_max(double* d, long long dlen, long long off,
 _FOLD_NAMES = {"add": "_nfadd", "min": "_nfmin", "max": "_nfmax"}
 _FOLD_SYMS = {"_nfadd": "repro_fold_add", "_nfmin": "repro_fold_min",
               "_nfmax": "repro_fold_max"}
+#: Unchecked gather/scatter loops behind the ``_ldm``/``_stm`` family
+#: overrides (the helpers' endpoint test, or the interval analysis,
+#: has already established the bounds).
 _GATHER_NAME = "_ngat"
 _SCATTER_NAME = "_nsca"
 
@@ -565,15 +569,15 @@ class NativeEmitter:
         self._classify_claim(proven)
         return _FOLD_NAMES[kind]
 
-    def gather_name(self, proven: bool = False) -> str:
+    def claim_gather(self, proven: bool = False) -> None:
+        """Count one strictly-monotone load site: its ``_ldm``/``_ldmu``
+        call reaches the C gather when the span is not contiguous."""
         self.stats.gathers += 1
         self._classify_claim(proven)
-        return _GATHER_NAME
 
-    def scatter_name(self, proven: bool = False) -> str:
+    def claim_scatter(self, proven: bool = False) -> None:
         self.stats.scatters += 1
         self._classify_claim(proven)
-        return _SCATTER_NAME
 
     # -- C source ------------------------------------------------------
     def c_source(self) -> str:
@@ -594,11 +598,11 @@ class NativeEmitter:
     def build(self, cache=None) -> dict:
         """Compile (or cache-load) the kernels; returns the globals the
         generated Python source references plus the ``_ld``/``_st``/
-        ``_at`` helper overrides (claimed dynamically at run time, so
-        they ship even when no expression kernel was claimed — every
-        kernel-free function shares one prelude-only library through
-        the memo).  Raises :class:`NativeBuildError` on compiler
-        failure."""
+        ``_at`` and ``_ldm``/``_stm``-family helper overrides (claimed
+        dynamically at run time, so they ship even when no expression
+        kernel was claimed — every kernel-free function shares one
+        prelude-only library through the memo).  Raises
+        :class:`NativeBuildError` on compiler failure."""
         source = self.c_source()
         kernels = [(gname, kinds)
                    for (text, kinds), gname in self._kernels.items()]
@@ -789,8 +793,11 @@ def _dlopen_bindings(path: str, kernels) -> dict:
         bindings[gname] = _make_expr_wrapper(gname, kinds, raw[gname], fb)
     for name in _FOLD_SYMS:
         bindings[name] = _FoldKernel(raw[name], fb)
-    bindings[_GATHER_NAME] = _GatherKernel(raw[_GATHER_NAME], fb)
-    bindings[_SCATTER_NAME] = _ScatterKernel(raw[_SCATTER_NAME], fb, fb_w)
+    # The monotone helper family, rebuilt around the C loops for the
+    # strictly-monotone non-contiguous case.
+    bindings.update(_make_mono_helpers(
+        _GatherKernel(raw[_GATHER_NAME], fb),
+        _ScatterKernel(raw[_SCATTER_NAME], fb, fb_w)))
     bindings.update(_make_helper_overrides(raw, fb, fb_w))
     return bindings
 
@@ -850,7 +857,8 @@ class _FoldKernel:
 
 class _GatherKernel:
     """Fancy gather ``data[x]`` for an in-bounds index vector (bounds
-    were already checked by the generated code's endpoint test)."""
+    were already checked by the calling helper's endpoint test, or
+    certified statically)."""
 
     __slots__ = ("fn", "fb")
 
@@ -1006,7 +1014,7 @@ def _make_helper_overrides(raw, fb, fb_w) -> dict:
         else:
             c.store_bytes += w * 8
 
-    def _at(rt, kind, via_reduction, val, ptr, idx, d=0):
+    def _at(rt, kind, via, val, ptr, idx, d=0):
         buf = ptr.buffer
         off = ptr.offset
         data = buf.data
@@ -1017,14 +1025,14 @@ def _make_helper_overrides(raw, fb, fb_w) -> dict:
                     or type(val) is not _nda or val.ndim != 1
                     or val.dtype is not _F8 or data.dtype is not _F8
                     or val.size == 0):
-                return _py_at(rt, kind, via_reduction, val, ptr, idx, d)
+                return _py_at(rt, kind, via, val, ptr, idx, d)
             at = off + idx
             if at < 0 or at >= data.size:
-                return _py_at(rt, kind, via_reduction, val, ptr, idx, d)
+                return _py_at(rt, kind, via, val, ptr, idx, d)
             try:
                 data[at] = fold[kind](float(data[at]), fb(val), val.size)
             except _CLAIM_ERRORS:
-                return _py_at(rt, kind, via_reduction, val, ptr, idx, d)
+                return _py_at(rt, kind, via, val, ptr, idx, d)
             w = val.size if val.size > 1 else 1
         else:
             n = idx.size
@@ -1032,23 +1040,16 @@ def _make_helper_overrides(raw, fb, fb_w) -> dict:
                     or idx.ndim != 1 or data.dtype is not _F8
                     or type(val) is not _nda or val.shape != idx.shape
                     or val.dtype is not _F8 or n == 0):
-                return _py_at(rt, kind, via_reduction, val, ptr, idx, d)
+                return _py_at(rt, kind, via, val, ptr, idx, d)
             try:
                 bad = sfold[kind](fb_w(data), data.size, off, fb(idx),
                                   fb(val), n)
             except _CLAIM_ERRORS:
-                return _py_at(rt, kind, via_reduction, val, ptr, idx, d)
+                return _py_at(rt, kind, via, val, ptr, idx, d)
             if bad >= 0:
-                return _py_at(rt, kind, via_reduction, val, ptr, idx, d)
+                return _py_at(rt, kind, via, val, ptr, idx, d)
             w = n if n > 1 else 1
-        c = rt.cost
-        if via_reduction:
-            c.reduction_ops += w
-            c.store_bytes += w * 8
-        else:
-            c.atomic_ops += w
-            c.store_bytes += w * 8
-            c.load_bytes += w * 8
+        rt.cost.add_rmw(via, w)
 
     return {"_ld": _ld, "_st": _st, "_at": _at}
 

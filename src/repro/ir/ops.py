@@ -264,7 +264,15 @@ ATOMIC_KINDS = ("add", "min", "max")
 
 
 class AtomicRMWOp(Op):
-    """``ptr[idx] <kind>= value`` performed atomically."""
+    """``ptr[idx] <kind>= value`` performed atomically.
+
+    The optional ``via`` attribute records how a shadow increment is
+    lowered when a hardware atomic is not needed: ``'reduction'`` (a
+    registered cross-thread reduction) or ``'lanes'`` (the lanes of one
+    thread's vectorised ``simd`` statement, combined in lane order —
+    costed as the serial load-add-store it stands for).  All three
+    execute as the same conflict-safe read-modify-write.
+    """
 
     __slots__ = ()
 
@@ -361,8 +369,12 @@ class ForOp(Op):
     among the region's threads, and carries an implicit trailing
     barrier (unless ``nowait``).
 
-    ``simd=True`` asserts iterations are independent (up to atomics),
-    allowing the interpreter to execute the body vectorized.
+    ``simd=True`` asserts iterations are independent (up to atomics).
+    Every executor runs the *outermost* such loop vectorized — the
+    induction variable is bound to an index vector, one vector
+    statement per op; ``simd`` loops nested inside a vectorized region
+    run serially.  Its reverse is again a ``simd`` loop (see
+    :mod:`repro.ad.tls` for the per-lane increment rule).
     """
 
     __slots__ = ()

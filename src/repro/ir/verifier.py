@@ -197,6 +197,17 @@ def _check_op(op: Op, fn: Function, module: Module) -> None:
                                "ptradd": 1}[oc]]
             if idx.type is not I64:
                 raise _err(fn, op, f"index must be i64, got {idx.type}")
+        if oc == "atomic" and op.attrs.get("via") is not None:
+            # Lowering tags of a shadow increment: a registered
+            # cross-thread reduction, or a lane-combining accumulate
+            # inside one thread's simd loop.  Both are sums.
+            if op.attrs["via"] not in ("reduction", "lanes"):
+                raise _err(fn, op, f"unknown atomic lowering "
+                                   f"via={op.attrs['via']!r}; expected "
+                                   f"'reduction' or 'lanes'")
+            if op.attrs["kind"] != "add":
+                raise _err(fn, op, f"via={op.attrs['via']!r} applies "
+                                   f"only to atomic_add")
         if oc == "store":
             val = op.operands[0]
             if val.type is not ptr.type.elem:

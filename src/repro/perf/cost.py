@@ -65,6 +65,21 @@ class CostVector:
     def add_reduction(self, count: float) -> None:
         self.reduction_ops += count
 
+    def add_rmw(self, via, width: float) -> None:
+        """Cost of one ``atomic`` op of ``width`` lanes by its ``via``
+        lowering: a hardware atomic (None), a registered cross-thread
+        reduction, or a single-thread lane-combining accumulate — which
+        on one core *is* the load-add-store sequence it replaces."""
+        if via is None:
+            self.add_atomic(width, width * 8)
+        elif via == "reduction":
+            self.reduction_ops += width
+            self.store_bytes += width * 8
+        else:                               # "lanes"
+            self.load_bytes += width * 8
+            self.flops += width
+            self.store_bytes += width * 8
+
     def add_tape(self, ops: float, nbytes: float) -> None:
         self.tape_ops += ops
         self.tape_bytes += nbytes

@@ -14,12 +14,22 @@ may be spurious):
 * ``error`` — provable race: an unguarded plain write to a
   loop-uniform location inside a parallel region, a registered
   reduction applied to a non-uniform location, two differently-guarded
-  writes to the same constant cell in the same fork phase, or a write
-  into a buffer with an in-flight nonblocking receive;
+  writes to the same constant cell in the same fork phase, a write
+  into a buffer with an in-flight nonblocking receive, a plain store
+  of a lane-varying value to one shared cell from every lane of a
+  vectorised ``simd`` loop, or a ``via='lanes'`` accumulate (which
+  only combines the lanes of *one* thread) on a location other threads
+  of the region may touch;
 * ``warn`` — unprovable: the disjointness proof failed (unknown index
-  form, guarded writes that may overlap another same-phase access,
-  shared memset, writes from spawned tasks, reads of in-flight
-  receive buffers).
+  form — across threads or across lanes —, guarded writes that may
+  overlap another same-phase access, shared memset, writes from
+  spawned tasks, reads of in-flight receive buffers).
+
+A vectorised ``simd`` loop (:func:`repro.ad.tls.lane_loop`) is a
+lane-parallel region on one thread: the AD transform keeps a shadow
+increment a plain load-add-store there only when
+:func:`repro.ad.tls.lane_kind` proves the lanes disjoint, and this
+lint re-derives that proof for every plain store in such a loop.
 
 Fork regions are partitioned into phases at their top-level barriers
 (and worksharing loops' implied barriers); the phase graph is built as
@@ -32,11 +42,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..ad.tls import _alloc_inside, classify_index, parallel_context
+from ..ad.tls import (
+    LANES,
+    _alloc_inside,
+    classify_index,
+    classify_lane_index,
+    lane_loop,
+    parallel_context,
+)
 from ..ir.function import Function, Module
+from ..ir.opinfo import OP_INFO
 from ..ir.ops import Block, Op
 from ..ir.printer import print_op
-from ..ir.values import Constant, Value
+from ..ir.values import Constant, Result, Value
 from ..parallel.dag import TaskDAG
 from ..passes.aliasing import AliasInfo, analyze_aliasing
 from ..passes.pass_manager import FunctionPass
@@ -269,9 +287,11 @@ def lint_function(fn: Function, module: Module,
                                     op.operands[2], region, phase, guards,
                                     atomic=False))
         elif oc == "atomic":
+            # A lane-combining accumulate is a plain read-modify-write
+            # as far as *other threads* are concerned.
             accesses.append(_Access(op, "atomic", op.operands[1],
                                     op.operands[2], region, phase, guards,
-                                    atomic=True))
+                                    atomic=op.attrs.get("via") != LANES))
         elif oc == "memset":
             accesses.append(_Access(op, "memset", op.operands[0], None,
                                     region, phase, guards, atomic=False))
@@ -283,6 +303,8 @@ def lint_function(fn: Function, module: Module,
 
     for a in accesses:
         _classify_access(a, aliasing, res)
+        if a.kind == "store":
+            _classify_lanes(a, aliasing, res)
 
     _check_pairs(accesses, aliasing, res)
     _scan_inflight(fn.body, {}, aliasing, res, fn.name)
@@ -337,6 +359,19 @@ def _classify_access(a: _Access, aliasing: AliasInfo,
                 fn, a.op))
         return
 
+    if a.kind == "atomic":          # via='lanes': thread-level plain RMW
+        if (a.cls == "disjoint" and _independent_regions(a.op) <= 1) \
+                or a.guards:
+            return
+        a.flagged = True
+        res.diagnostics.append(Diagnostic(
+            ERROR, "lanes-thread-shared",
+            f"lane-combining accumulate (via='lanes') on a location "
+            f"that is {a.cls} across the threads of the enclosing "
+            f"parallel region — it only combines the lanes of one "
+            f"thread (use a reduction or an atomic)", fn, a.op))
+        return
+
     if a.cls == "disjoint":
         if _independent_regions(a.op) > 1:
             a.flagged = True
@@ -362,6 +397,76 @@ def _classify_access(a: _Access, aliasing: AliasInfo,
             WARN, "unproven-store",
             "non-atomic write whose disjointness proof failed (index "
             "not affine in the parallel ivars)", fn, a.op))
+
+
+def _lane_varying(v: Value, lane: Op, aliasing: AliasInfo,
+                  memo: dict) -> Optional[bool]:
+    """Does ``v`` differ between the lanes of the vectorised loop
+    ``lane``?  True / False when provable, None otherwise."""
+    if v is lane.body.args[0]:
+        return True
+    if not isinstance(v, Result) or not _alloc_inside(v.op, lane):
+        return False            # constants, arguments, outer values, ivars
+    if v in memo:
+        return memo[v]
+    op = v.op
+    out: Optional[bool]
+    if op.opcode == "load":
+        ptr, idx = op.operands
+        alloc = aliasing.points_to_single_alloc(ptr)
+        if alloc is not None and _alloc_inside(alloc, lane):
+            out = True          # lane-privatised buffer
+        else:
+            cls = classify_lane_index(idx, lane)
+            out = True if cls == "disjoint" else (
+                _lane_varying(ptr, lane, aliasing, memo)
+                if cls == "uniform" else None)
+    elif (op.opcode in OP_INFO or op.opcode == "ptradd"
+          or (op.opcode == "call"
+              and op.attrs.get("callee") == "jl.arrayptr")):
+        out = False
+        for o in op.operands:
+            x = _lane_varying(o, lane, aliasing, memo)
+            if x:
+                out = True
+                break
+            if x is None:
+                out = None
+    else:
+        out = None              # calls, allocs, cache pops
+    memo[v] = out
+    return out
+
+
+def _classify_lanes(a: _Access, aliasing: AliasInfo,
+                    res: LintResult) -> None:
+    """Lane rule: inside a vectorised ``simd`` loop a plain store runs
+    once for all lanes, so lanes that share a cell conflict.  Private
+    (lane-allocated) buffers and lane-disjoint indices are safe."""
+    lane = lane_loop(a.op)
+    if lane is None or _guards_of(a.op, [lane.body.args[0]]):
+        return                  # not vectorised, or pinned to one lane
+    alloc = aliasing.points_to_single_alloc(a.ptr)
+    if alloc is not None and _alloc_inside(alloc, lane):
+        return
+    cls = classify_lane_index(a.idx, lane)
+    if cls == "disjoint":
+        return
+    varying = _lane_varying(a.op.operands[0], lane, aliasing, {})
+    if varying is False:
+        return                  # every lane writes the same value
+    if cls == "uniform" and varying:
+        res.diagnostics.append(Diagnostic(
+            ERROR, "simd-lane-conflict",
+            "plain store of a lane-varying value to one cell from every "
+            "lane of a vectorised simd loop (a shadow increment here "
+            "must be a via='lanes' accumulate)", res.fn, a.op))
+    else:
+        res.diagnostics.append(Diagnostic(
+            WARN, "simd-lane-unproven",
+            "plain store in a vectorised simd loop whose lanes cannot "
+            "be proven to hit distinct cells (index not affine in the "
+            "simd ivar)", res.fn, a.op))
 
 
 def _check_pairs(accesses: list, aliasing: AliasInfo,

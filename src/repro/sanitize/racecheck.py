@@ -17,7 +17,11 @@ Clock edges modelled:
   participants join to a common clock;
 * ``spawn`` / ``task.wait`` — task begin forks a task clock, the wait
   joins it into the waiter;
-* atomics — checked but never racing against other atomics;
+* atomics — checked but never racing against other atomics (a
+  ``via='lanes'`` accumulate is *not* atomic across threads);
+* vector lanes — the lanes of one vectorised statement are concurrent:
+  a plain vector store whose live lanes collide on a cell is reported
+  as a write-write conflict of the op with itself;
 * SimMPI — a send carries a snapshot of the sender's clock which the
   receiver joins when it observes completion (``recv`` or ``wait``);
   collectives join all participants like a barrier.
@@ -229,12 +233,30 @@ class RaceChecker:
 
     def on_write(self, tid: int, ptr: PtrVal, idx, op,
                  mask: Optional[np.ndarray] = None,
-                 atomic: bool = False) -> None:
+                 atomic: bool = False, lanes: int = 0) -> None:
+        """Check one write.  ``atomic`` orders it against other
+        atomics.  ``lanes`` (plain vector stores only) is the width of
+        the stored value: the lanes of one vector
+        statement are concurrent, so a store that sends several of
+        them to one cell is a write-write conflict of the op with
+        itself.  Vector read-modify-writes combine colliding lanes and
+        pass 0."""
         at = self._resolve(ptr, idx, mask)
         if at.size == 0:
             return
         self.accesses_checked += 1
         buf = ptr.buffer
+        if lanes > 1:
+            # ``at`` holds one cell per live lane, except for a uniform
+            # index outside any mask: then every lane writes that cell.
+            if at.size == 1 and mask is None:
+                self._report("write-write", buf, at[0], op, tid, op, tid)
+            elif at.size > 1:
+                srt = np.sort(at)
+                dup = srt[1:][srt[1:] == srt[:-1]]
+                if dup.size:
+                    self._report("write-write", buf, dup[0], op, tid,
+                                 op, tid)
         meta = self._meta(buf)
         cu = self._ext(tid)
         # write-write: previous write epoch not ordered before us.

@@ -30,13 +30,14 @@ from ..apps.minibude.driver import MinibudeApp
 #: (name, kind, headline, kwargs) benchmark cases.  Gradient runs only
 #: — the primal re-runs inside them as the augmented forward pass.
 #: ``headline`` marks the benchmark rows the perf gate scores.  All
-#: four are headline now: the serial gradients exercise the scalar
-#: adjoint sweeps that compilation accelerates, and the threaded
-#: gradients are the rows the native C tier targets.  The threaded
+#: four are headline: the serial gradients run whole-array simd sweeps
+#: forward and reverse (so the compiled tier saves per-op dispatch and
+#: cost accounting there, no longer scalar-loop overhead), and the
+#: threaded gradients are the rows the native C tier targets.  The threaded
 #: LULESH row runs nx=14 (~2.2k elements, ~550-wide per-thread
 #: chunks): a production-representative width where the fused
 #: expression kernels and fold accumulators engage, unlike the nx=6
-#: toy.  Measured honestly, the threaded rows sit at ~3.6-4.2x vs the
+#: toy.  Measured honestly, the threaded rows sit at ~2.7-3.6x vs the
 #: interpreter and the native tier only edges out the compiled one:
 #: the dominant remaining cost on both is inline per-statement NumPy
 #: work in fork bodies, which is backend-neutral (and the monotone
@@ -55,11 +56,60 @@ _FULL_CASES = [
      dict(variant="openmp", num_threads=4)),
 ]
 
+#: What the committed ratios mean (kept next to the cases so a change
+#: to either is reviewed with the other).
+_SPEEDUP_NOTE = (
+    "geomean of interpreter / compiled-tier wall-clock over the headline "
+    "gradient rows. The ratio is of two tiers, so read it with the absolute "
+    "seconds (bench_compare prints both). Since simd loops reverse as simd "
+    "loops, both tiers run the adjoint sweep as NumPy kernels: every "
+    "absolute time fell while the serial rows' ratio fell from 11.3x/10.3x "
+    "to ~3x. Before -> after, interp s / compiled s: lulesh-serial "
+    "2.66/0.236 -> ~0.035/0.012; minibude-serial 2.51/0.245 -> "
+    "~0.075/0.023; lulesh-openmp (its min-fold loops are plain simd loops) "
+    "0.80/0.214 -> ~0.2/0.075; minibude-openmp has no plain simd loop and "
+    "is unchanged within noise (0.42/0.114 -> ~0.3/0.09). What the compiled "
+    "tier buys is per-op dispatch and cost accounting on every row, no "
+    "longer scalar-loop overhead; the threaded rows' floor is per-statement "
+    "NumPy work in fork bodies, as before. Tiers are timed round-robin so "
+    "a runner that changes speed mid-run moves the seconds, not the ratio. "
+    "Static bounds certification is "
+    "in effect (certified sites drop their runtime checks) and every "
+    "monotone vector access goes through the _ldm/_stm helper family."
+)
+
 _SMOKE_CASES = [
     ("lulesh-serial-grad", "lulesh", True,
      dict(flavor="serial", nx=4, steps=2)),
     ("minibude-serial-grad", "minibude", True, dict(variant="serial")),
 ]
+
+
+#: Rows that run in milliseconds keep timing past ``--reps`` until this
+#: much wall-clock has been sampled on every tier (at most 20x reps):
+#: best-of-3 over 5 ms runs is scheduler noise.
+_MIN_TIMED_SECONDS = 0.3
+
+
+def _time_interleaved(runs: dict, reps: int) -> tuple[dict, dict]:
+    """``(best seconds, last run's other results)`` per tier over at
+    least ``reps`` rounds; a round calls every tier's ``one_run() ->
+    (seconds, *results)`` once.  The perf gate scores a *ratio* of
+    tiers, so they are timed round-robin: a shared runner that changes
+    speed between one tier's measurement and the next would move the
+    ratio, while within a round every tier sees the same machine."""
+    best = dict.fromkeys(runs, float("inf"))
+    total = dict.fromkeys(runs, 0.0)
+    last: dict = {}
+    n = 0
+    while n < reps or (min(total.values()) < _MIN_TIMED_SECONDS
+                       and n < 20 * reps):
+        for tier, one_run in runs.items():
+            t, *last[tier] = one_run()
+            best[tier] = min(best[tier], t)
+            total[tier] += t
+        n += 1
+    return best, last
 
 
 def _backend_summary(stats) -> dict | None:
@@ -85,10 +135,12 @@ def _backend_summary(stats) -> dict | None:
     return out
 
 
-def _run_lulesh(backend: str, flavor: str, nx: int, steps: int,
-                num_threads: int = 1, reps: int = 1,
-                fusion: bool = True, cache_dir=None,
-                adjoint=None, cc=None) -> dict:
+def _prepare_lulesh(backend: str, flavor: str, nx: int, steps: int,
+                    num_threads: int = 1, fusion: bool = True,
+                    cache_dir=None, adjoint=None, cc=None):
+    """Build and warm one LULESH gradient; returns ``(one_run,
+    result)``: the timed call and the row builder for its best time
+    and last outputs."""
     app = LuleshApp(flavor, nx, backend=backend, fusion=fusion,
                     compile_cache=cache_dir, adjoint=adjoint, cc=cc)
     app.grad_fn()  # build the derivative outside the timed region
@@ -102,26 +154,25 @@ def _run_lulesh(backend: str, flavor: str, nx: int, steps: int,
 
     one_run()  # warmup: compiles under backend="compiled"
     # The warmup run is where compilation (and any disk-cache traffic)
-    # happens; the timed reps below hit the in-memory per-function memo.
+    # happens; the timed runs hit the in-memory per-function memo.
     stats = _backend_summary(app.last_compile_stats)
-    times = []
-    for _ in range(reps):
-        t, doms, shadows, res = one_run()
-        times.append(t)
-    best = min(times)
-    grads = np.concatenate([sh[f].ravel() for sh in shadows
-                            for f in sorted(sh)])
-    primal = np.concatenate([np.asarray(d[f], dtype=np.float64).ravel()
-                             for d in doms for f in sorted(d.arrays)])
-    return {"seconds": best, "grads": grads, "primal": primal,
-            "clock": res.time, "cost": res.cost.as_dict(),
-            "backend_stats": stats,
-            "adjoint_stats": app.last_adjoint_stats}
+
+    def result(seconds, doms, shadows, res) -> dict:
+        grads = np.concatenate([sh[f].ravel() for sh in shadows
+                                for f in sorted(sh)])
+        primal = np.concatenate([np.asarray(d[f], dtype=np.float64).ravel()
+                                 for d in doms for f in sorted(d.arrays)])
+        return {"seconds": seconds, "grads": grads, "primal": primal,
+                "clock": res.time, "cost": res.cost.as_dict(),
+                "backend_stats": stats,
+                "adjoint_stats": app.last_adjoint_stats}
+
+    return one_run, result
 
 
-def _run_minibude(backend: str, variant: str, num_threads: int = 1,
-                  reps: int = 1, fusion: bool = True,
-                  cache_dir=None, cc=None) -> dict:
+def _prepare_minibude(backend: str, variant: str, num_threads: int = 1,
+                      fusion: bool = True, cache_dir=None, cc=None):
+    """miniBUDE counterpart of :func:`_prepare_lulesh`."""
     app = MinibudeApp(variant, backend=backend, fusion=fusion,
                       compile_cache=cache_dir, cc=cc)
     app.grad_fn()
@@ -133,35 +184,43 @@ def _run_minibude(backend: str, variant: str, num_threads: int = 1,
 
     one_run()
     stats = _backend_summary(app.last_compile_stats)
-    times = []
-    for _ in range(reps):
-        t, shadows, res = one_run()
-        times.append(t)
-    best = min(times)
-    grads = np.concatenate([shadows[k].ravel() for k in sorted(shadows)])
-    return {"seconds": best, "grads": grads,
-            "primal": res.energies.copy(), "clock": res.time,
-            "cost": res.cost.as_dict(), "backend_stats": stats}
+
+    def result(seconds, shadows, res) -> dict:
+        grads = np.concatenate([shadows[k].ravel()
+                                for k in sorted(shadows)])
+        return {"seconds": seconds, "grads": grads,
+                "primal": res.energies.copy(), "clock": res.time,
+                "cost": res.cost.as_dict(), "backend_stats": stats}
+
+    return one_run, result
 
 
 def run_case(name: str, kind: str, headline: bool, kwargs: dict,
              reps: int, backends=("compiled",), fusion: bool = True,
              cache_dir=None, adjoint=None, cc=None) -> list[dict]:
-    """One benchmark case: the interp baseline runs once, then every
-    candidate backend is timed and diffed against it.  Returns one row
-    per candidate; native rows carry a ``[native]`` case suffix (their
-    timing stays under the ``compiled_seconds`` key so downstream
-    tooling reads every row the same way)."""
-    runner = _run_lulesh if kind == "lulesh" else _run_minibude
+    """One benchmark case: the interp baseline and every candidate
+    backend are built and warmed, timed round-robin, and each candidate
+    is diffed against the baseline.  Returns one row per candidate;
+    native rows carry a ``[native]`` case suffix (their timing stays
+    under the ``compiled_seconds`` key so downstream tooling reads
+    every row the same way)."""
+    prepare = _prepare_lulesh if kind == "lulesh" else _prepare_minibude
     if adjoint and kind == "lulesh":
         # The strategy tags the LULESH time loop; miniBUDE has no
         # counted time loop, so its cases keep the cache-all plan.
         kwargs = dict(kwargs, adjoint=adjoint)
-    interp = runner("interp", reps=reps, **kwargs)
+    prepared = {"interp": prepare("interp", **kwargs)}
+    for backend in backends:
+        prepared[backend] = prepare(backend, fusion=fusion,
+                                    cache_dir=cache_dir, cc=cc, **kwargs)
+    best, last = _time_interleaved(
+        {tier: one_run for tier, (one_run, _) in prepared.items()}, reps)
+    results = {tier: result(best[tier], *last[tier])
+               for tier, (_, result) in prepared.items()}
+    interp = results["interp"]
     rows = []
     for backend in backends:
-        cand = runner(backend, reps=reps, fusion=fusion,
-                      cache_dir=cache_dir, cc=cc, **kwargs)
+        cand = results[backend]
         dev = max(float(np.max(np.abs(interp["grads"] - cand["grads"]))),
                   float(np.max(np.abs(interp["primal"]
                                       - cand["primal"]))))
@@ -187,7 +246,9 @@ def main(argv=None) -> int:
     ap.add_argument("--smoke", action="store_true",
                     help="small problem sizes (the CI divergence gate)")
     ap.add_argument("--reps", type=int, default=3,
-                    help="timed repetitions per backend (best is kept)")
+                    help="minimum timed rounds over all tiers (best per "
+                         "tier is kept; millisecond rows repeat until "
+                         "0.3 s are sampled)")
     ap.add_argument("--tol", type=float, default=1e-12,
                     help="max allowed |interp - compiled| deviation")
     ap.add_argument("--out", metavar="FILE",
@@ -266,19 +327,7 @@ def main(argv=None) -> int:
         "speedup": round(float(np.exp(np.mean(
             np.log(headline_speedups)))), 2),
         "speedup_by_backend": by_backend,
-        "speedup_note": "geomean over the headline gradient rows; "
-                        "serial rows exercise the scalar adjoint "
-                        "sweeps, threaded rows the per-chunk NumPy "
-                        "kernel floor that the native C tier targets. "
-                        "Static bounds certification is in effect: "
-                        "certified sites drop their runtime checks, "
-                        "which moved the serial rows from ~9.8/8.4x "
-                        "to ~11.2/10.2x (scalar check calls were on "
-                        "the hot adjoint sweep) but left the threaded "
-                        "rows within ~0.1-0.5x of the prior numbers — "
-                        "a near-wash, as their floor is per-statement "
-                        "NumPy work in fork bodies, not check "
-                        "branches",
+        "speedup_note": _SPEEDUP_NOTE,
         "max_abs_dev": max(r["max_abs_dev"] for r in rows),
     }
     text = json.dumps(report, indent=2)

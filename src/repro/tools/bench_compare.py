@@ -19,6 +19,14 @@ Speedups are wall-clock ratios on shared runners, so the gate is
 deliberately loose: it catches the "compiled backend silently fell
 back to the interpreter" class of regression (speedup collapses to
 ~1x), not single-digit-percent noise.
+
+The gated number is a *ratio of two tiers*, so it also falls when the
+interpreter gets faster.  Every row therefore prints both tiers'
+absolute seconds, baseline → candidate, next to the ratio: a
+compiled-tier regression shows as compiled seconds going up, an
+interpreter speed-up as interp seconds going down with compiled
+seconds flat or better (then the committed baseline is what is stale —
+regenerate ``BENCH_backend.json``).
 """
 
 from __future__ import annotations
@@ -49,7 +57,9 @@ def compare(baseline: dict, candidate: dict,
         row = {"case": name,
                "headline": bool(cand.get("headline")),
                "baseline_speedup": base["speedup"] if base else None,
-               "candidate_speedup": cand["speedup"]}
+               "candidate_speedup": cand["speedup"],
+               "baseline_seconds": _seconds(base),
+               "candidate_seconds": _seconds(cand)}
         if base is not None and base["speedup"] > 0:
             change = (cand["speedup"] - base["speedup"]) / base["speedup"]
             row["change"] = round(change, 4)
@@ -74,8 +84,23 @@ def compare(baseline: dict, candidate: dict,
     for name in missing:
         rows.append({"case": name, "headline": None,
                      "baseline_speedup": base_rows[name]["speedup"],
-                     "candidate_speedup": None, "change": None})
+                     "candidate_speedup": None, "change": None,
+                     "baseline_seconds": _seconds(base_rows[name]),
+                     "candidate_seconds": None})
     return rows, failures
+
+
+def _seconds(row) -> "tuple | None":
+    """(interp, compiled-tier) wall-clock seconds of one report row."""
+    if not row or "interp_seconds" not in row:
+        return None
+    return row["interp_seconds"], row["compiled_seconds"]
+
+
+def _fmt_seconds(tier: int, base, cand) -> str:
+    def one(pair):
+        return f"{pair[tier]:.4f}s" if pair else "—"
+    return f"{one(base)}→{one(cand)}"
 
 
 def check_cache(candidate: dict, expect: str) -> list[str]:
@@ -137,10 +162,13 @@ def main(argv=None) -> int:
                   else "n/a")
         mark = "headline" if r["headline"] else (
             "not in candidate" if cand is None else "")
+        secs = r["baseline_seconds"], r["candidate_seconds"]
         print(f"{r['case']:24s} baseline="
               f"{base if base is not None else '—':>6} candidate="
               f"{cand if cand is not None else '—':>6} "
-              f"change={change:>7} {mark}")
+              f"change={change:>7} "
+              f"interp={_fmt_seconds(0, *secs)} "
+              f"compiled={_fmt_seconds(1, *secs)} {mark}")
 
     if failures:
         for msg in failures:

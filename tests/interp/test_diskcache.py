@@ -353,6 +353,24 @@ def test_resolve_cache_dir_precedence(tmp_path, monkeypatch):
     assert open_cache(ExecConfig(compile_cache="off")) is None
 
 
+@pytest.mark.parametrize("value", ["off", ""])
+def test_env_off_disables_without_creating_a_directory(
+        tmp_path, monkeypatch, value):
+    """``REPRO_CACHE_DIR=off`` (or empty) means "disabled", exactly
+    like ``compile_cache="off"`` — not a cache directory named ``off``."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_CACHE_DIR", value)
+    assert resolve_cache_dir(ExecConfig()) is None
+    assert open_cache(ExecConfig()) is None
+    # an explicit config directory still beats the environment
+    assert resolve_cache_dir(
+        ExecConfig(compile_cache=str(tmp_path / "c"))) == str(tmp_path / "c")
+    ex = Executor(_module(), ExecConfig(backend="compiled"))
+    ex.run("f", np.zeros(2), 2)
+    assert ex.compile_stats()["cache"] is None      # reported disabled
+    assert list(tmp_path.iterdir()) == []           # nothing appeared
+
+
 def test_end_to_end_warm_process_hits(tmp_path):
     """Two executors over the same module + config: the second's disk
     cache is hit (fresh Function objects defeat the in-memory memo)."""

@@ -132,6 +132,26 @@ def test_main_pass_and_fail_exit_codes(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+def test_rows_and_output_carry_both_tiers_absolute_seconds(tmp_path,
+                                                            capsys):
+    """A falling ratio is ambiguous; the absolute seconds say whether
+    the compiled tier regressed or the interpreter got faster."""
+    base_row = _row("a", 10.0)              # interp 1.0 s, compiled 0.1 s
+    cand_row = dict(_row("a", 4.0), interp_seconds=0.2,
+                    compiled_seconds=0.05)  # both faster, ratio down
+    rows, failures = compare(_report([base_row]), _report([cand_row]), 0.20)
+    assert failures                          # the ratio gate still trips
+    assert rows[0]["baseline_seconds"] == (1.0, 0.1)
+    assert rows[0]["candidate_seconds"] == (0.2, 0.05)
+    base = _write(tmp_path, "base.json", _report([base_row, _row("b", 2.0)]))
+    cand = _write(tmp_path, "cand.json", _report([cand_row]))
+    assert main([base, cand]) == 1
+    out = capsys.readouterr().out
+    assert "interp=1.0000s→0.2000s" in out
+    assert "compiled=0.1000s→0.0500s" in out
+    assert "interp=1.0000s→—" in out        # case missing from candidate
+
+
 def test_main_rejects_non_reports(tmp_path):
     junk = _write(tmp_path, "junk.json", {"tool": "something-else"})
     ok = _write(tmp_path, "ok.json", _report([]))
