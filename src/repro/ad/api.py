@@ -25,17 +25,25 @@ from .transform import Active, ADConfig, ADTransform, Const, Duplicated
 
 
 def autodiff(module: Module, fn_name: str, activities: list,
-             config: Optional[ADConfig] = None) -> str:
+             config: Optional[ADConfig] = None, cache=None) -> str:
     """Generate (or reuse) the gradient of ``fn_name``; returns its name."""
-    return autodiff_transform(module, fn_name, activities, config).grad_name
+    return autodiff_transform(module, fn_name, activities, config,
+                              cache).grad_name
 
 
 def autodiff_transform(module: Module, fn_name: str, activities: list,
-                       config: Optional[ADConfig] = None) -> ADTransform:
+                       config: Optional[ADConfig] = None,
+                       cache=None) -> ADTransform:
     """Like :func:`autodiff` but returns the transform itself, exposing
     the analyses of the run (``adjoint_report``, ``lint_result``,
-    ``comm_result``, the cache ``plan``)."""
+    ``comm_result``, the cache ``plan``).
+
+    ``cache`` is a gradient store, e.g. ``open_cache(exec_config)`` from
+    :mod:`repro.interp.diskcache`: a gradient it already holds for this
+    primal, activity list and config is parsed back instead of derived
+    (``tr.cache_event == "hit"``; ``tr.plan`` and ``tr.activity`` are
+    then ``None``)."""
     register_mpid_intrinsics(module)
-    tr = ADTransform(module, fn_name, activities, config)
+    tr = ADTransform(module, fn_name, activities, config, cache)
     tr.build()
     return tr

@@ -220,21 +220,26 @@ class CachePlanner:
 
     # ------------------------------------------------------------------
     def build(self) -> CachePlan:
-        needed = self._collect_needed()
-        closure = self._close(needed)
         # Values hash by object identity, so iterating these sets
         # directly would vary from process to process and leak into
         # slot numbering (and from there into the generated gradient
         # IR, defeating any source-keyed compile cache).  Iterate in
-        # program order instead.
+        # program order instead — the closure walk included: it plans
+        # pointer-cache slots as it goes (_recompute_deps ->
+        # _need_pointer), so its visiting order is slot order.
         order: dict = {}
         for i, op in enumerate(self.fn.walk()):
             if op.result is not None:
                 order[op.result] = i
         rank = order.get
         fallback = len(order)
-        self._classify(sorted(closure, key=lambda v: rank(v, fallback)),
-                       sorted(needed, key=lambda v: rank(v, fallback)))
+
+        def in_program_order(values) -> list:
+            return sorted(values, key=lambda v: rank(v, fallback))
+
+        needed = in_program_order(self._collect_needed())
+        closure = self._close(needed)
+        self._classify(in_program_order(closure), needed)
         self._assign_slots()
         self.plan.stats = {
             "needed": len(needed),

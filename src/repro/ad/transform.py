@@ -60,6 +60,7 @@ from ..ir.ops import (
     StoreOp,
     WhileOp,
 )
+from ..ir.printer import print_closure, print_function
 from ..ir.types import F64, I1, I64, PointerType, Ptr, Request, Task, Token
 from ..ir.values import Argument, BlockArg, Constant, Result, Value
 from ..passes.aliasing import analyze_aliasing
@@ -199,15 +200,33 @@ class _Scope:
 
 
 class ADTransform:
+    """One gradient construction.
+
+    ``cache`` is an optional gradient store (a
+    :class:`repro.interp.diskcache.CompileCache`): on a hit
+    :meth:`build` parses the stored gradient into the module instead of
+    differentiating, and then verifies / lints / comm-checks it exactly
+    as it would a fresh one.  The analyses of a transform that did not
+    run are not there to inspect: ``plan`` and ``activity`` stay
+    ``None`` on a hit (``adjoint_report`` is stored with the gradient).
+    """
+
     def __init__(self, module: Module, fn_name: str, activities: list,
-                 config: Optional[ADConfig] = None) -> None:
+                 config: Optional[ADConfig] = None, cache=None) -> None:
         self.module = module
         self.config = config or ADConfig()
         self.src_name = fn_name
         self.activities = [a if a is not None else Const for a in activities]
         self.grad_name = self.config.prefix + fn_name
+        self.cache = cache
+        #: What the gradient store did for this build: "hit", "miss"
+        #: (differentiated, then stored) or "off" (no store given).
+        self.cache_event = "off"
 
-        # Populated by build():
+        # Populated by build() (plan / activity only when it
+        # differentiates):
+        self.plan = None
+        self.activity = None
         self.fn: Function = None
         self.grad: Function = None
         self.b: IRBuilder = None
@@ -252,6 +271,28 @@ class ADTransform:
         if self.grad_name in self.module.functions:
             return self.grad_name
 
+        cache, key, hit = self.cache, None, None
+        if cache is not None:
+            key = cache.gradient_key(
+                print_closure(self.module, self.src_name),
+                self.activities, self.config)
+            hit = cache.load_gradient(key, self.module, self.grad_name)
+        if hit is not None:
+            self.grad, self.adjoint_report = hit
+            self.cache_event = "hit"
+        else:
+            self._differentiate()
+        self._check_gradient()
+        if cache is not None and hit is None:
+            # Stored only once it has passed every configured check.
+            cache.store_gradient(key, print_function(self.grad),
+                                 self.grad.attrs, self.adjoint_report)
+            self.cache_event = "miss"
+        return self.grad_name
+
+    def _differentiate(self) -> None:
+        """Emit ``self.grad`` from the primal (analyses, augmented
+        forward pass, reverse pass, cleanup)."""
         # Work on a private copy with all user calls inlined (Enzyme
         # differentiates post-inlining; §V-E).
         work_name = f"__ad_work_{self.src_name}"
@@ -325,6 +366,10 @@ class ADTransform:
         if self.config.post_opt:
             from ..passes.pass_manager import cleanup_pipeline
             cleanup_pipeline().run_function(self.grad, self.module)
+
+    def _check_gradient(self) -> None:
+        """The checks the config asks of a gradient, differentiated or
+        read back: IR verifier, race lint, comm duality."""
         if self.config.verify:
             from ..ir.verifier import verify_function
             verify_function(self.grad, self.module)
@@ -346,7 +391,6 @@ class ADTransform:
                 self.module, self.src_name, self.grad_name, sizes=sizes)
             if self.comm_result.errors:
                 raise CommCheckError(self.comm_result)
-        return self.grad_name
 
     # ==================================================================
     # Signature / prologue / epilogue

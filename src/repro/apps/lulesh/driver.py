@@ -15,7 +15,7 @@ import numpy as np
 
 from ...ad import ADConfig, Duplicated, autodiff_transform
 from ...baselines.codipack import CoDiPackTape
-from ...interp import ExecConfig, Executor
+from ...interp import ExecConfig, Executor, open_cache
 from ...parallel.mpi import SimMPI
 from ...perf.machine import MachineModel, c6i_metal
 from .kernels import FLAVORS, build_lulesh
@@ -108,6 +108,11 @@ class LuleshApp:
         #: Peak/live AD-cache bytes of the most recent single-rank
         #: gradient run.
         self.last_adjoint_stats: Optional[dict] = None
+        #: What the gradient disk cache did in grad_fn: ``event`` is
+        #: "hit" (stored gradient parsed back), "miss" (differentiated
+        #: and stored) or "off", beside that store's hits / misses /
+        #: stores / errors; also ``last_compile_stats["gradient_cache"]``.
+        self.gradient_cache: Optional[dict] = None
         self._grad: Optional[str] = None
 
     def region_report(self) -> dict:
@@ -140,10 +145,15 @@ class LuleshApp:
 
     def grad_fn(self) -> str:
         if self._grad is None:
+            # The same directory the executors keep code objects in.
+            cache = open_cache(self._config(1))
             tr = autodiff_transform(self.module, self.fn,
-                                    gradient_activities(), self.ad_config)
+                                    gradient_activities(), self.ad_config,
+                                    cache=cache)
             self._grad = tr.grad_name
             self.adjoint_report = tr.adjoint_report
+            self.gradient_cache = {"event": tr.cache_event,
+                                   **(cache.stats() if cache else {})}
         return self._grad
 
     def _config(self, num_threads: int) -> ExecConfig:
@@ -184,6 +194,8 @@ class LuleshApp:
         ex = Executor(self.module, self._config(num_threads))
         ex.run(grad, *domain_args(domains[0], steps, shadows[0]))
         self.last_compile_stats = ex.compile_stats()
+        if self.last_compile_stats is not None:
+            self.last_compile_stats["gradient_cache"] = self.gradient_cache
         self.last_adjoint_stats = ex.adjoint_stats()
         return RunResult(ex.clock, [ex.clock], ex.cost)
 
@@ -308,9 +320,13 @@ def main(argv: Optional[list] = None) -> int:
     ``--adjoint`` selects the time-loop adjoint strategy; the JSON
     report includes the strategy report (managed loops and cache-all
     fallbacks with reasons) plus peak AD-cache bytes, the numbers the
-    ``summarize --adjoint-report`` renderer consumes.
+    ``summarize --adjoint-report`` renderer consumes, what the gradient
+    disk cache did (``cache_event``: hit / miss / off, per
+    ``REPRO_CACHE_DIR``) and a SHA-256 of the shadow arrays
+    (``gradient_digest``).
     """
     import argparse
+    import hashlib
     import json
     import sys
 
@@ -355,11 +371,16 @@ def main(argv: Optional[list] = None) -> int:
     }
     if not args.forward_only:
         doms = app.make_domains()
-        grad = app.run_gradient(doms, args.steps, args.threads)
+        shadows = [d.shadow_arrays(seed=1.0) for d in doms]
+        grad = app.run_gradient(doms, args.steps, args.threads, shadows)
         report["gradient_time"] = grad.time
         report["overhead"] = grad.time / fwd.time if fwd.time else None
         report["adjoint_report"] = app.adjoint_report
         report["adjoint_stats"] = app.last_adjoint_stats
+        report["cache_event"] = app.gradient_cache["event"]
+        report["gradient_digest"] = hashlib.sha256(b"".join(
+            np.ascontiguousarray(sh[f]).tobytes()
+            for sh in shadows for f in sorted(sh))).hexdigest()
     if args.region_report:
         rep = app.region_report()
         if args.json:

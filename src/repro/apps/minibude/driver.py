@@ -7,9 +7,9 @@ from typing import Optional
 
 import numpy as np
 
-from ...ad import ADConfig, Duplicated, autodiff
+from ...ad import ADConfig, Duplicated, autodiff_transform
 from ...baselines.codipack import CoDiPackTape, codipack_gradient
-from ...interp import ExecConfig, Executor
+from ...interp import ExecConfig, Executor, open_cache
 from ...parallel import SimMPI
 from ...perf.machine import MachineModel, c6i_metal
 from .deck import Deck, make_deck
@@ -57,6 +57,11 @@ class MinibudeApp:
         #: Backend counters from the most recent single-rank run
         #: (None for the mpi variant or the interp backend).
         self.last_compile_stats: Optional[dict] = None
+        #: What the gradient disk cache did in grad_fn: ``event`` is
+        #: "hit" (stored gradient parsed back), "miss" (differentiated
+        #: and stored) or "off", beside that store's hits / misses /
+        #: stores / errors; also ``last_compile_stats["gradient_cache"]``.
+        self.gradient_cache: Optional[dict] = None
         self._grad: Optional[str] = None
 
     def region_report(self) -> dict:
@@ -70,8 +75,13 @@ class MinibudeApp:
     def grad_fn(self) -> str:
         if self._grad is None:
             acts = [Duplicated] * len(ARG_NAMES)
-            self._grad = autodiff(self.module, self.fn, acts,
-                                  self.ad_config)
+            # The same directory the executors keep code objects in.
+            cache = open_cache(self._config(1))
+            tr = autodiff_transform(self.module, self.fn, acts,
+                                    self.ad_config, cache=cache)
+            self._grad = tr.grad_name
+            self.gradient_cache = {"event": tr.cache_event,
+                                   **(cache.stats() if cache else {})}
         return self._grad
 
     def _config(self, num_threads: int) -> ExecConfig:
@@ -144,6 +154,8 @@ class MinibudeApp:
         ex = Executor(self.module, self._config(num_threads))
         ex.run(self.grad_fn(), *grad_args)
         self.last_compile_stats = ex.compile_stats()
+        if self.last_compile_stats is not None:
+            self.last_compile_stats["gradient_cache"] = self.gradient_cache
         return shadows, BudeResult(flat["energies"], ex.clock, ex.cost)
 
     def run_codipack_gradient(self) -> tuple[np.ndarray, BudeResult]:
@@ -183,9 +195,13 @@ class MinibudeApp:
 
 
 def main(argv: Optional[list] = None) -> int:
-    """CLI: run one miniBUDE variant forward; ``--region-report``
-    prints the native-region claimability report for its kernel."""
+    """CLI: run one miniBUDE variant forward and as a gradient; the
+    report says what the gradient disk cache did (``cache_event``: hit /
+    miss / off, per ``REPRO_CACHE_DIR``) and carries a SHA-256 of the
+    shadow arrays.  ``--region-report`` prints the native-region
+    claimability report for its kernel."""
     import argparse
+    import hashlib
     import json
     import sys
 
@@ -193,7 +209,7 @@ def main(argv: Optional[list] = None) -> int:
 
     ap = argparse.ArgumentParser(
         prog="python -m repro.apps.minibude.driver",
-        description="Run a miniBUDE variant (forward).")
+        description="Run a miniBUDE variant (forward and gradient).")
     ap.add_argument("--variant", default="openmp",
                     choices=sorted(VARIANTS))
     ap.add_argument("--backend", default="interp",
@@ -208,10 +224,16 @@ def main(argv: Optional[list] = None) -> int:
 
     app = MinibudeApp(args.variant, backend=args.backend)
     res = app.run_forward(args.threads)
+    shadows, grad = app.run_gradient(args.threads)
     report = {
         "variant": args.variant, "backend": args.backend,
         "forward_time": res.time,
         "energy_sum": float(res.energies.sum()),
+        "gradient_time": grad.time,
+        "cache_event": app.gradient_cache["event"],
+        "gradient_digest": hashlib.sha256(b"".join(
+            np.ascontiguousarray(shadows[n]).tobytes()
+            for n in ARG_NAMES)).hexdigest(),
     }
     if args.region_report:
         rep = app.region_report()

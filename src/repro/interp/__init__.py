@@ -7,7 +7,8 @@ events for MPI and thread barriers so the simulated runtimes in
 """
 
 from .compile import CompiledBackend, compile_function
-from .diskcache import CompileCache, config_fingerprint, resolve_cache_dir
+from .diskcache import (CompileCache, config_fingerprint, open_cache,
+                        resolve_cache_dir)
 from .events import BarrierEvent, Event, MPIEvent
 from .executor import Executor, run_function
 from .fusion import FusionStats
@@ -35,7 +36,8 @@ __all__ = [
     "Executor", "run_function",
     "ExecConfig", "Interpreter", "TaskScheduler", "chunk_bounds",
     "CompiledBackend", "compile_function",
-    "CompileCache", "config_fingerprint", "resolve_cache_dir",
+    "CompileCache", "config_fingerprint", "open_cache",
+    "resolve_cache_dir",
     "FusionStats",
     "Lowerer", "LoweringError", "lower_function",
     "NativeBackend", "NativeBuildError", "NativeStats", "Toolchain",

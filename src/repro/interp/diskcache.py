@@ -1,10 +1,27 @@
-"""Disk-persistent compile cache for the compiled backend.
+"""Disk-persistent cache of what a process builds before its first
+gradient runs: the gradient IR and the compiled code.
 
-Lowering an IR function is cheap (it also deterministically rebuilds
-the constant-globals table the generated code closes over), but running
-CPython's ``compile()`` over the generated source dominates cold-start
-time for large adjoint functions.  This cache persists the *marshaled
-code object* keyed by everything that determines it:
+Two entry families share one directory and one discipline (the native
+tier's ``.so`` blobs, a third, are described beside their methods).
+
+**Gradient IR** (``<root>/gradient-ir/``) sits above ``compile()``.  The
+AD transform is the dearest stage of a cold process — several steady
+gradient evaluations on LULESH — and, like Enzyme's, its output is a
+function of the program alone.  An entry is the *printed gradient
+function* with its function attrs and adjoint report, keyed by what the
+transform reads: the printed primal closure (``print_closure``: the
+function, every user function it calls, the intrinsics it calls), the
+activity list, every ``ADConfig`` field, and a digest of the
+``repro.ad`` / ``repro.passes`` / ``repro.ir`` sources — editing any of
+them is the version bump.  It is never keyed by the gradient's own
+text: a lookup costs one print of the small primal.  The text is
+lossless (``tests/ad/test_gradient_roundtrip.py``), so a function
+parsed back lowers to the same source as the one that was printed.
+
+**Code objects** (``<root>/compiled-ir/``) sit below lowering.
+Running CPython's ``compile()`` over the generated source of a large
+adjoint is the dearest stage of the compile step.  An entry is the
+*marshaled code object*, keyed by everything that determines it:
 
 * the lowered Python source (which transitively encodes the IR body —
   and therefore any ADConfig that shaped a gradient function);
@@ -14,26 +31,39 @@ code object* keyed by everything that determines it:
   version (``marshal`` payloads are interpreter-specific) and the
   NumPy version.
 
-A warm process therefore still lowers (rebuilding ``consts``), hashes
-the source, and unmarshals the stored code object instead of compiling.
+A warm process therefore prints and hashes the primal, *parses* the
+stored gradient instead of differentiating, runs the checks its
+``ADConfig`` asks for (verify, lint, commcheck) on the parsed function,
+certifies bounds and lowers it (rebuilding the constant table the
+generated code closes over), hashes the source, and unmarshals the
+stored code object instead of compiling.  Lowering stays in the warm
+path on purpose: the code entry is addressed by the source it was
+compiled from, so two processes that race different gradients into the
+directory can never be served each other's code.
 
-Layout: ``<root>/<key[:2]>/<key>.json`` where ``key`` is the SHA-256
-hex digest of the components above.  Entries are JSON with the marshal
-blob base64-encoded, written atomically (temp file + ``os.replace``) so
-concurrent processes never observe torn entries.  Any unreadable,
-truncated, version-skewed or otherwise corrupt entry is treated as a
-miss, unlinked best-effort, and recompiled — the cache can never turn
-a working program into a crash.
+Layout: ``<root>/<family>/<key[:2]>/<key>.json`` where ``key`` is the
+SHA-256 hex digest of the components above.  Entries are JSON (the
+marshal blob base64-encoded; gradient text beside its own SHA-256),
+written atomically (temp file + ``os.replace``) so concurrent processes
+never observe torn entries.  Any unreadable, truncated, version-skewed,
+digest-mismatched, unparsable or otherwise corrupt entry is treated as
+a miss, unlinked best-effort, counted in ``errors``, and rebuilt — the
+cache can never turn a working program into a crash.
 
 The directory is resolved per :class:`~repro.interp.interpreter.
 ExecConfig`: ``compile_cache`` names it directly, ``"off"`` disables,
 and ``None`` defers to the ``REPRO_CACHE_DIR`` environment variable
-(no caching when unset, empty, or ``off``).
+(no caching when unset, empty, or ``off``).  The executors open it for
+code objects; whoever calls ``autodiff_transform(..., cache=)`` — both
+app drivers do, with ``open_cache()`` of the same setting — opens it
+for gradients.  With caching off nothing here runs: no print, no hash,
+no file-system call.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import marshal
@@ -46,6 +76,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..ir.parser import parse_function
 from .fusion import LOWERING_VERSION
 
 #: Bump when the on-disk entry layout changes.
@@ -61,6 +92,16 @@ _SUBDIR = "compiled-ir"
 #: Sibling subdirectory holding compiled native kernel libraries.
 _NATIVE_SUBDIR = "native-so"
 
+#: Bump when the gradient-IR entry layout changes.
+GRADIENT_FORMAT_VERSION = 1
+
+#: Sibling subdirectory holding printed gradient functions.
+_GRADIENT_SUBDIR = "gradient-ir"
+
+#: Packages whose code decides what gradient a primal turns into (and
+#: how its text reads back).
+_GRADIENT_SOURCES = ("ad", "passes", "ir")
+
 
 def _py_tag() -> str:
     v = sys.version_info
@@ -68,7 +109,7 @@ def _py_tag() -> str:
 
 
 def config_fingerprint(config) -> str:
-    """Stable value-fingerprint of an ExecConfig.
+    """Stable value-fingerprint of an ExecConfig (or ADConfig).
 
     Every dataclass field participates (conservative: some fields do
     not affect codegen today, but correctness never depends on keeping
@@ -89,6 +130,25 @@ def config_fingerprint(config) -> str:
         else:
             parts.append(f"{f.name}={v!r}")
     return ";".join(parts)
+
+
+@functools.lru_cache(maxsize=None)
+def gradient_sources_digest() -> str:
+    """SHA-256 over the ``repro.ad`` / ``repro.passes`` / ``repro.ir``
+    sources: the gradient entries' stand-in for a hand-bumped AD
+    version.  Read once per process, and only by a process that has a
+    cache directory configured."""
+    pkg = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    h = hashlib.sha256()
+    for sub in _GRADIENT_SOURCES:
+        for d, dirs, files in os.walk(os.path.join(pkg, sub)):
+            dirs.sort()
+            for name in sorted(f for f in files if f.endswith(".py")):
+                path = os.path.join(d, name)
+                h.update(os.path.relpath(path, pkg).encode() + b"\0")
+                with open(path, "rb") as f:
+                    h.update(f.read() + b"\0")
+    return h.hexdigest()
 
 
 def resolve_cache_dir(config) -> Optional[str]:
@@ -113,6 +173,7 @@ class CompileCache:
     def __init__(self, root: str) -> None:
         self.root = os.path.join(root, _SUBDIR)
         self.native_root = os.path.join(root, _NATIVE_SUBDIR)
+        self.gradient_root = os.path.join(root, _GRADIENT_SUBDIR)
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -150,26 +211,35 @@ class CompileCache:
             self.misses += 1
             return None
         except Exception:  # noqa: BLE001 - corrupt entry => miss
-            self.misses += 1
-            self.errors += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            self._drop_corrupt(path)
             return None
         self.hits += 1
         return code
 
+    def _drop_corrupt(self, *paths: str) -> None:
+        """Count a corrupt entry (a miss and an error) and unlink its
+        files, best effort."""
+        self.misses += 1
+        self.errors += 1
+        for p in paths:
+            try:
+                os.unlink(p)
+            except OSError:
+                pass
+
     def store(self, source: str, fingerprint: str, code) -> None:
         """Persist ``code`` (best effort: IO errors never propagate)."""
-        path = self._path(self.key(source, fingerprint))
-        entry = {
+        self._write_json(self._path(self.key(source, fingerprint)), {
             "format": FORMAT_VERSION,
             "lowering": LOWERING_VERSION,
             "py": _py_tag(),
             "numpy": np.__version__,
             "code": base64.b64encode(marshal.dumps(code)).decode("ascii"),
-        }
+        })
+
+    def _write_json(self, path: str, entry: dict) -> None:
+        """Atomic best-effort write of one JSON entry (temp file +
+        ``os.replace``); counts a store when it lands."""
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
@@ -187,6 +257,79 @@ class CompileCache:
         except OSError:
             return
         self.stores += 1
+
+    # -- gradient IR ---------------------------------------------------
+    # Printed gradient functions live under ``gradient-ir/``, keyed by
+    # what the AD transform reads — never by what it writes, so a lookup
+    # costs one print of the (small) primal.  An entry carries the
+    # SHA-256 of its text; the format version and source digest are in
+    # the key *and* the entry, so a skewed or hand-edited file is
+    # dropped like any other corrupt one.
+
+    def gradient_key(self, primal_text: str, activities: list,
+                     config) -> str:
+        """Key of the gradient of a primal under one ADConfig.
+
+        ``primal_text`` is :func:`repro.ir.printer.print_closure` of the
+        function; every ADConfig field participates
+        (:func:`config_fingerprint`)."""
+        h = hashlib.sha256()
+        h.update(f"gradient-format={GRADIENT_FORMAT_VERSION};"
+                 f"sources={gradient_sources_digest()}\n".encode())
+        h.update(config_fingerprint(config).encode())
+        h.update(f"\nactivities={list(activities)!r}\n".encode())
+        h.update(primal_text.encode())
+        return h.hexdigest()
+
+    def _gradient_path(self, key: str) -> str:
+        return os.path.join(self.gradient_root, key[:2], key + ".json")
+
+    def load_gradient(self, key: str, module, name: str):
+        """Parse the stored gradient ``name`` into ``module``.
+
+        Returns ``(function, adjoint_report)``, or None on a miss.  An
+        entry that does not read, verify against its digest or parse
+        back is unlinked and counted in ``errors``; ``module`` is left
+        without a function ``name`` in that case."""
+        path = self._gradient_path(key)
+        known = set(module.functions)
+        try:
+            with open(path, "rb") as f:
+                entry = json.load(f)
+            if (entry.get("format") != GRADIENT_FORMAT_VERSION
+                    or entry.get("sources") != gradient_sources_digest()):
+                raise ValueError("version skew")
+            text = entry["text"]
+            if hashlib.sha256(text.encode()).hexdigest() != entry["sha256"]:
+                raise ValueError("gradient text digest mismatch")
+            fn = parse_function(text, module)
+            if fn.name != name:
+                raise ValueError(f"entry holds {fn.name!r}, not {name!r}")
+            fn.attrs.update(entry["attrs"])
+            report = entry["report"]
+        except FileNotFoundError:
+            self.misses += 1
+            return None
+        except Exception:  # noqa: BLE001 - corrupt entry => miss
+            for added in set(module.functions) - known:
+                del module.functions[added]
+            self._drop_corrupt(path)
+            return None
+        self.hits += 1
+        return fn, report
+
+    def store_gradient(self, key: str, text: str, attrs: dict,
+                       report: dict) -> None:
+        """Persist a printed gradient with its function attrs and
+        adjoint report (best effort, like :meth:`store`)."""
+        self._write_json(self._gradient_path(key), {
+            "format": GRADIENT_FORMAT_VERSION,
+            "sources": gradient_sources_digest(),
+            "sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "text": text,
+            "attrs": attrs,
+            "report": report,
+        })
 
     # -- native kernel libraries ---------------------------------------
     # Compiled .so blobs for the native backend live beside the marshal
@@ -230,13 +373,7 @@ class CompileCache:
             self.misses += 1
             return None
         except Exception:  # noqa: BLE001 - corrupt entry => miss
-            self.misses += 1
-            self.errors += 1
-            for p in (so_path, meta_path):
-                try:
-                    os.unlink(p)
-                except OSError:
-                    pass
+            self._drop_corrupt(so_path, meta_path)
             return None
         self.hits += 1
         return so_path

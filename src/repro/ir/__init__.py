@@ -34,7 +34,7 @@ from .ops import (
     WhileOp,
 )
 from .parser import ParseError, parse_function, parse_module, parse_type
-from .printer import print_function, print_module
+from .printer import print_closure, print_function, print_module
 from .types import (
     F64,
     I1,
@@ -57,7 +57,7 @@ __all__ = [
     "MemcpyOp", "MemsetOp", "Op", "ParallelForOp", "PtrAddOp", "ReturnOp",
     "SpawnOp", "StoreOp", "WhileOp",
     "ParseError", "parse_function", "parse_module", "parse_type",
-    "print_function", "print_module",
+    "print_closure", "print_function", "print_module",
     "F64", "I1", "I64", "PointerType", "Ptr", "Request", "Task", "Token",
     "Type", "Void",
     "Argument", "BlockArg", "Constant", "Result", "Value", "as_value",

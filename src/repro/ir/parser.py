@@ -239,17 +239,20 @@ class _Parser:
             op = LoadOp(self._val(m.group(1)), self._val(m.group(2)))
             block.append(op)
             return op
-        m = re.match(r"alloc (\S+) x (\S+) space=(\w+)$", rest)
+        m = re.match(r"alloc (\S+) x (\S+) space=(\w+)(\s*\{.*\})?$", rest)
         if m:
             op = AllocOp(self._val(m.group(1)), parse_type(m.group(2)),
                          m.group(3))
+            op.attrs.update(_parse_attrs(m.group(4) or ""))
             block.append(op)
             return op
-        m = re.match(r"call @([\w.]+)\((.*)\)(\s*\{.*\})?$", rest)
+        m = re.match(r"call @([\w.]+)\((.*)\)(\s*\{.*\})?(?: : (\S+))?$",
+                     rest)
         if m:
-            callee, argtext, attrs = m.groups()
-            target = self.module.lookup_callee(callee)
-            op = CallOp(callee, self._vals(argtext), target.ret_type,
+            callee, argtext, attrs, ty = m.groups()
+            ret = (parse_type(ty) if ty
+                   else self.module.lookup_callee(callee).ret_type)
+            op = CallOp(callee, self._vals(argtext), ret,
                         _parse_attrs(attrs or ""))
             block.append(op)
             return op
@@ -266,9 +269,10 @@ class _Parser:
             op = PtrAddOp(vals[0], vals[1])
             block.append(op)
             return op
-        m = re.match(r"spawn \{$", rest)
+        m = re.match(r"spawn(\s*\{[^{]*\})? \{$", rest)
         if m:
             op = SpawnOp()
+            op.attrs.update(_parse_attrs(m.group(1) or ""))
             block.append(op)
             self._parse_block_into(op.body)
             return op
@@ -277,10 +281,10 @@ class _Parser:
             op = CacheCreateOp()
             block.append(op)
             return op
-        m = re.match(r"cache_pop (\S+)$", rest)
+        m = re.match(r"cache_pop (\S+)(?: : (\S+))?$", rest)
         if m:
-            # element type is not printed; default to f64 pointers
-            op = CachePopOp(self._val(m.group(1)), Ptr(F64))
+            ty = parse_type(m.group(2)) if m.group(2) else Ptr(F64)
+            op = CachePopOp(self._val(m.group(1)), ty)
             block.append(op)
             return op
         # generic compute op: "<opcode> a, b {attrs}"
@@ -386,10 +390,12 @@ class _Parser:
             self._define(iv, op.ivar)
             self._parse_block_into(op.body)
             return op
-        m = re.match(r"fork\((.+)\) \((%\S+), (%\S+)\) \{$", ln)
+        m = re.match(r"fork\((.+)\) \((%\S+), (%\S+)\)"
+                     r"(\s*\{[^{]*\})? \{$", ln)
         if m:
-            nt, tid, nth = m.groups()
+            nt, tid, nth, attrs = m.groups()
             op = ForkOp(self._val(nt))
+            op.attrs.update(_parse_attrs(attrs or ""))
             block.append(op)
             self._define(tid, op.tid)
             self._define(nth, op.nthreads)

@@ -10,24 +10,37 @@ from .values import Argument, BlockArg, Constant, Result, Value
 
 
 class _Namer:
+    """Printed names: ``%<name>`` for named arguments / block arguments,
+    ``%<n>`` for everything else, numbered by first appearance.
+
+    A repeated name gets a ``_<k>`` suffix counted per name, never from
+    the anonymous counter: the suffixed name is unique when the text is
+    parsed back, so printing the parsed function numbers every
+    anonymous value as before and the text is a fixed point of
+    print -> parse -> print (stored gradient text is digested).
+    """
+
     def __init__(self) -> None:
         self.names: dict[Value, str] = {}
+        self.used: set[str] = set()
+        self.repeats: dict[str, int] = {}
         self.counter = 0
 
     def name(self, v: Value) -> str:
         if isinstance(v, Constant):
             return repr(v.value)
-        if v in self.names:
-            return self.names[v]
+        n = self.names.get(v)
+        if n is not None:
+            return n
         if isinstance(v, (Argument, BlockArg)) and v.name:
-            n = f"%{v.name}"
+            base = n = f"%{v.name}"
         else:
-            n = f"%{self.counter}"
+            base = n = f"%{self.counter}"
             self.counter += 1
-        # Disambiguate duplicates.
-        while n in self.names.values():
-            n = f"{n}_{self.counter}"
-            self.counter += 1
+        while n in self.used:
+            k = self.repeats[base] = self.repeats.get(base, 0) + 1
+            n = f"{base}_{k}"
+        self.used.add(n)
         self.names[v] = n
         return n
 
@@ -37,6 +50,41 @@ def print_module(module: Module) -> str:
     for fn in module.functions.values():
         out.write(print_function(fn))
         out.write("\n")
+    return out.getvalue()
+
+
+def print_closure(module: Module, fn_name: str) -> str:
+    """Everything in ``module`` that determines what ``fn_name``
+    computes, as one text: the function and every user function it
+    (transitively) calls, in order of discovery, each with its function
+    attrs, then the signature and effects of every intrinsic called.
+
+    A digest input (the gradient disk cache keys on it), not parser
+    input."""
+    out = io.StringIO()
+    seen = {fn_name}
+    work = [fn_name]
+    intrinsics: dict[str, object] = {}
+    while work:
+        fn = module.functions[work.pop(0)]
+        out.write(print_function(fn))
+        if fn.attrs:
+            out.write(f"attrs {sorted(fn.attrs.items())!r}\n")
+        for op in fn.walk():
+            if op.opcode != "call":
+                continue
+            callee = op.attrs["callee"]
+            if callee in module.functions:
+                if callee not in seen:
+                    seen.add(callee)
+                    work.append(callee)
+            elif callee in module.intrinsics:
+                intrinsics[callee] = module.intrinsics[callee]
+    for name in sorted(intrinsics):
+        i = intrinsics[name]
+        args = ", ".join(str(t) for t in i.arg_types)
+        out.write(f"intrinsic @{name}({args}{'...' if i.variadic else ''})"
+                  f" -> {i.ret_type} {i.effects}\n")
     return out.getvalue()
 
 
@@ -97,9 +145,14 @@ def print_op(op: Op, context: bool = True) -> str:
     return line
 
 
-def _fmt_attrs(op: Op, skip=("callee",)) -> str:
+def _fmt_attrs(op: Op, skip=("callee",), defaults=None) -> str:
+    """``{k=v, ...}`` of the attrs not in ``skip``; falsy values and
+    values equal to their entry in ``defaults`` (what the op's
+    constructor sets when the parser builds it) are left out."""
+    defaults = defaults or {}
     items = [f'{k}={v!r}' for k, v in sorted(op.attrs.items())
-             if k not in skip and v not in (False, None, {}, [])]
+             if k not in skip and v not in (False, None, {}, [])
+             and defaults.get(k) != v]
     return (" {" + ", ".join(items) + "}") if items else ""
 
 
@@ -120,22 +173,24 @@ def _print_block(block: Block, out, namer: _Namer, indent: int) -> None:
                       f"{_fmt_attrs(op, skip=('callee', 'kind'))}\n")
         elif oc == "alloc":
             out.write(f"{pad}{n(op.result)} = alloc {n(op.operands[0])} x "
-                      f"{op.result.type.elem} space={op.attrs['space']}\n")
+                      f"{op.result.type.elem} space={op.attrs['space']}"
+                      f"{_fmt_attrs(op, skip=('space', 'zero'))}\n")
         elif oc == "call":
+            # The result type is printed: an intrinsic may be called at
+            # another type than it is registered with (jl.arrayptr on an
+            # i64 array), and the parser only knows the registration.
             res = f"{n(op.result)} = " if op.result else ""
+            ty = f" : {op.result.type}" if op.result else ""
             args = ", ".join(n(v) for v in op.operands)
             out.write(f"{pad}{res}call @{op.attrs['callee']}({args})"
-                      f"{_fmt_attrs(op)}\n")
+                      f"{_fmt_attrs(op)}{ty}\n")
         elif oc == "return":
             vals = ", ".join(n(v) for v in op.operands)
             out.write(f"{pad}return {vals}\n".rstrip() + "\n")
         elif oc == "for":
             kind = "workshare_for" if op.attrs.get("workshare") else "for"
             simd = " simd" if op.attrs.get("simd") else ""
-            # Only the adjoint-strategy tag is printed (round-trips via
-            # the parser); other loop attrs stay internal.
-            adjoint = op.attrs.get("adjoint")
-            tag = f" {{adjoint={adjoint!r}}}" if adjoint else ""
+            tag = _fmt_attrs(op, skip=("workshare", "simd"))
             out.write(f"{pad}{kind}{simd} {namer.name(op.body.args[0])} in "
                       f"[{n(op.operands[0])}, {n(op.operands[1])}) "
                       f"step {n(op.operands[2])}{tag} {{\n")
@@ -151,6 +206,7 @@ def _print_block(block: Block, out, namer: _Namer, indent: int) -> None:
             body = op.regions[0]
             out.write(f"{pad}fork({n(op.operands[0])}) "
                       f"({namer.name(body.args[0])}, {namer.name(body.args[1])})"
+                      f"{_fmt_attrs(op, defaults={'framework': 'openmp'})}"
                       f" {{\n")
             _print_block(body, out, namer, indent + 1)
             out.write(f"{pad}}}\n")
@@ -168,9 +224,14 @@ def _print_block(block: Block, out, namer: _Namer, indent: int) -> None:
         elif oc == "condition":
             out.write(f"{pad}continue_if {n(op.operands[0])}\n")
         elif oc == "spawn":
-            out.write(f"{pad}{n(op.result)} = spawn {{\n")
+            out.write(f"{pad}{n(op.result)} = spawn"
+                      f"{_fmt_attrs(op, defaults={'framework': 'julia'})}"
+                      f" {{\n")
             _print_block(op.regions[0], out, namer, indent + 1)
             out.write(f"{pad}}}\n")
+        elif oc == "cache_pop":
+            out.write(f"{pad}{n(op.result)} = cache_pop {n(op.operands[0])}"
+                      f" : {op.result.type}\n")
         elif oc == "cmp":
             out.write(f"{pad}{n(op.result)} = cmp.{op.attrs['pred']} "
                       f"{n(op.operands[0])}, {n(op.operands[1])}\n")

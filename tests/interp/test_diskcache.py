@@ -382,3 +382,260 @@ def test_end_to_end_warm_process_hits(tmp_path):
     ex2.run("f", np.zeros(2), 2)
     st = ex2.compile_stats()["cache"]
     assert st == {"hits": 1, "misses": 0, "stores": 0, "errors": 0}
+
+
+# ---------------------------------------------------------------------------
+# Gradient-IR entries: the AD transform's own cache, above compile()
+# ---------------------------------------------------------------------------
+
+_ACTS = [Duplicated, None]
+
+#: One non-default value per ADConfig field.  A field added to ADConfig
+#: must be added here (the first assert of the key test says so).
+_OTHER_ADCONFIG = {
+    "cache_all": True, "atomic_everywhere": True, "verify": False,
+    "prefix": "grad_", "opt_level": "none", "openmp_opt": True,
+    "post_opt": False, "cache_space": "gc", "sanitize": True,
+    "force_increment_kind": "atomic", "commcheck": (2,),
+    "adjoint": "checkpoint", "implicit_iters": 3,
+}
+
+
+def _nonlinear_module(extra_op: bool = False):
+    b = IRBuilder()
+    with b.function("f", [("x", Ptr()), ("n", I64)]) as f:
+        x, n = f.args
+        with b.for_(0, n, simd=True) as i:
+            v = b.load(x, i)
+            if extra_op:
+                v = b.add(v, 1.0)
+            b.store(b.mul(b.sin(v), v), x, i)
+    verify_module(b.module)
+    return b.module
+
+
+def _gradient_entry_paths(cache):
+    return _entry_paths(cache.gradient_root)
+
+
+def _run_gradient(module, grad):
+    x, dx = np.linspace(0.1, 0.9, 5), np.ones(5)
+    ex = Executor(module, ExecConfig())
+    ex.run(grad, x, dx, 5)
+    return x, dx, ex.clock, ex.cost.as_dict()
+
+
+def _assert_same_run(a, b):
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
+    assert a[2:] == b[2:]
+
+
+def _fresh_run():
+    module = _nonlinear_module()
+    return _run_gradient(module, autodiff(module, "f", _ACTS))
+
+
+def test_gradient_miss_then_hit_is_bit_identical(tmp_path):
+    from repro.ad import autodiff_transform
+
+    cache = CompileCache(str(tmp_path))
+    cold = autodiff_transform(_nonlinear_module(), "f", _ACTS, cache=cache)
+    assert cold.cache_event == "miss" and cold.plan is not None
+    assert cache.stats() == {"hits": 0, "misses": 1, "stores": 1,
+                             "errors": 0}
+    assert len(_gradient_entry_paths(cache)) == 1
+
+    warm = autodiff_transform(_nonlinear_module(), "f", _ACTS, cache=cache)
+    assert warm.cache_event == "hit"
+    # no transform ran: its analyses are not there, its report is
+    assert warm.plan is None and warm.activity is None
+    assert warm.adjoint_report == cold.adjoint_report
+    assert warm.grad.attrs == cold.grad.attrs
+    assert cache.stats()["hits"] == 1 and cache.stats()["stores"] == 1
+    _assert_same_run(_run_gradient(warm.module, warm.grad_name),
+                     _fresh_run())
+    assert autodiff_transform(_nonlinear_module(), "f", _ACTS
+                              ).cache_event == "off"
+
+
+def _truncate(entry, raw):
+    return raw[:len(raw) // 2]
+
+
+def _edit(**changes):
+    def apply(entry, raw):
+        entry.update(changes)
+        return json.dumps(entry).encode()
+    return apply
+
+
+def _unparsable_text(entry, raw):
+    import hashlib
+    entry["text"] = entry["text"].replace(" = load ", " = lod ", 1)
+    entry["sha256"] = hashlib.sha256(entry["text"].encode()).hexdigest()
+    return json.dumps(entry).encode()
+
+
+def _other_function(entry, raw):
+    import hashlib
+    entry["text"] = entry["text"].replace("@diffe_f(", "@diffe_g(", 1)
+    entry["sha256"] = hashlib.sha256(entry["text"].encode()).hexdigest()
+    return json.dumps(entry).encode()
+
+
+@pytest.mark.parametrize("corrupt", [
+    _truncate,
+    lambda entry, raw: b"",
+    _edit(text="func @diffe_f() -> void {\n  return\n}\n"),  # digest
+    _unparsable_text,
+    _other_function,
+    _edit(format=0),
+    _edit(sources="0" * 64),
+    lambda entry, raw: json.dumps(
+        {k: v for k, v in entry.items() if k != "report"}).encode(),
+], ids=["truncated", "empty", "digest-mismatch", "unparsable-text",
+        "wrong-function", "format-skew", "source-skew", "missing-field"])
+def test_corrupt_gradient_entry_is_a_miss_and_a_fresh_transform(
+        tmp_path, corrupt):
+    from repro.ad import autodiff_transform
+
+    cache = CompileCache(str(tmp_path))
+    autodiff_transform(_nonlinear_module(), "f", _ACTS, cache=cache)
+    (path,) = _gradient_entry_paths(cache)
+    with open(path, "rb") as f:
+        raw = f.read()
+    with open(path, "wb") as f:
+        f.write(corrupt(json.loads(raw), raw))
+
+    cache = CompileCache(str(tmp_path))
+    module = _nonlinear_module()
+    tr = autodiff_transform(module, "f", _ACTS, cache=cache)
+    assert tr.cache_event == "miss" and tr.plan is not None
+    assert cache.stats() == {"hits": 0, "misses": 1, "stores": 1,
+                             "errors": 1}
+    assert sorted(module.functions) == ["diffe_f", "f"]
+    _assert_same_run(_run_gradient(module, tr.grad_name), _fresh_run())
+    # the bad entry was unlinked and replaced by a good one
+    assert _gradient_entry_paths(cache) == [path]
+    again = autodiff_transform(_nonlinear_module(), "f", _ACTS, cache=cache)
+    assert again.cache_event == "hit"
+
+
+def test_source_digest_change_moves_the_gradient_key(tmp_path, monkeypatch):
+    """Editing anything under repro.ad / repro.passes / repro.ir is an
+    AD version bump: old entries are simply never found."""
+    import repro.interp.diskcache as dc
+    from repro.ir import print_closure
+
+    cache = CompileCache(str(tmp_path))
+    text = print_closure(_nonlinear_module(), "f")
+    key = cache.gradient_key(text, _ACTS, ADConfig())
+    assert len(dc.gradient_sources_digest()) == 64
+    monkeypatch.setattr(dc, "gradient_sources_digest", lambda: "0" * 64)
+    assert cache.gradient_key(text, _ACTS, ADConfig()) != key
+
+
+def test_gradient_key_covers_config_activities_and_primal(tmp_path):
+    import dataclasses
+
+    from repro.ir import print_closure
+
+    assert set(_OTHER_ADCONFIG) == {
+        f.name for f in dataclasses.fields(ADConfig)}
+    cache = CompileCache(str(tmp_path))
+    text = print_closure(_nonlinear_module(), "f")
+    base = cache.gradient_key(text, _ACTS, ADConfig())
+    assert base == cache.gradient_key(text, list(_ACTS), ADConfig())
+    keys = {base}
+    for name, value in _OTHER_ADCONFIG.items():
+        assert getattr(ADConfig(), name) != value
+        keys.add(cache.gradient_key(text, _ACTS,
+                                    ADConfig(**{name: value})))
+    keys.add(cache.gradient_key(text, [Duplicated, Duplicated], ADConfig()))
+    keys.add(cache.gradient_key(
+        print_closure(_nonlinear_module(extra_op=True), "f"), _ACTS,
+        ADConfig()))
+    assert len(keys) == len(_OTHER_ADCONFIG) + 3
+
+
+def test_gradient_key_covers_callees(tmp_path):
+    """The transform inlines user calls, so a change in a callee is a
+    change of the primal."""
+    from repro.ir import print_closure
+
+    def module(scale):
+        b = IRBuilder()
+        with b.function("g", [("x", Ptr()), ("i", I64)]) as f:
+            x, i = f.args
+            b.store(b.mul(b.load(x, i), scale), x, i)
+        with b.function("f", [("x", Ptr()), ("n", I64)]) as f:
+            x, n = f.args
+            with b.for_(0, n) as i:
+                b.call("g", x, i)
+        verify_module(b.module)
+        return b.module
+
+    cache = CompileCache(str(tmp_path))
+    k2, k3 = (cache.gradient_key(print_closure(module(s), "f"), _ACTS,
+                                 ADConfig()) for s in (2.0, 3.0))
+    assert k2 != k3
+
+
+@pytest.mark.parametrize("how", ["config", "env"])
+def test_cache_off_prints_hashes_and_writes_nothing(tmp_path, monkeypatch,
+                                                    how):
+    """With the cache off, ``grad_fn()`` is the transform and nothing
+    else: no printer call, no key, no directory."""
+    import repro.ad.transform as transform
+    import repro.interp.diskcache as dc
+    from repro.apps.lulesh.driver import LuleshApp
+    from repro.apps.minibude import MinibudeApp
+    from repro.apps.minibude.deck import make_deck
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cache machinery ran with the cache off")
+
+    monkeypatch.chdir(tmp_path)
+    if how == "env":
+        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
+        setting = None
+    else:
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ignored"))
+        setting = "off"
+    for name in ("print_closure", "print_function"):
+        monkeypatch.setattr(transform, name, forbidden)
+    monkeypatch.setattr(dc, "gradient_sources_digest", forbidden)
+    monkeypatch.setattr(dc.hashlib, "sha256", forbidden)
+
+    for app in (LuleshApp("serial", 2, compile_cache=setting),
+                MinibudeApp("serial", make_deck(4, 2, 6),
+                            compile_cache=setting)):
+        app.grad_fn()
+        assert app.gradient_cache == {"event": "off"}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_app_drivers_share_one_directory_with_the_executor(tmp_path):
+    """Both drivers hand ``grad_fn`` the directory their executors use:
+    a second app instance parses the gradient, unmarshals the code and
+    reports both."""
+    from repro.apps.minibude import MinibudeApp
+    from repro.apps.minibude.deck import make_deck
+
+    runs = []
+    for _ in range(2):
+        app = MinibudeApp("serial", make_deck(4, 2, 6), backend="compiled",
+                          compile_cache=str(tmp_path))
+        shadows, res = app.run_gradient()
+        runs.append((shadows["poses"], res.time, app.last_compile_stats))
+    (g0, t0, s0), (g1, t1, s1) = runs
+    np.testing.assert_array_equal(g0, g1)
+    assert t0 == t1
+    assert s0["gradient_cache"] == {"event": "miss", "hits": 0,
+                                    "misses": 1, "stores": 1, "errors": 0}
+    assert s1["gradient_cache"] == {"event": "hit", "hits": 1,
+                                    "misses": 0, "stores": 0, "errors": 0}
+    assert s1["cache"] == {"hits": 1, "misses": 0, "stores": 0,
+                           "errors": 0}
+    assert len(_entry_paths(str(tmp_path))) == 2

@@ -144,3 +144,58 @@ def test_roundtrip_generated_gradient():
     text1 = print_function(b.module.functions[grad])
     fn2 = parse_function(text1)
     assert print_function(fn2) == text1
+
+
+def test_roundtrip_keeps_every_attribute():
+    """The text is lossless: attrs the executors, the cost model or the
+    verifier read come back (the gradient disk cache stores text)."""
+    def build(b):
+        with b.function("f", [("x", Ptr()), ("n", I64)]) as f:
+            x, n = f.args
+            buf = b.alloc(n)
+            buf.op.attrs.update(adcache=True, stream=True)
+            h = b.cache_create()
+            b.cache_push(h, b.alloc(n, I64))
+            b.cache_pop(h, Ptr(I64))
+            p = b.call("jl.arrayptr", x)
+            p.op.result.type = Ptr(I64)
+            with b.fork(2, framework="raja") as (tid, nth):
+                with b.workshare(0, n, nowait=True) as i:
+                    b.store(1.0, buf, i)
+                b.barrier()
+            with b.fork(2) as (tid, nth):
+                with b.workshare(0, n) as i:
+                    b.store(2.0, x, i)
+            with b.spawn(framework="tbb") as t:
+                b.store(3.0, x, 0)
+            b.call("task.wait", t)
+        for op in f.walk():
+            if op.opcode == "for" and not op.attrs["nowait"]:
+                op.attrs["reverse_order"] = True
+    fn = _roundtrip(build)
+    ops = list(fn.walk())
+    by = lambda oc: [op for op in ops if op.opcode == oc]  # noqa: E731
+    assert by("alloc")[0].attrs == {"space": "stack", "zero": True,
+                                    "adcache": True, "stream": True}
+    assert "adcache" not in by("alloc")[1].attrs
+    assert by("cache_pop")[0].result.type is Ptr(I64)
+    assert by("call")[0].result.type is Ptr(I64)
+    assert [op.attrs["framework"] for op in by("fork")] == ["raja", "openmp"]
+    assert [(op.attrs["nowait"], op.attrs.get("reverse_order", False))
+            for op in by("for")] == [(True, False), (False, True)]
+    assert by("spawn")[0].attrs["framework"] == "tbb"
+
+
+def test_repeated_names_do_not_shift_anonymous_numbering():
+    """Same-named ivars get a per-name suffix; ``%N`` names count only
+    anonymous values, so the first print is already the fixed point."""
+    def build(b):
+        with b.function("f", [("x", Ptr()), ("n", I64)]) as f:
+            x, n = f.args
+            for _ in range(3):
+                with b.for_(0, n, name="e") as e:
+                    b.store(b.load(x, e) * 2.0, x, e)
+    fn = _roundtrip(build)
+    text = print_function(fn)
+    assert "%e in" in text and "%e_1 in" in text and "%e_2 in" in text
+    assert "%5 = mul %4, 2.0" in text
