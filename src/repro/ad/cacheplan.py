@@ -30,14 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import networkx as nx
-
 from ..ir.function import Function, Module
 from ..ir.ops import Op
 from ..ir.types import F64, I1, I64, PointerType, Request, Task, Type
 from ..ir.values import Argument, BlockArg, Constant, Result, Value
 from ..passes.aliasing import AliasInfo
 from .activity import ActivityInfo
+from .mincut import INF, min_cut_sink_side
 from .rules import RULES, ZERO_DERIVATIVE
 
 
@@ -533,7 +532,6 @@ class CachePlanner:
     def _classify(self, closure: list[Value], needed: list[Value]) -> None:
         """``closure`` and ``needed`` come in program order (see build)."""
         res = self.plan.resolution
-        in_closure = set(closure)
         for v in closure:
             res[v] = "recompute"  # refined below
 
@@ -546,44 +544,40 @@ class CachePlanner:
                                     f"recomputable")
             return
 
-        # Min vertex cut.
-        G = nx.DiGraph()
-        SOURCE, SINK = "S", "T"
-        INF = float("inf")
-
-        def v_in(v):
-            return ("in", v)
-
-        def v_out(v):
-            return ("out", v)
-
-        for v in closure:
-            cap = self._cache_weight(v) if self._cacheable(v) else INF
-            G.add_edge(v_in(v), v_out(v), capacity=cap)
+        # Min vertex cut.  Closure value number i is the edge
+        # 2i -> 2i + 1 (in -> out) at its cache footprint; what cannot be
+        # recomputed hangs off the source, what is needed feeds the sink.
+        number = {v: i for i, v in enumerate(closure)}
+        source, sink = 2 * len(closure), 2 * len(closure) + 1
+        edges = []
+        for i, v in enumerate(closure):
+            cacheable = self._cacheable(v)
+            edges.append((2 * i, 2 * i + 1,
+                          self._cache_weight(v) if cacheable else INF))
             deps = self._recompute_deps(v)
             if deps is None:
-                if not self._cacheable(v):
+                if not cacheable:
                     raise PlanError(
                         f"value {v!r} must be preserved but cannot be "
                         f"cached")
-                G.add_edge(SOURCE, v_in(v), capacity=INF)
+                edges.append((source, 2 * i, INF))
             else:
-                for d in deps:
-                    if not self._is_free(d):
-                        G.add_edge(v_out(d), v_in(v), capacity=INF)
-        for v in needed:
-            if v in in_closure:
-                G.add_edge(v_out(v), SINK, capacity=INF)
+                edges.extend((2 * number[d] + 1, 2 * i, INF)
+                             for d in deps if not self._is_free(d))
+        edges.extend((2 * number[v] + 1, sink, INF)
+                     for v in needed if v in number)
 
-        if SOURCE in G and SINK in G and nx.has_path(G, SOURCE, SINK):
-            cut_value, (s_side, t_side) = nx.minimum_cut(
-                G, SOURCE, SINK, capacity="capacity")
-            if cut_value == INF:
-                raise PlanError("min-cut failed: uncuttable path "
-                                "(uncacheable mandatory value)")
-            for v in closure:
-                if v_in(v) in s_side and v_out(v) in t_side:
-                    res[v] = "cache"
+        # Cached: the values the sink-closest minimum cut severs (their
+        # `in` cannot reach the sink any more, their `out` still does).
+        # That cut is unique, so the plan does not depend on the solver.
+        cut_value, sink_side = min_cut_sink_side(sink + 1, edges, source,
+                                                 sink)
+        if cut_value == INF:
+            raise PlanError("min-cut failed: uncuttable path "
+                            "(uncacheable mandatory value)")
+        for i, v in enumerate(closure):
+            if sink_side[2 * i + 1] and not sink_side[2 * i]:
+                res[v] = "cache"
 
     # ------------------------------------------------------------------
     # Phase 4: storage assignment

@@ -136,12 +136,13 @@ def forward_mpi_call(t, op: CallOp) -> None:
     args = [t._fwd_val(v) for v in op.operands]
 
     def clone():
-        new = CallOp(callee, args,
-                     op.result.type if op.result else Void, dict(op.attrs))
-        b.emit(new)
+        # What emit returns, not the new op's result: comm_rank /
+        # comm_size are value-numbered by the transform's builder.
+        out = b.emit(CallOp(callee, args,
+                            op.result.type if op.result else Void,
+                            dict(op.attrs)))
         if op.result is not None:
-            t.pm[op.result] = new.result
-        return new
+            t.pm[op.result] = out
 
     if callee in ("task.wait", "mpi.barrier", "mpi.comm_rank",
                   "mpi.comm_size", "mpi.send", "mpi.recv"):
@@ -156,9 +157,8 @@ def forward_mpi_call(t, op: CallOp) -> None:
             raise _shadow_error(op)
         rec_name = ("mpid.record_send" if callee == "mpi.isend"
                     else "mpid.record_recv")
-        rec = CallOp(rec_name, [d_buf, args[1], args[2], args[3]], Request)
-        b.emit(rec)
-        t.sm[op.result] = rec.result
+        t.sm[op.result] = b.emit(
+            CallOp(rec_name, [d_buf, args[1], args[2], args[3]], Request))
         return
 
     if callee == "mpi.wait":
@@ -176,11 +176,10 @@ def forward_mpi_call(t, op: CallOp) -> None:
         d_recv = t._fwd_shadow_ptr(op.operands[1])
         if d_send is None or d_recv is None:
             raise _shadow_error(op)
-        rec = CallOp("mpid.record_allreduce",
-                     [args[0], args[1], d_send, d_recv, args[2]],
-                     Request, {"op": op.attrs.get("op", "sum")})
-        b.emit(rec)
-        t._fwd_store_slot(t.plan.slot_for((op, "record")), rec.result)
+        rec = b.emit(CallOp("mpid.record_allreduce",
+                            [args[0], args[1], d_send, d_recv, args[2]],
+                            Request, {"op": op.attrs.get("op", "sum")}))
+        t._fwd_store_slot(t.plan.slot_for((op, "record")), rec)
         return
 
     if callee == "mpi.reduce":
@@ -191,10 +190,9 @@ def forward_mpi_call(t, op: CallOp) -> None:
         d_recv = t._fwd_shadow_ptr(op.operands[1])
         if d_send is None or d_recv is None:
             raise _shadow_error(op)
-        rec = CallOp("mpid.record_reduce",
-                     [d_send, d_recv, args[2], args[3]], Request)
-        b.emit(rec)
-        t._fwd_store_slot(t.plan.slot_for((op, "record")), rec.result)
+        rec = b.emit(CallOp("mpid.record_reduce",
+                            [d_send, d_recv, args[2], args[3]], Request))
+        t._fwd_store_slot(t.plan.slot_for((op, "record")), rec)
         return
 
     if callee == "mpi.bcast":
@@ -217,9 +215,8 @@ def reverse_mpi_call(t, op: CallOp, scope) -> None:
 
     if callee == "mpi.wait":
         rec = t._load_slot(t.plan.slot_for((op, "record")), scope)
-        rr = CallOp("mpid.reverse_wait", [rec], Request)
-        b.emit(rr)
-        scope.bind(("revshadow", op.operands[0]), rr.result)
+        scope.bind(("revshadow", op.operands[0]),
+                   b.emit(CallOp("mpid.reverse_wait", [rec], Request)))
         return
 
     if callee == "mpi.isend" or callee == "mpi.irecv":

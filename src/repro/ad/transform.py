@@ -29,7 +29,12 @@ Key mechanisms (paper section in parentheses):
 * MPI nonblocking communication reverses through shadow requests
   (Fig. 5); see :mod:`repro.ad.mpi_rules`;
 * ``gc_preserve`` regions are extended to cover shadows and mirrored in
-  the reverse pass (§VI-C2).
+  the reverse pass (§VI-C2);
+* everything is emitted through :class:`FoldingBuilder`, which folds
+  constants and value-numbers pure ops per block as they are created
+  (as LLVM's ``IRBuilder`` folds for Enzyme, §V-E), so the cleanup
+  pipeline is left with dead code rather than with the transform's own
+  redundancy.
 """
 
 from __future__ import annotations
@@ -64,6 +69,8 @@ from ..ir.printer import print_closure, print_function
 from ..ir.types import F64, I1, I64, PointerType, Ptr, Request, Task, Token
 from ..ir.values import Argument, BlockArg, Constant, Result, Value
 from ..passes.aliasing import analyze_aliasing
+from ..passes.constfold import fold_op
+from ..passes.cse import value_key
 from ..passes.inline import force_inline_all
 from .activity import analyze_activity
 from .cacheplan import (
@@ -166,6 +173,41 @@ def _top_level_ancestor(op: Op) -> Op:
         cur = blk.parent_op
 
 
+class FoldingBuilder(IRBuilder):
+    """The builder the transform emits through: what ConstantFold and
+    CSE would remove from the gradient is not appended in the first
+    place.
+
+    A pure op — one :func:`value_key` numbers: ``OP_INFO`` computes,
+    ``ptradd``, the pure intrinsics — is folded (:func:`fold_op`), then
+    looked up among the pure ops already emitted into *the block being
+    filled*.  That is block-local CSE's rule, so the value handed back
+    dominates the insertion point by construction, whichever block that
+    is (the temporary block of ``_emit_hoisted`` has its own table).
+
+    ``emit`` therefore returns a value that may not be ``op.result`` —
+    an operand, a constant, or an earlier op's result — and the op it
+    was given may be in no block: callers use what ``emit`` returns.
+    """
+
+    def __init__(self, module: Module) -> None:
+        super().__init__(module)
+        self._numbered: dict[Block, dict] = {}
+
+    def emit(self, op: Op):
+        folded = fold_op(op)
+        if folded is not None:
+            return folded
+        key = value_key(op)
+        if key is None:
+            return super().emit(op)
+        table = self._numbered.setdefault(self.block, {})
+        prev = table.get(key)
+        if prev is None:
+            prev = table[key] = super().emit(op)
+        return prev
+
+
 class _Scope:
     """One reverse-emission scope (per reverse region instance).
 
@@ -250,6 +292,11 @@ class ADTransform:
         self._active_scalar: Optional[Argument] = None
         self._spawn_of_wait: dict[Op, tuple[Op, list]] = {}
         self._slots_by_outer_dim: dict[Optional[Op], list[CacheSlot]] = {}
+        #: Slot-addressing expressions already built, keyed on the block
+        #: being filled: (block, dim) -> extent, (block, dim, ivar) ->
+        #: local index, (block, dims, ivars) -> flat index.  Hundreds of
+        #: slots share a handful of loop nests.
+        self._addr_memo: dict[tuple, Value] = {}
         self.lint_result = None              # set when config.sanitize
         self.comm_result = None              # set when config.commcheck
         self._mpi_buffers: list = []
@@ -342,7 +389,7 @@ class ADTransform:
         self._match_spawn_waits()
 
         self._build_signature()
-        self.b = IRBuilder(self.module)
+        self.b = FoldingBuilder(self.module)
         self.b._fn = self.grad
         self.b._blocks.append(self.grad.body)
         from ..ir.values import push_builder, pop_builder
@@ -593,20 +640,26 @@ class ADTransform:
         return self._fwd_val(resolved)
 
     def _dim_extent_fwd(self, dim: Op) -> Value:
-        """Emit the extent of a static dim (values must be in pm)."""
+        """The extent of a static dim, emitted once per block (bounds
+        are depth-0 values and must be in pm)."""
         b = self.b
+        key = (b.block, dim)
+        out = self._addr_memo.get(key)
+        if out is not None:
+            return out
         if dim.opcode == "fork":
             nt = self._dim_val(dim.operands[0])
             runtime = b.call("rt.num_threads")
             is_zero = b.cmp("le", nt, 0)
-            return b.select(is_zero, runtime, nt)
-        lb = self._dim_val(dim.operands[0])
-        ub = self._dim_val(dim.operands[1])
-        if dim.opcode == "parallel_for":
-            return b.max(b.sub(ub, lb), 0)
-        step = self._dim_val(dim.operands[2])
-        span = b.max(b.sub(ub, lb), 0)
-        return b.idiv(b.add(span, b.sub(step, 1)), step)
+            out = b.select(is_zero, runtime, nt)
+        else:
+            bounds = [self._dim_val(v) for v in dim.operands]
+            out = b.max(b.sub(bounds[1], bounds[0]), 0)
+            if dim.opcode != "parallel_for":
+                step = bounds[2]
+                out = b.idiv(b.add(out, b.sub(step, 1)), step)
+        self._addr_memo[key] = out
+        return out
 
     def _alloc_slot_buffer(self, slot: CacheSlot) -> Value:
         b = self.b
@@ -624,31 +677,38 @@ class ADTransform:
         return buf
 
     def _slot_flat_index(self, slot: CacheSlot, ivar_of) -> Value:
-        """Emit the linearized index; ``ivar_of(dim)`` returns the current
-        index value of a dim (forward: pm[ivar]; reverse: scope binding)."""
+        """The linearized index, emitted once per block and nest;
+        ``ivar_of(block arg)`` returns the current index value of a dim
+        (forward: pm[ivar]; reverse: scope binding)."""
         b = self.b
-        idx: Value = Constant(0, I64)
-        for dim in slot.dims:
-            extent = self._dim_extent_cached(dim)
-            local = self._dim_local_index(dim, ivar_of)
-            idx = b.add(b.mul(idx, extent), local)
+        ivs = tuple(ivar_of(dim.body.args[0]) for dim in slot.dims)
+        key = (b.block, tuple(slot.dims), ivs)
+        idx = self._addr_memo.get(key)
+        if idx is None:
+            idx = Constant(0, I64)
+            for dim, iv in zip(slot.dims, ivs):
+                extent = self._dim_extent_fwd(dim)
+                local = self._dim_local_index(dim, iv)
+                idx = b.add(b.mul(idx, extent), local)
+            self._addr_memo[key] = idx
         return idx
 
-    def _dim_extent_cached(self, dim: Op) -> Value:
-        # Extents are depth-0 expressions; emitting them repeatedly is
-        # correct (CSE can clean up).  Forward values are in pm.
-        return self._dim_extent_fwd(dim)
-
-    def _dim_local_index(self, dim: Op, ivar_of) -> Value:
-        b = self.b
+    def _dim_local_index(self, dim: Op, iv: Value) -> Value:
+        """Zero-based position of index value ``iv`` along ``dim``."""
         if dim.opcode == "fork":
-            return ivar_of(dim.body.args[0])
-        iv = ivar_of(dim.body.args[0])
-        lb = self._dim_val(dim.operands[0])
-        if dim.opcode == "parallel_for":
-            return b.sub(iv, lb)
-        step = self._dim_val(dim.operands[2])
-        return b.idiv(b.sub(iv, lb), step)
+            return iv
+        b = self.b
+        key = (b.block, dim, iv)
+        out = self._addr_memo.get(key)
+        if out is None:
+            lb = self._dim_val(dim.operands[0])
+            if dim.opcode == "parallel_for":
+                out = b.sub(iv, lb)
+            else:
+                step = self._dim_val(dim.operands[2])
+                out = b.idiv(b.sub(iv, lb), step)
+            self._addr_memo[key] = out
+        return out
 
     def _fwd_val(self, v: Value) -> Value:
         if isinstance(v, Constant):
@@ -721,8 +781,7 @@ class ADTransform:
                     self._forward_block(op.else_body)
             elif oc == "spawn":
                 new = SpawnOp(framework=op.attrs.get("framework", "julia"))
-                b.emit(new)
-                self.pm[op.result] = new.result
+                self.pm[op.result] = b.emit(new)
                 with b.at(new.body):
                     self._forward_block(op.body)
             elif oc == "call":
@@ -818,9 +877,7 @@ class ADTransform:
                 s = self._fwd_shadow_ptr(v)
                 if s is not None and s not in ptrs and s not in shadows:
                     shadows.append(s)
-            new = CallOp(callee, ptrs + shadows, Token)
-            b.emit(new)
-            self.pm[op.result] = new.result
+            self.pm[op.result] = b.emit(CallOp(callee, ptrs + shadows, Token))
             return
         # Generic clone (jl.*, rt.*, pure intrinsics).
         args = [self._fwd_val(v) for v in op.operands]
@@ -828,16 +885,15 @@ class ADTransform:
                      op.result.type if op.result else
                      self.module.callee_ret_type(callee),
                      dict(op.attrs))
-        b.emit(new)
+        out = b.emit(new)
         if op.result is not None:
-            self.pm[op.result] = new.result
+            self.pm[op.result] = out
             # Pointer-returning intrinsics get shadow twins.
             if callee == "jl.arrayptr" and not self._primal_only:
                 base_shadow = self._fwd_shadow_ptr(op.operands[0])
                 if base_shadow is not None:
-                    tw = CallOp(callee, [base_shadow], op.result.type)
-                    b.emit(tw)
-                    self.sm[op.result] = tw.result
+                    self.sm[op.result] = b.emit(
+                        CallOp(callee, [base_shadow], op.result.type))
         self._maybe_cache_result(op)
 
     def _forward_simple(self, op: Op) -> None:
@@ -846,52 +902,43 @@ class ADTransform:
         vmap_args = [self._fwd_val(v) if not isinstance(v, Constant) else v
                      for v in op.operands]
         if oc == "alloc":
-            new = AllocOp(vmap_args[0], op.result.type.elem,
-                          op.attrs["space"], name=op.result.name)
-            b.emit(new)
-            self.pm[op.result] = new.result
+            new = self.pm[op.result] = b.emit(AllocOp(
+                vmap_args[0], op.result.type.elem, op.attrs["space"],
+                name=op.result.name))
             if not self._primal_only and self._needs_shadow_buffer(op):
-                tw = AllocOp(vmap_args[0], op.result.type.elem,
-                             op.attrs["space"],
-                             name="d_" + (op.result.name or "buf"))
-                b.emit(tw)
-                self.sm[op.result] = tw.result
+                tw = self.sm[op.result] = b.emit(AllocOp(
+                    vmap_args[0], op.result.type.elem, op.attrs["space"],
+                    name="d_" + (op.result.name or "buf")))
                 slot = self.plan.slot_for((op, "shadowptr"))
                 if slot is not None:
                     # Persist the shadow pointer to the reverse pass
                     # (non-parallel region-local allocation: anything —
                     # e.g. an MPI shadow request — may have captured it).
-                    self._fwd_store_slot(slot, tw.result)
+                    self._fwd_store_slot(slot, tw)
             else:
-                self.sm[op.result] = new.result
+                self.sm[op.result] = new
             return
         if oc == "ptradd":
-            new = PtrAddOp(vmap_args[0], vmap_args[1])
-            b.emit(new)
-            self.pm[op.result] = new.result
+            self.pm[op.result] = b.emit(PtrAddOp(vmap_args[0], vmap_args[1]))
             base_shadow = None if self._primal_only else \
                 self._fwd_shadow_ptr(op.operands[0])
             if base_shadow is not None:
-                tw = PtrAddOp(base_shadow, vmap_args[1])
-                b.emit(tw)
-                self.sm[op.result] = tw.result
+                self.sm[op.result] = b.emit(
+                    PtrAddOp(base_shadow, vmap_args[1]))
             return
         if oc == "load":
-            new = LoadOp(vmap_args[0], vmap_args[1])
-            b.emit(new)
-            self.pm[op.result] = new.result
+            new = self.pm[op.result] = b.emit(
+                LoadOp(vmap_args[0], vmap_args[1]))
             elem = op.result.type
             if not self._primal_only and (isinstance(elem, PointerType)
                                           or elem in (Request, Task)):
                 base_shadow = self._fwd_shadow_ptr(op.operands[0])
                 if base_shadow is not None:
-                    tw = LoadOp(base_shadow, vmap_args[1])
-                    b.emit(tw)
-                    self.sm[op.result] = tw.result
+                    self.sm[op.result] = b.emit(
+                        LoadOp(base_shadow, vmap_args[1]))
             if not self._primal_only and op in self.plan.ptr_cached_loads:
-                self._fwd_store_slot(self.plan.slots[(op, "pptr")],
-                                     new.result)
-                shadow = self.sm.get(op.result, new.result)
+                self._fwd_store_slot(self.plan.slots[(op, "pptr")], new)
+                shadow = self.sm.get(op.result, new)
                 self._fwd_store_slot(self.plan.slots[(op, "sptr")], shadow)
             self._maybe_cache_result(op)
             return
@@ -916,9 +963,8 @@ class ADTransform:
                 zip(op.operands, vmap_args))))
             return
         if oc in OP_INFO:
-            new = ComputeOp(oc, vmap_args, dict(op.attrs))
-            b.emit(new)
-            self.pm[op.result] = new.result
+            self.pm[op.result] = b.emit(
+                ComputeOp(oc, vmap_args, dict(op.attrs)))
             self._maybe_cache_result(op)
             return
         raise ADTransformError(f"forward pass cannot handle {op!r}")
@@ -956,11 +1002,9 @@ class ADTransform:
                 if self._needs_shadow_buffer(op) and \
                         self.plan.slot_for((op, "shadowptr")) is None:
                     count = self._avail(op.operands[0], scope)
-                    fresh = AllocOp(count, op.result.type.elem,
-                                    op.attrs["space"],
-                                    name="r_" + (op.result.name or "buf"))
-                    b.emit(fresh)
-                    scope.bind(("freshshadow", op), fresh.result)
+                    scope.bind(("freshshadow", op), b.emit(AllocOp(
+                        count, op.result.type.elem, op.attrs["space"],
+                        name="r_" + (op.result.name or "buf"))))
 
         for op in reversed(block.ops):
             self._reverse_op(op, scope)
@@ -1132,9 +1176,8 @@ class ADTransform:
             return  # pointer structure mirrored in forward shadow twins
         if val.type in (Request, Task):
             sp = self._rev_shadow_ptr(op.operands[1], scope)
-            ld = LoadOp(sp, self._avail(op.operands[2], scope))
-            b.emit(ld)
-            scope.bind(("revshadow", val), ld.result)
+            scope.bind(("revshadow", val), b.emit(
+                LoadOp(sp, self._avail(op.operands[2], scope))))
             return
         if val.type is not F64:
             return
@@ -1294,9 +1337,7 @@ class ADTransform:
     def _buflen(self, p: Value) -> Value:
         # Emitted directly (not via builder.call) because the state
         # pointer's element type varies per buffer.
-        cl = CallOp("rt.buflen", [p], I64)
-        self.b.emit(cl)
-        return cl.result
+        return self.b.emit(CallOp("rt.buflen", [p], I64))
 
     def _managed_trip_bounds(self, op: ForOp):
         """(lb, ub, step, ntrips) forward values of a managed loop."""
@@ -1559,9 +1600,8 @@ class ADTransform:
                 sv = self._rev_shadow_ptr_or_none(v, scope)
                 if sv is not None and sv not in ptrs:
                     ptrs.append(sv)
-            new = CallOp("jl.gc_preserve_begin", ptrs, Token)
-            b.emit(new)
-            scope.bind(("revtok", src), new.result)
+            scope.bind(("revtok", src), b.emit(
+                CallOp("jl.gc_preserve_begin", ptrs, Token)))
             return
         if callee == "jl.gc_preserve_begin":
             rtok = scope.lookup(("revtok", op))
@@ -1656,9 +1696,7 @@ class ADTransform:
             buf = self.slot_buffers[slot.slot_id]
         idx = self._slot_flat_index(
             slot, lambda ba: self._avail_ivar(ba, scope))
-        ld = LoadOp(buf, idx)
-        b.emit(ld)
-        return ld.result
+        return b.emit(LoadOp(buf, idx))
 
     def _avail_ivar(self, ba: BlockArg, scope: _Scope) -> Value:
         bound = scope.lookup(ba)
@@ -1672,21 +1710,15 @@ class ADTransform:
         oc = op.opcode
         if oc in OP_INFO:
             args = [self._avail(o, scope) for o in op.operands]
-            new = ComputeOp(oc, args, dict(op.attrs))
-            b.emit(new)
-            return new.result
+            return b.emit(ComputeOp(oc, args, dict(op.attrs)))
         if oc == "load":
             ptr = self._rev_primal_ptr(op.operands[0], scope)
             idx = self._avail(op.operands[1], scope)
-            new = LoadOp(ptr, idx)
-            b.emit(new)
-            return new.result
+            return b.emit(LoadOp(ptr, idx))
         if oc == "call":
             args = [self._avail(o, scope) for o in op.operands]
-            new = CallOp(op.attrs["callee"], args, op.result.type,
-                         dict(op.attrs))
-            b.emit(new)
-            return new.result
+            return b.emit(CallOp(op.attrs["callee"], args, op.result.type,
+                                 dict(op.attrs)))
         raise ADTransformError(f"cannot recompute {op!r}")
 
     # --- pointer re-derivation ------------------------------------------
@@ -1713,16 +1745,13 @@ class ADTransform:
             if op in self.plan.ptr_cached_loads:
                 out = self._load_slot(self.plan.slots[(op, "pptr")], scope)
             else:
-                new = LoadOp(self._rev_primal_ptr(op.operands[0], scope),
-                             self._avail(op.operands[1], scope))
-                b.emit(new)
-                out = new.result
+                out = b.emit(LoadOp(
+                    self._rev_primal_ptr(op.operands[0], scope),
+                    self._avail(op.operands[1], scope)))
         elif op.opcode == "call" and op.attrs["callee"] == "jl.arrayptr":
-            new = CallOp("jl.arrayptr",
-                         [self._rev_primal_ptr(op.operands[0], scope)],
-                         op.result.type)
-            b.emit(new)
-            out = new.result
+            out = b.emit(CallOp(
+                "jl.arrayptr", [self._rev_primal_ptr(op.operands[0], scope)],
+                op.result.type))
         else:
             raise ADTransformError(f"cannot re-derive pointer from {op!r}")
         scope.bind(key, out)
@@ -1763,16 +1792,13 @@ class ADTransform:
             if op in self.plan.ptr_cached_loads:
                 out = self._load_slot(self.plan.slots[(op, "sptr")], scope)
             else:
-                new = LoadOp(self._rev_shadow_ptr(op.operands[0], scope),
-                             self._avail(op.operands[1], scope))
-                b.emit(new)
-                out = new.result
+                out = b.emit(LoadOp(
+                    self._rev_shadow_ptr(op.operands[0], scope),
+                    self._avail(op.operands[1], scope)))
         elif op.opcode == "call" and op.attrs["callee"] == "jl.arrayptr":
-            new = CallOp("jl.arrayptr",
-                         [self._rev_shadow_ptr(op.operands[0], scope)],
-                         op.result.type)
-            b.emit(new)
-            out = new.result
+            out = b.emit(CallOp(
+                "jl.arrayptr", [self._rev_shadow_ptr(op.operands[0], scope)],
+                op.result.type))
         else:
             return None
         scope.bind(key, out)

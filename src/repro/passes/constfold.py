@@ -35,6 +35,61 @@ def _is_const(v: Value, val=None) -> bool:
     return isinstance(v, Constant) and (val is None or v.value == val)
 
 
+def fold_op(op: Op) -> Value | None:
+    """The value ``op`` computes when that is a constant or one of its
+    own operands, else None.  Looks only at ``op`` and its operands, so
+    it can be asked of an op that is in no block yet (the AD emitter
+    asks before appending; :class:`ConstantFold` asks of every op of a
+    function)."""
+    oc = op.opcode
+    info = OP_INFO.get(oc)
+    if info is None:
+        return None
+    ops_ = op.operands
+    if all(isinstance(v, Constant) for v in ops_):
+        if oc == "cmp":
+            return _const(_CMP[op.attrs["pred"]](ops_[0].value,
+                                                 ops_[1].value))
+        if info.evaluate is None:
+            return None
+        if oc == "select":
+            return ops_[1] if ops_[0].value else ops_[2]
+        try:
+            return _const(info.evaluate(*[v.value for v in ops_]))
+        except (ZeroDivisionError, FloatingPointError, ValueError):
+            return None
+
+    # Identities (fast-math style; the apps avoid NaN-sensitive
+    # corners, matching how the benchmarks are compiled with -O2).
+    if oc in ("add", "iadd"):
+        if _is_const(ops_[0], 0) or _is_const(ops_[0], 0.0):
+            return ops_[1]
+        if _is_const(ops_[1], 0) or _is_const(ops_[1], 0.0):
+            return ops_[0]
+    elif oc in ("sub", "isub"):
+        if _is_const(ops_[1], 0) or _is_const(ops_[1], 0.0):
+            return ops_[0]
+    elif oc in ("mul", "imul"):
+        for a, b in ((0, 1), (1, 0)):
+            if _is_const(ops_[a], 1) or _is_const(ops_[a], 1.0):
+                return ops_[b]
+            if _is_const(ops_[a], 0) or _is_const(ops_[a], 0.0):
+                return Constant(0, I64) if oc == "imul" else \
+                    Constant(0.0, F64)
+    elif oc in ("div", "idiv"):
+        if _is_const(ops_[1], 1) or _is_const(ops_[1], 1.0):
+            return ops_[0]
+    elif oc == "select":
+        if isinstance(ops_[0], Constant):
+            return ops_[1] if ops_[0].value else ops_[2]
+        if ops_[1] is ops_[2]:
+            return ops_[1]
+    elif oc in ("min", "max", "imin", "imax", "and", "or"):
+        if ops_[0] is ops_[1]:
+            return ops_[0]
+    return None
+
+
 class ConstantFold(FunctionPass):
     name = "constfold"
 
@@ -50,7 +105,7 @@ class ConstantFold(FunctionPass):
                     changed = True
             if op.result is None:
                 continue
-            folded = self._fold(op)
+            folded = fold_op(op)
             if folded is not None:
                 replacements[op.result] = folded
                 changed = True
@@ -60,52 +115,3 @@ class ConstantFold(FunctionPass):
                 if any(a is not b for a, b in zip(new_ops, op.operands)):
                     op.operands = new_ops
         return changed
-
-    def _fold(self, op: Op) -> Value | None:
-        oc = op.opcode
-        info = OP_INFO.get(oc)
-        if info is None:
-            return None
-        ops_ = op.operands
-        if all(isinstance(v, Constant) for v in ops_):
-            if oc == "cmp":
-                return _const(_CMP[op.attrs["pred"]](ops_[0].value,
-                                                     ops_[1].value))
-            if info.evaluate is None:
-                return None
-            if oc == "select":
-                return ops_[1] if ops_[0].value else ops_[2]
-            try:
-                return _const(info.evaluate(*[v.value for v in ops_]))
-            except (ZeroDivisionError, FloatingPointError, ValueError):
-                return None
-
-        # Identities (fast-math style; the apps avoid NaN-sensitive
-        # corners, matching how the benchmarks are compiled with -O2).
-        if oc in ("add", "iadd"):
-            if _is_const(ops_[0], 0) or _is_const(ops_[0], 0.0):
-                return ops_[1]
-            if _is_const(ops_[1], 0) or _is_const(ops_[1], 0.0):
-                return ops_[0]
-        elif oc in ("sub", "isub"):
-            if _is_const(ops_[1], 0) or _is_const(ops_[1], 0.0):
-                return ops_[0]
-        elif oc in ("mul", "imul"):
-            for a, b in ((0, 1), (1, 0)):
-                if _is_const(ops_[a], 1) or _is_const(ops_[a], 1.0):
-                    return ops_[b]
-                if _is_const(ops_[a], 0) or _is_const(ops_[a], 0.0):
-                    return Constant(0, I64) if oc == "imul" else \
-                        Constant(0.0, F64)
-        elif oc in ("div", "idiv"):
-            if _is_const(ops_[1], 1) or _is_const(ops_[1], 1.0):
-                return ops_[0]
-        elif oc == "select":
-            if isinstance(ops_[0], Constant):
-                return ops_[1] if ops_[0].value else ops_[2]
-            if ops_[1] is ops_[2]:
-                return ops_[1]
-        elif oc in ("min", "max", "imin", "imax", "and", "or"):
-            if ops_[0] is ops_[1]:
-                return ops_[0]
-        return None

@@ -17,7 +17,11 @@ from .pass_manager import FunctionPass
 _PURE_INTRINSICS = {"mpi.comm_rank", "mpi.comm_size", "rt.num_threads"}
 
 
-def _key(op: Op):
+def value_key(op: Op):
+    """What two ops of one block must share to compute the same value
+    (None: ``op`` is not value-numbered).  Operands compare by identity,
+    so the key means something only while they are alive — among the
+    ops of one block, or of one block being filled (the AD emitter)."""
     oc = op.opcode
     info = OP_INFO.get(oc)
     pure_call = oc == "call" and op.attrs["callee"] in _PURE_INTRINSICS
@@ -59,7 +63,7 @@ class CSE(FunctionPass):
             if self.replacements:
                 op.operands = [self.replacements.get(v, v)
                                for v in op.operands]
-            k = _key(op)
+            k = value_key(op)
             if k is not None:
                 prev = seen.get(k)
                 if prev is not None:

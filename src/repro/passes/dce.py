@@ -32,7 +32,6 @@ class DCE(FunctionPass):
 
     def _round(self, fn: Function, module: Module) -> bool:
         used: set[Value] = set()
-        alloc_written: set[Op] = set()
         for op in fn.walk():
             for v in op.operands:
                 used.add(v)

@@ -111,7 +111,12 @@ def commcheck_pipeline(sizes: tuple = (2, 3), on_error: str = "ignore",
 
 
 def cleanup_pipeline(verify_each: bool = False) -> PassManager:
-    """Post-AD cleanup (fold the index arithmetic the transform emits)."""
+    """Post-AD cleanup.  The transform's builder already folds and
+    value-numbers per block as it emits (``ad.transform.FoldingBuilder``
+    calls the same ``fold_op`` / ``value_key`` as the passes here); what
+    is left for this pipeline is what only a whole-function view sees:
+    values nothing uses, duplicates a hoisted copy introduced, and the
+    regions those leave empty."""
     from .constfold import ConstantFold
     from .cse import CSE
     from .dce import DCE
