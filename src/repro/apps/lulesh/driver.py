@@ -322,8 +322,11 @@ def main(argv: Optional[list] = None) -> int:
     fallbacks with reasons) plus peak AD-cache bytes, the numbers the
     ``summarize --adjoint-report`` renderer consumes, what the gradient
     disk cache did (``cache_event``: hit / miss / off, per
-    ``REPRO_CACHE_DIR``) and a SHA-256 of the shadow arrays
-    (``gradient_digest``).
+    ``REPRO_CACHE_DIR``), what the compiled tier did (``compile_stats``:
+    code-entry hits / misses, functions ``lowered`` in this process,
+    ``interpreter_only`` fallbacks with their reasons; ``null`` under
+    ``--backend interp`` and for MPI flavors) and a SHA-256 of the
+    shadow arrays (``gradient_digest``).
     """
     import argparse
     import hashlib
@@ -378,6 +381,7 @@ def main(argv: Optional[list] = None) -> int:
         report["adjoint_report"] = app.adjoint_report
         report["adjoint_stats"] = app.last_adjoint_stats
         report["cache_event"] = app.gradient_cache["event"]
+        report["compile_stats"] = app.last_compile_stats
         report["gradient_digest"] = hashlib.sha256(b"".join(
             np.ascontiguousarray(sh[f]).tobytes()
             for sh in shadows for f in sorted(sh))).hexdigest()

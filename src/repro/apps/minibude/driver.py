@@ -197,8 +197,11 @@ class MinibudeApp:
 def main(argv: Optional[list] = None) -> int:
     """CLI: run one miniBUDE variant forward and as a gradient; the
     report says what the gradient disk cache did (``cache_event``: hit /
-    miss / off, per ``REPRO_CACHE_DIR``) and carries a SHA-256 of the
-    shadow arrays.  ``--region-report`` prints the native-region
+    miss / off, per ``REPRO_CACHE_DIR``) and what the compiled tier did
+    (``compile_stats``: code-entry hits / misses, functions ``lowered``
+    in this process, ``interpreter_only`` fallbacks; ``null`` under
+    ``--backend interp`` and the MPI variant), and carries a SHA-256 of
+    the shadow arrays.  ``--region-report`` prints the native-region
     claimability report for its kernel."""
     import argparse
     import hashlib
@@ -231,6 +234,7 @@ def main(argv: Optional[list] = None) -> int:
         "energy_sum": float(res.energies.sum()),
         "gradient_time": grad.time,
         "cache_event": app.gradient_cache["event"],
+        "compile_stats": app.last_compile_stats,
         "gradient_digest": hashlib.sha256(b"".join(
             np.ascontiguousarray(shadows[n]).tobytes()
             for n in ARG_NAMES)).hexdigest(),

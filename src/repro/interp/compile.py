@@ -36,8 +36,9 @@ Plus privatizing allocation (``_al``), segment cost accumulation
 Compilation itself is two-level cached: in-process on the Function
 object (fingerprint-checked, since ExecConfig.fusion changes codegen),
 and optionally on disk (:mod:`repro.interp.diskcache`) keyed on the
-lowered source + config fingerprint so warm processes skip CPython's
-``compile()`` for large adjoint functions.
+printed IR closure + config fingerprint + a digest of the lowering's own
+sources, so warm processes skip bounds certification, lowering and
+CPython's ``compile()`` for large adjoint functions.
 
 Fallback contract (who runs what):
 
@@ -54,6 +55,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ir.function import Function
+from ..ir.printer import print_closure, print_function
 from ..ir.types import F64
 from ..perf.cost import CostVector
 from .diskcache import config_fingerprint, open_cache
@@ -61,7 +63,7 @@ from .events import BarrierEvent
 from .fusion import FusionStats
 from .interpreter import Interpreter, chunk_bounds
 from .memory import DynCache, InterpreterError, Memory, PtrVal
-from .lowering import LoweringError, lower_function
+from .lowering import LoweringError, lower_function, resolve_consts
 
 #: Cache attributes stashed on Function objects (they have no
 #: __slots__).  ``_compiled_code`` holds the generator function (False
@@ -580,31 +582,47 @@ def compile_function(fn: Function, fusion: bool = True, cache=None,
     ``code(rt, *args)`` or raises :class:`LoweringError`.
 
     ``cache`` is an optional :class:`~repro.interp.diskcache.
-    CompileCache`: lowering always runs (it rebuilds the constant
-    table deterministically), but the CPython ``compile()`` step is
-    skipped when the cache holds a code object for this exact lowered
-    source + ``fingerprint``.
+    CompileCache`, addressed by the printed IR closure of ``fn`` (what
+    bounds certification and the lowering read) + ``fingerprint``.  On
+    a hit nothing is certified, lowered or compiled: the stored module
+    is executed and its constant-table recipe resolved against the live
+    ``fn`` (``code.__lowered_source__`` is None then).  A hit that does
+    not resolve is dropped as corrupt and the miss path runs.
 
     ``native`` is an optional :class:`~repro.interp.native.
     NativeEmitter`: the lowering then routes claimable kernels through
     C functions whose bindings ``native.build()`` injects into the
     generated code's globals (may raise ``NativeBuildError``).  The
-    lowered *source* differs from the plain-NumPy lowering, so native
-    and plain artifacts never share a marshal-cache entry.
+    emitter has to run during lowering, so this tier lowers on every
+    compile and addresses its cache entry by the lowered source (which
+    differs from the plain-NumPy lowering, so the two never share one).
 
     ``module`` (the owning :class:`~repro.ir.function.Module`) enables
     static bounds certification: the interval analysis runs over ``fn``
     first, and accesses it proves in-bounds lower without their runtime
-    bounds checks.  The disk cache stays correct because the elision
-    changes the lowered source itself (the cache keys on source).
+    bounds checks.  The elision is part of the stored code; the cache
+    stays correct because the key holds everything the analysis reads
+    and a digest of the analysis itself.
     """
+    text = None
+    if cache is not None and native is None:
+        text = (print_closure(module, fn.name) if module is not None
+                else print_function(fn))
+        fingerprint = (f"{fingerprint}|fusion={fusion}"
+                       f"|certified={module is not None}")
+        code = _load_compiled(fn, cache, text, fingerprint)
+        if code is not None:
+            return code
     bounds = None
     if module is not None:
         from ..passes.intervals import certify_bounds
         bounds = certify_bounds(fn, module)
     source, consts, stats = lower_function(fn, fusion=fusion, native=native,
                                            bounds=bounds)
-    code_obj = cache.load(source, fingerprint) if cache is not None else None
+    code_obj = None
+    if cache is not None and native is not None:
+        text = source  # the one tier whose entries stay source-keyed
+        code_obj = cache.load(text, fingerprint)
     if code_obj is None:
         try:
             code_obj = compile(source, f"<compiled {fn.name}>", "exec")
@@ -613,17 +631,42 @@ def compile_function(fn: Function, fusion: bool = True, cache=None,
                 f"generated source for {fn.name} does not compile: {e}"
             ) from e
         if cache is not None:
-            cache.store(source, fingerprint, code_obj)
+            cache.store(text, fingerprint, code_obj)
     globs = dict(_HELPER_GLOBALS)
     globs.update(consts)
     if native is not None:
         globs.update(native.build(cache))
     exec(code_obj, globs)
-    code = globs["_compiled"]
+    return _finish(fn, globs["_compiled"], source, stats,
+                   native.stats if native is not None else None)
+
+
+def _load_compiled(fn: Function, cache, text: str, fingerprint: str):
+    """The stored code for (text, fingerprint) bound to the live ``fn``,
+    or None on a miss.  The stored module defines ``_compiled`` and the
+    two literals the lowering appended; an entry whose recipe does not
+    resolve against ``fn`` is corrupt (the key is the IR's own text):
+    dropped, counted, and a miss."""
+    code_obj = cache.load(text, fingerprint)
+    if code_obj is None:
+        return None
+    globs = dict(_HELPER_GLOBALS)
+    try:
+        exec(code_obj, globs)
+        globs.update(resolve_consts(fn, globs["_CONSTS"]))
+        stats = FusionStats.from_dict(globs["_STATS"])
+        code = globs["_compiled"]
+    except Exception:  # noqa: BLE001 - corrupt entry => miss
+        cache.reject(text, fingerprint)
+        return None
+    return _finish(fn, code, None, stats, None)
+
+
+def _finish(fn: Function, code, source, stats, native_stats):
     code.__name__ = f"_compiled_{fn.name}"
     code.__lowered_source__ = source
     code.__fusion_stats__ = stats
-    code.__native_stats__ = native.stats if native is not None else None
+    code.__native_stats__ = native_stats
     return code
 
 
@@ -643,6 +686,12 @@ class CompiledBackend:
         self.fingerprint = config_fingerprint(cfg)
         #: Functions compiled through this backend (for reporting).
         self.compiled_functions: dict[str, FusionStats] = {}
+        #: How many of them this backend lowered itself (the others
+        #: came out of the disk cache or another backend's memo).
+        self.lowered = 0
+        #: fn name -> "ErrorType: message" for functions whose compile
+        #: failed and that run on the interpreter instead.
+        self.interpreter_only: dict[str, str] = {}
 
     # -- compile cache -------------------------------------------------
     def get_compiled(self, fn: Function):
@@ -659,11 +708,7 @@ class CompiledBackend:
         if cached is None or getattr(fn, _CACHE_KEY_ATTR, None) != key:
             try:
                 cached = self._compile(fn, fingerprint)
-            except LoweringError as e:
-                if self.strict:
-                    raise
-                cached = False
-                fn._compile_error = e
+                self.lowered += cached.__lowered_source__ is not None
             except Exception as e:  # noqa: BLE001 - fallback must hold
                 if self.strict:
                     raise
@@ -675,6 +720,9 @@ class CompiledBackend:
             # Register even when served from the per-function memo so
             # compile_stats reflects every function this backend ran.
             self.compiled_functions[fn.name] = cached.__fusion_stats__
+        elif fn.name not in self.interpreter_only:
+            e = fn._compile_error
+            self.interpreter_only[fn.name] = f"{type(e).__name__}: {e}"
         return cached or None
 
     def _compile(self, fn: Function, fingerprint: str):
@@ -692,6 +740,8 @@ class CompiledBackend:
             for slot in FusionStats.__slots__:
                 setattr(agg, slot, getattr(agg, slot) + getattr(st, slot))
         out = {"functions": len(self.compiled_functions),
+               "lowered": self.lowered,
+               "interpreter_only": dict(self.interpreter_only),
                "fusion": self.fusion, **agg.as_dict()}
         out["cache"] = self.cache.stats() if self.cache is not None else None
         return out

@@ -18,37 +18,63 @@ text: a lookup costs one print of the small primal.  The text is
 lossless (``tests/ad/test_gradient_roundtrip.py``), so a function
 parsed back lowers to the same source as the one that was printed.
 
-**Code objects** (``<root>/compiled-ir/``) sit below lowering.
-Running CPython's ``compile()`` over the generated source of a large
-adjoint is the dearest stage of the compile step.  An entry is the
-*marshaled code object*, keyed by everything that determines it:
+**Code objects** (``<root>/compiled-ir/``) sit above lowering.
+Certifying bounds, lowering and running CPython's ``compile()`` over the
+generated source of a large adjoint is everything a process does
+between holding a function and being able to call it.  An entry is the
+*marshaled code object* of the generated module — the ``_compiled``
+generator function plus two literals the lowering appends: ``_CONSTS``,
+the *recipe* of the constant table (positions in the function, never
+objects; see :func:`repro.interp.lowering.resolve_consts`), and
+``_STATS``, the fusion counters.  It is keyed by everything that
+determines it:
 
-* the lowered Python source (which transitively encodes the IR body —
-  and therefore any ADConfig that shaped a gradient function);
-* an ExecConfig fingerprint (see :func:`config_fingerprint`);
-* the cache :data:`FORMAT_VERSION`, the lowering generation
-  (:data:`repro.interp.fusion.LOWERING_VERSION`), the CPython
-  version (``marshal`` payloads are interpreter-specific) and the
-  NumPy version.
+* the printed IR closure it was lowered from (``print_closure``: the
+  function, every user function it calls, the called intrinsics'
+  signatures and effects, argument attrs including ``extent``, function
+  attrs — what ``certify_bounds`` and the lowerer read; it transitively
+  encodes any ADConfig that shaped a gradient function);
+* an ExecConfig fingerprint (see :func:`config_fingerprint`), the
+  fusion flag and the gradient's adjoint-strategy tag;
+* a digest of the ``repro.interp`` / ``repro.passes`` / ``repro.ir``
+  sources (:func:`sources_digest`) — the code that lowers it; editing
+  any of them is the version bump, there is no number to remember;
+* the cache :data:`FORMAT_VERSION`, the CPython version (``marshal``
+  payloads are interpreter-specific) and the NumPy version.
+
+The format version, source digest and CPython tag are in the entry as
+well as in the key, beside a SHA-256 of the blob (code and recipe
+together).
 
 A warm process therefore prints and hashes the primal, *parses* the
 stored gradient instead of differentiating, runs the checks its
 ``ADConfig`` asks for (verify, lint, commcheck) on the parsed function,
-certifies bounds and lowers it (rebuilding the constant table the
-generated code closes over), hashes the source, and unmarshals the
-stored code object instead of compiling.  Lowering stays in the warm
-path on purpose: the code entry is addressed by the source it was
-compiled from, so two processes that race different gradients into the
-directory can never be served each other's code.
+prints and hashes that, unmarshals the stored code object and resolves
+the recipe against the live function — no ``certify_bounds``, no
+lowering, no ``compile()``.  The IR itself stays in the warm path on
+purpose: bridged ops, ``alloc``/``call`` sites and ``wrap_args``' extent
+contract run against the live function, and the code entry is addressed
+by the exact IR text it was lowered from plus a digest of the code that
+lowers it, so two processes that race different gradients into the
+directory — or two checkouts that lower differently — can never be
+served each other's code.  The bounds checks a hit elides are exactly
+those ``certify_bounds`` certified on the storing side, under the same
+IR text and the same ``repro.passes`` sources.  A recipe that does not
+resolve against the live function is a corrupt entry like any other.
+(The native tier's emitter has to run during lowering to produce its C
+bindings, so ``backend="native"`` lowers on every compile and addresses
+its marshal entry by the lowered source through the same ``load`` /
+``store`` pair.)
 
 Layout: ``<root>/<family>/<key[:2]>/<key>.json`` where ``key`` is the
 SHA-256 hex digest of the components above.  Entries are JSON (the
-marshal blob base64-encoded; gradient text beside its own SHA-256),
-written atomically (temp file + ``os.replace``) so concurrent processes
-never observe torn entries.  Any unreadable, truncated, version-skewed,
-digest-mismatched, unparsable or otherwise corrupt entry is treated as
-a miss, unlinked best-effort, counted in ``errors``, and rebuilt — the
-cache can never turn a working program into a crash.
+marshal blob base64-encoded; blob and gradient text each beside their
+own SHA-256), written atomically (temp file + ``os.replace``) so
+concurrent processes never observe torn entries.  Any unreadable,
+truncated, version-skewed, digest-mismatched, unparsable or otherwise
+corrupt entry is treated as a miss, unlinked best-effort, counted in
+``errors``, and rebuilt — the cache can never turn a working program
+into a crash.
 
 The directory is resolved per :class:`~repro.interp.interpreter.
 ExecConfig`: ``compile_cache`` names it directly, ``"off"`` disables,
@@ -77,10 +103,9 @@ from typing import Optional
 import numpy as np
 
 from ..ir.parser import parse_function
-from .fusion import LOWERING_VERSION
 
 #: Bump when the on-disk entry layout changes.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Bump when the native .so entry layout changes.
 NATIVE_FORMAT_VERSION = 1
@@ -99,8 +124,13 @@ GRADIENT_FORMAT_VERSION = 1
 _GRADIENT_SUBDIR = "gradient-ir"
 
 #: Packages whose code decides what gradient a primal turns into (and
-#: how its text reads back).
+#: how its text reads back) ...
 _GRADIENT_SOURCES = ("ad", "passes", "ir")
+
+#: ... and what generated code a function turns into (bounds
+#: certification, lowering, the helpers the code calls, how the IR
+#: prints).
+_CODE_SOURCES = ("interp", "passes", "ir")
 
 
 def _py_tag() -> str:
@@ -113,12 +143,17 @@ def config_fingerprint(config) -> str:
 
     Every dataclass field participates (conservative: some fields do
     not affect codegen today, but correctness never depends on keeping
-    this list in sync with the lowering).  The machine model is folded
-    in by class name + public numeric attributes.
+    this list in sync with the lowering) except ``compile_cache``:
+    where the cache lives is a deployment setting, not a codegen input,
+    and a directory reached through the environment, or moved, must
+    still serve its entries.  The machine model is folded in by class
+    name + public numeric attributes.
     """
     parts = []
     for f in dataclass_fields(config):
         v = getattr(config, f.name)
+        if f.name == "compile_cache":
+            continue
         if f.name == "machine":
             if v is None:
                 parts.append("machine=None")
@@ -133,14 +168,14 @@ def config_fingerprint(config) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def gradient_sources_digest() -> str:
-    """SHA-256 over the ``repro.ad`` / ``repro.passes`` / ``repro.ir``
-    sources: the gradient entries' stand-in for a hand-bumped AD
-    version.  Read once per process, and only by a process that has a
-    cache directory configured."""
+def sources_digest(packages: tuple) -> str:
+    """SHA-256 over every ``.py`` of the named ``repro`` sub-packages
+    (path and content, in sorted order): the entries' stand-in for a
+    hand-bumped version number.  Read once per process and family, and
+    only by a process that has a cache directory configured."""
     pkg = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     h = hashlib.sha256()
-    for sub in _GRADIENT_SOURCES:
+    for sub in packages:
         for d, dirs, files in os.walk(os.path.join(pkg, sub)):
             dirs.sort()
             for name in sorted(f for f in files if f.endswith(".py")):
@@ -181,30 +216,38 @@ class CompileCache:
         self.errors = 0
 
     # ------------------------------------------------------------------
-    def key(self, source: str, fingerprint: str) -> str:
+    def key(self, text: str, fingerprint: str) -> str:
+        """Key of the code lowered from ``text`` under ``fingerprint``.
+
+        ``text`` is :func:`repro.ir.printer.print_closure` of the
+        function (the native tier passes its lowered source)."""
         h = hashlib.sha256()
-        h.update(f"format={FORMAT_VERSION};lowering={LOWERING_VERSION};"
+        h.update(f"format={FORMAT_VERSION};"
+                 f"sources={sources_digest(_CODE_SOURCES)};"
                  f"py={_py_tag()};numpy={np.__version__}\n".encode())
         h.update(fingerprint.encode())
         h.update(b"\n")
-        h.update(source.encode())
+        h.update(text.encode())
         return h.hexdigest()
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".json")
 
     # ------------------------------------------------------------------
-    def load(self, source: str, fingerprint: str):
-        """Stored code object for (source, fingerprint), or None."""
-        path = self._path(self.key(source, fingerprint))
+    def load(self, text: str, fingerprint: str):
+        """Stored code object for (text, fingerprint), or None."""
+        path = self._path(self.key(text, fingerprint))
         try:
             with open(path, "rb") as f:
                 entry = json.load(f)
             if (entry.get("format") != FORMAT_VERSION
-                    or entry.get("lowering") != LOWERING_VERSION
+                    or entry.get("sources") != sources_digest(_CODE_SOURCES)
                     or entry.get("py") != _py_tag()):
                 raise ValueError("version skew")
-            code = marshal.loads(base64.b64decode(entry["code"]))
+            blob = base64.b64decode(entry["code"])
+            if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
+                raise ValueError("code blob digest mismatch")
+            code = marshal.loads(blob)
             if not isinstance(code, types.CodeType):
                 raise ValueError("entry payload is not a code object")
         except FileNotFoundError:
@@ -227,14 +270,23 @@ class CompileCache:
             except OSError:
                 pass
 
-    def store(self, source: str, fingerprint: str, code) -> None:
+    def reject(self, text: str, fingerprint: str) -> None:
+        """Take back the hit :meth:`load` just counted: the caller found
+        the code object unusable (its recipe does not resolve against
+        the live function), so the entry is corrupt after all."""
+        self.hits -= 1
+        self._drop_corrupt(self._path(self.key(text, fingerprint)))
+
+    def store(self, text: str, fingerprint: str, code) -> None:
         """Persist ``code`` (best effort: IO errors never propagate)."""
-        self._write_json(self._path(self.key(source, fingerprint)), {
+        blob = marshal.dumps(code)
+        self._write_json(self._path(self.key(text, fingerprint)), {
             "format": FORMAT_VERSION,
-            "lowering": LOWERING_VERSION,
+            "sources": sources_digest(_CODE_SOURCES),
             "py": _py_tag(),
             "numpy": np.__version__,
-            "code": base64.b64encode(marshal.dumps(code)).decode("ascii"),
+            "sha256": hashlib.sha256(blob).hexdigest(),
+            "code": base64.b64encode(blob).decode("ascii"),
         })
 
     def _write_json(self, path: str, entry: dict) -> None:
@@ -275,7 +327,7 @@ class CompileCache:
         (:func:`config_fingerprint`)."""
         h = hashlib.sha256()
         h.update(f"gradient-format={GRADIENT_FORMAT_VERSION};"
-                 f"sources={gradient_sources_digest()}\n".encode())
+                 f"sources={sources_digest(_GRADIENT_SOURCES)}\n".encode())
         h.update(config_fingerprint(config).encode())
         h.update(f"\nactivities={list(activities)!r}\n".encode())
         h.update(primal_text.encode())
@@ -297,7 +349,8 @@ class CompileCache:
             with open(path, "rb") as f:
                 entry = json.load(f)
             if (entry.get("format") != GRADIENT_FORMAT_VERSION
-                    or entry.get("sources") != gradient_sources_digest()):
+                    or entry.get("sources")
+                    != sources_digest(_GRADIENT_SOURCES)):
                 raise ValueError("version skew")
             text = entry["text"]
             if hashlib.sha256(text.encode()).hexdigest() != entry["sha256"]:
@@ -324,7 +377,7 @@ class CompileCache:
         adjoint report (best effort, like :meth:`store`)."""
         self._write_json(self._gradient_path(key), {
             "format": GRADIENT_FORMAT_VERSION,
-            "sources": gradient_sources_digest(),
+            "sources": sources_digest(_GRADIENT_SOURCES),
             "sha256": hashlib.sha256(text.encode()).hexdigest(),
             "text": text,
             "attrs": attrs,
@@ -343,8 +396,7 @@ class CompileCache:
 
     def native_key(self, c_source: str, cc_identity: str) -> str:
         h = hashlib.sha256()
-        h.update(f"native-format={NATIVE_FORMAT_VERSION};"
-                 f"lowering={LOWERING_VERSION}\n".encode())
+        h.update(f"native-format={NATIVE_FORMAT_VERSION}\n".encode())
         h.update(cc_identity.encode())
         h.update(b"\n")
         h.update(c_source.encode())

@@ -51,10 +51,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-#: Bump when fused codegen changes in a way that invalidates persisted
-#: compiled artifacts (see :mod:`repro.interp.diskcache`).
-LOWERING_VERSION = 4
-
 #: Caps keeping one fused statement's source manageable: compute ops
 #: folded into a single expression and total expression characters.
 FUSE_OP_CAP = 48
@@ -147,6 +143,16 @@ class FusionStats:
 
     def as_dict(self) -> dict:
         return {s: getattr(self, s) for s in FusionStats.__slots__}
+
+    @classmethod
+    def from_dict(cls, counts: dict) -> "FusionStats":
+        """Inverse of :meth:`as_dict`; any other set of keys raises."""
+        if set(counts) != set(cls.__slots__):
+            raise ValueError(f"not a FusionStats dict: {sorted(counts)}")
+        stats = cls()
+        for slot, n in counts.items():
+            setattr(stats, slot, n)
+        return stats
 
     def __repr__(self) -> str:
         return f"FusionStats({self.as_dict()})"

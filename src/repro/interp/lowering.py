@@ -55,7 +55,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..ir.opinfo import OP_INFO
-from ..ir.values import Constant, Value
+from ..ir.ops import Op
+from ..ir.values import Argument, BlockArg, Constant, Result, Value
 from .fusion import (
     FUSE_CHAR_CAP,
     FUSE_OP_CAP,
@@ -125,6 +126,64 @@ def free_values(op) -> list:
             if type(v) is not Constant:
                 used.append(v)
     return [v for v in dict.fromkeys(used) if v not in defined]
+
+
+def const_recipe(fn, consts: dict) -> list:
+    """Address every object in a lowered function's constant table by
+    its position in ``fn`` — the table as it can be stored beside the
+    code.  The lowering references four kinds of object: ops (``alloc``,
+    ``call`` and bridged ops, with their opcode for the reader to check),
+    values (a bridged op's result or a free value it reads: an op
+    result, a function argument or a region's block argument) and
+    ``OP_INFO`` evaluate functions.  Op positions are pre-order indexes
+    of ``fn.walk()``; entry ``i`` addresses ``consts["_k<i>"]``."""
+    index = {op: i for i, op in enumerate(fn.walk())}
+    evaluates = {id(info.evaluate): oc for oc, info in OP_INFO.items()}
+    recipe: list = []
+    for obj in consts.values():
+        if isinstance(obj, Op):
+            recipe.append(("op", index[obj], obj.opcode))
+        elif isinstance(obj, Result):
+            recipe.append(("result", index[obj.op]))
+        elif isinstance(obj, Argument):
+            recipe.append(("arg", fn.args.index(obj)))
+        elif isinstance(obj, BlockArg):
+            r, blk = next((r, blk) for r, blk in enumerate(obj.owner.regions)
+                          if obj in blk.args)
+            recipe.append(("blockarg", index[obj.owner], r,
+                           blk.args.index(obj)))
+        else:
+            recipe.append(("evaluate", evaluates[id(obj)]))
+    return recipe
+
+
+def resolve_consts(fn, recipe) -> dict:
+    """The constant table :func:`const_recipe` describes, rebuilt
+    against the live ``fn``.  Raises (``IndexError``, ``KeyError``,
+    ``ValueError``, ``TypeError``, ``AttributeError``) when the recipe
+    does not fit the function; nothing is returned in that case."""
+    ops = list(fn.walk())
+    consts = {}
+    for i, (kind, *at) in enumerate(recipe):
+        if kind == "evaluate":
+            obj = OP_INFO[at[0]].evaluate
+        elif kind == "arg":
+            obj = fn.args[at[0]]
+        elif kind == "op":
+            obj = ops[at[0]]
+            if obj.opcode != at[1]:
+                raise ValueError(f"op {at[0]} is {obj.opcode!r}, the "
+                                 f"recipe wants {at[1]!r}")
+        elif kind == "result":
+            obj = ops[at[0]].result
+            if obj is None:
+                raise ValueError(f"op {at[0]} has no result")
+        elif kind == "blockarg":
+            obj = ops[at[0]].regions[at[1]].args[at[2]]
+        else:
+            raise ValueError(f"unknown recipe entry {kind!r}")
+        consts[f"_k{i}"] = obj
+    return consts
 
 
 def _literal(c: Constant) -> str:
@@ -334,7 +393,13 @@ class Lowerer:
 
     # ------------------------------------------------------------------
     def build(self) -> tuple[str, dict, "FusionStats"]:
-        """Return ``(source, consts, fusion_stats)`` for this function."""
+        """Return ``(source, consts, fusion_stats)`` for this function.
+
+        The source ends in two literals, ``_CONSTS`` (the recipe of
+        ``consts``, see :func:`const_recipe`) and ``_STATS``
+        (``fusion_stats.as_dict()``): a process handed the compiled
+        module and the function can rebuild the other two results
+        without lowering."""
         fn = self.fn
         arg_names = [self.bind(a, False) for a in fn.args]
         head = f"def _compiled(rt{''.join(', ' + a for a in arg_names)}):"
@@ -349,6 +414,8 @@ class Lowerer:
             self.emit("pass")
         stats = self.fuser.stats
         stats.fused_ops = max(0, stats.ops - stats.kernels)
+        self.lines.append(f"_CONSTS = {const_recipe(fn, self.consts)!r}")
+        self.lines.append(f"_STATS = {stats.as_dict()!r}")
         return "\n".join(self.lines) + "\n", self.consts, stats
 
     # ------------------------------------------------------------------

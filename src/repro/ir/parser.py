@@ -132,6 +132,33 @@ def _split_top(text: str, sep: str) -> list[str]:
     return parts
 
 
+_FUNC_HEADER = re.compile(r"func @([\w.]+)\((.*)\) -> (\S+) \{$")
+_FUNC_ARG = re.compile(r"%(\S+): (\S+)((?: \w+(?:=-?\d+)?)*)$")
+_RESULT = re.compile(r"(%\S+) = (.*)$")
+#: A line's leading keyword; ``atomic_<kind>`` dispatches as ``atomic_``.
+_KEYWORD = re.compile(r"(atomic_)?\w+")
+_COMPUTE = re.compile(r"(\w+) (.+?)(\s*\{.*\})?$")
+
+#: keyword -> (pattern, handler): for the text right of ``%x = `` ...
+_RHS: dict = {}
+#: ... and for a whole line without a result.
+_STMT: dict = {}
+
+
+def _form(table: dict, pattern: str, *keywords: str):
+    """Register the decorated ``handler(parser, match) -> op`` for the
+    lines that start with one of ``keywords`` (default: the pattern's
+    own first word).  Every pattern starts with its keyword followed by
+    a non-word character, so no line can match another keyword's."""
+    compiled = re.compile(pattern)
+
+    def register(handler):
+        for kw in keywords or (_KEYWORD.match(pattern).group(),):
+            table[kw] = (compiled, handler)
+        return handler
+    return register
+
+
 class _Parser:
     def __init__(self, text: str, module: Optional[Module] = None) -> None:
         self.lines = [ln.rstrip() for ln in text.splitlines()]
@@ -182,7 +209,7 @@ class _Parser:
 
     def parse_function(self) -> Function:
         header = self._next()
-        m = re.match(r"func @([\w.]+)\((.*)\) -> (\S+) \{$", header)
+        m = _FUNC_HEADER.match(header)
         if not m:
             raise ParseError(f"bad function header: {header!r}")
         name, argtext, ret = m.groups()
@@ -190,7 +217,7 @@ class _Parser:
         if argtext.strip():
             for part in _split_top(argtext, ","):
                 part = part.strip()
-                am = re.match(r"%(\S+): (\S+)((?: \w+(?:=-?\d+)?)*)$", part)
+                am = _FUNC_ARG.match(part)
                 if not am:
                     raise ParseError(f"bad argument: {part!r}")
                 aname, atype, aattrs = am.groups()
@@ -215,80 +242,46 @@ class _Parser:
             ln = self._next()
             if ln == "}":
                 return
-            op_or_none = self._parse_op(ln, block)
-            if op_or_none == "ELSE":
-                # handled inside _parse_op for if; never reaches here
-                raise ParseError("stray else")
+            self._parse_op(ln, block)
 
     def _parse_op(self, ln: str, block: Block):
-        # result-producing generic forms
-        m = re.match(r"(%\S+) = (.*)$", ln)
+        """One line is one op.  The leading keyword picks the one
+        pattern that can match it (every pattern starts with its
+        keyword followed by a non-word character); the handler builds
+        the op, appends it to ``block`` and parses its regions."""
+        m = _RESULT.match(ln)
         if m:
             res_name, rest = m.groups()
-            op = self._parse_rhs(rest, block)
+            op = self._dispatch(_RHS, rest, block)
+            if op is None:
+                op = self._parse_compute(rest, block)
             if op.result is None:
                 raise ParseError(f"op has no result: {ln!r}")
             self._define(res_name, op.result)
             return op
-        return self._parse_stmt(ln, block)
+        op = self._dispatch(_STMT, ln, block)
+        if op is None:
+            raise ParseError(f"cannot parse statement: {ln!r}")
+        return op
 
-    # -- result-producing ops -------------------------------------------
-    def _parse_rhs(self, rest: str, block: Block):
-        m = re.match(r"load (\S+)\[(.+)\] : \S+$", rest)
-        if m:
-            op = LoadOp(self._val(m.group(1)), self._val(m.group(2)))
-            block.append(op)
-            return op
-        m = re.match(r"alloc (\S+) x (\S+) space=(\w+)(\s*\{.*\})?$", rest)
-        if m:
-            op = AllocOp(self._val(m.group(1)), parse_type(m.group(2)),
-                         m.group(3))
-            op.attrs.update(_parse_attrs(m.group(4) or ""))
-            block.append(op)
-            return op
-        m = re.match(r"call @([\w.]+)\((.*)\)(\s*\{.*\})?(?: : (\S+))?$",
-                     rest)
-        if m:
-            callee, argtext, attrs, ty = m.groups()
-            ret = (parse_type(ty) if ty
-                   else self.module.lookup_callee(callee).ret_type)
-            op = CallOp(callee, self._vals(argtext), ret,
-                        _parse_attrs(attrs or ""))
-            block.append(op)
-            return op
-        m = re.match(r"cmp\.(\w+) (.+)$", rest)
-        if m:
-            pred, ops = m.groups()
-            vals = self._vals(ops)
-            op = ComputeOp("cmp", vals, attrs={"pred": pred})
-            block.append(op)
-            return op
-        m = re.match(r"ptradd (.+)$", rest)
-        if m:
-            vals = self._vals(m.group(1))
-            op = PtrAddOp(vals[0], vals[1])
-            block.append(op)
-            return op
-        m = re.match(r"spawn(\s*\{[^{]*\})? \{$", rest)
-        if m:
-            op = SpawnOp()
-            op.attrs.update(_parse_attrs(m.group(1) or ""))
-            block.append(op)
-            self._parse_block_into(op.body)
-            return op
-        m = re.match(r"cache_create\s*$", rest)
-        if m:
-            op = CacheCreateOp()
-            block.append(op)
-            return op
-        m = re.match(r"cache_pop (\S+)(?: : (\S+))?$", rest)
-        if m:
-            ty = parse_type(m.group(2)) if m.group(2) else Ptr(F64)
-            op = CachePopOp(self._val(m.group(1)), ty)
-            block.append(op)
-            return op
+    def _dispatch(self, table: dict, text: str, block: Block):
+        kw = _KEYWORD.match(text)
+        entry = table.get(kw.group(1) or kw.group()) if kw else None
+        m = entry[0].match(text) if entry else None
+        if not m:
+            return None
+        op = entry[1](self, m)
+        block.append(op)
+        if op.regions:
+            if type(op) is IfOp:
+                self._parse_if_regions(op)
+            else:
+                self._parse_block_into(op.regions[0])
+        return op
+
+    def _parse_compute(self, rest: str, block: Block):
         # generic compute op: "<opcode> a, b {attrs}"
-        m = re.match(r"(\w+) (.+?)(\s*\{.*\})?$", rest)
+        m = _COMPUTE.match(rest)
         if m:
             oc, ops, attrs = m.groups()
             if oc in OP_INFO:
@@ -298,123 +291,148 @@ class _Parser:
                 return op
         raise ParseError(f"cannot parse rhs: {rest!r}")
 
+    # -- result-producing ops -------------------------------------------
+    @_form(_RHS, r"load (\S+)\[(.+)\] : \S+$")
+    def _rhs_load(self, m):
+        return LoadOp(self._val(m.group(1)), self._val(m.group(2)))
+
+    @_form(_RHS, r"alloc (\S+) x (\S+) space=(\w+)(\s*\{.*\})?$")
+    def _rhs_alloc(self, m):
+        op = AllocOp(self._val(m.group(1)), parse_type(m.group(2)),
+                     m.group(3))
+        op.attrs.update(_parse_attrs(m.group(4) or ""))
+        return op
+
+    @_form(_RHS, r"call @([\w.]+)\((.*)\)(\s*\{.*\})?(?: : (\S+))?$")
+    def _rhs_call(self, m):
+        callee, argtext, attrs, ty = m.groups()
+        ret = (parse_type(ty) if ty
+               else self.module.lookup_callee(callee).ret_type)
+        return CallOp(callee, self._vals(argtext), ret,
+                      _parse_attrs(attrs or ""))
+
+    @_form(_RHS, r"cmp\.(\w+) (.+)$")
+    def _rhs_cmp(self, m):
+        pred, ops = m.groups()
+        return ComputeOp("cmp", self._vals(ops), attrs={"pred": pred})
+
+    @_form(_RHS, r"ptradd (.+)$")
+    def _rhs_ptradd(self, m):
+        vals = self._vals(m.group(1))
+        return PtrAddOp(vals[0], vals[1])
+
+    @_form(_RHS, r"spawn(\s*\{[^{]*\})? \{$")
+    def _rhs_spawn(self, m):
+        op = SpawnOp()
+        op.attrs.update(_parse_attrs(m.group(1) or ""))
+        return op
+
+    @_form(_RHS, r"cache_create\s*$")
+    def _rhs_cache_create(self, m):
+        return CacheCreateOp()
+
+    @_form(_RHS, r"cache_pop (\S+)(?: : (\S+))?$")
+    def _rhs_cache_pop(self, m):
+        ty = parse_type(m.group(2)) if m.group(2) else Ptr(F64)
+        return CachePopOp(self._val(m.group(1)), ty)
+
     # -- statements -------------------------------------------------------
-    def _parse_stmt(self, ln: str, block: Block):
-        m = re.match(r"store (.+), (\S+)\[(.+)\]$", ln)
-        if m:
-            val, ptr, idx = m.groups()
-            op = StoreOp(self._coerced(val, ptr), self._val(ptr),
+    @_form(_STMT, r"store (.+), (\S+)\[(.+)\]$")
+    def _stmt_store(self, m):
+        val, ptr, idx = m.groups()
+        return StoreOp(self._coerced(val, ptr), self._val(ptr),
+                       self._val(idx))
+
+    @_form(_STMT, r"atomic_(\w+) (.+), (\S+)\[(.+)\](\s*\{.*\})?$",
+           "atomic_")
+    def _stmt_atomic(self, m):
+        kind, val, ptr, idx, attrs = m.groups()
+        op = AtomicRMWOp(kind, self._val(val), self._val(ptr),
                          self._val(idx))
-            block.append(op)
-            return op
-        m = re.match(r"atomic_(\w+) (.+), (\S+)\[(.+)\](\s*\{.*\})?$", ln)
-        if m:
-            kind, val, ptr, idx, attrs = m.groups()
-            op = AtomicRMWOp(kind, self._val(val), self._val(ptr),
-                             self._val(idx))
-            op.attrs.update(_parse_attrs(attrs or ""))
-            block.append(op)
-            return op
-        m = re.match(r"call @([\w.]+)\((.*)\)(\s*\{.*\})?$", ln)
-        if m:
-            callee, argtext, attrs = m.groups()
-            target = self.module.lookup_callee(callee)
-            op = CallOp(callee, self._vals(argtext), target.ret_type,
-                        _parse_attrs(attrs or ""))
-            block.append(op)
-            return op
-        if ln == "return":
-            op = ReturnOp([])
-            block.append(op)
-            return op
-        m = re.match(r"return (.+)$", ln)
-        if m:
-            op = ReturnOp(self._vals(m.group(1)))
-            block.append(op)
-            return op
-        m = re.match(r"continue_if (.+)$", ln)
-        if m:
-            op = ConditionOp(self._val(m.group(1)))
-            block.append(op)
-            return op
-        if ln == "barrier":
-            op = BarrierOp()
-            block.append(op)
-            return op
-        m = re.match(r"free (\S+)$", ln)
-        if m:
-            op = FreeOp(self._val(m.group(1)))
-            block.append(op)
-            return op
-        m = re.match(r"memset (.+)$", ln)
-        if m:
-            v = self._vals(m.group(1))
-            op = MemsetOp(v[0], v[1], v[2])
-            block.append(op)
-            return op
-        m = re.match(r"memcpy (.+)$", ln)
-        if m:
-            v = self._vals(m.group(1))
-            op = MemcpyOp(v[0], v[1], v[2])
-            block.append(op)
-            return op
-        m = re.match(r"cache_push (.+)$", ln)
-        if m:
-            v = self._vals(m.group(1))
-            op = CachePushOp(v[0], v[1])
-            block.append(op)
-            return op
-        m = re.match(
-            r"(for|workshare_for)( simd)?( reversed)? (%\S+) in "
-            r"\[(.+), (.+)\) step (\S+)(\s*\{[^{]*\})? \{$", ln)
-        if m:
-            kind, simd, _rev, iv, lb, ub, step, attrs = m.groups()
-            op = ForOp(self._val(lb), self._val(ub), self._val(step),
-                       workshare=(kind == "workshare_for"),
-                       simd=bool(simd), ivar_name=iv.lstrip("%"))
-            op.attrs.update(_parse_attrs((attrs or "").strip()))
-            block.append(op)
-            self._define(iv, op.ivar)
-            self._parse_block_into(op.body)
-            return op
-        m = re.match(r"parallel_for (%\S+) in \[(.+), (.+)\)"
-                     r"(\s*\{[^{]*\})? \{$", ln)
-        if m:
-            iv, lb, ub, attrs = m.groups()
-            a = _parse_attrs((attrs or "").strip())
-            op = ParallelForOp(self._val(lb), self._val(ub),
-                               framework=a.get("framework", "openmp"),
-                               ivar_name=iv.lstrip("%"),
-                               schedule=a.get("schedule", "static"))
-            block.append(op)
-            self._define(iv, op.ivar)
-            self._parse_block_into(op.body)
-            return op
-        m = re.match(r"fork\((.+)\) \((%\S+), (%\S+)\)"
-                     r"(\s*\{[^{]*\})? \{$", ln)
-        if m:
-            nt, tid, nth, attrs = m.groups()
-            op = ForkOp(self._val(nt))
-            op.attrs.update(_parse_attrs(attrs or ""))
-            block.append(op)
-            self._define(tid, op.tid)
-            self._define(nth, op.nthreads)
-            self._parse_block_into(op.body)
-            return op
-        m = re.match(r"if (\S+) \{$", ln)
-        if m:
-            op = IfOp(self._val(m.group(1)))
-            block.append(op)
-            self._parse_if_regions(op)
-            return op
-        m = re.match(r"while (%\S+) \{$", ln)
-        if m:
-            op = WhileOp(ivar_name=m.group(1).lstrip("%"))
-            block.append(op)
-            self._define(m.group(1), op.ivar)
-            self._parse_block_into(op.body)
-            return op
-        raise ParseError(f"cannot parse statement: {ln!r}")
+        op.attrs.update(_parse_attrs(attrs or ""))
+        return op
+
+    @_form(_STMT, r"call @([\w.]+)\((.*)\)(\s*\{.*\})?$")
+    def _stmt_call(self, m):
+        callee, argtext, attrs = m.groups()
+        target = self.module.lookup_callee(callee)
+        return CallOp(callee, self._vals(argtext), target.ret_type,
+                      _parse_attrs(attrs or ""))
+
+    @_form(_STMT, r"return(?: (.+))?$")
+    def _stmt_return(self, m):
+        return ReturnOp(self._vals(m.group(1)) if m.group(1) else [])
+
+    @_form(_STMT, r"continue_if (.+)$")
+    def _stmt_continue_if(self, m):
+        return ConditionOp(self._val(m.group(1)))
+
+    @_form(_STMT, r"barrier$")
+    def _stmt_barrier(self, m):
+        return BarrierOp()
+
+    @_form(_STMT, r"free (\S+)$")
+    def _stmt_free(self, m):
+        return FreeOp(self._val(m.group(1)))
+
+    @_form(_STMT, r"memset (.+)$")
+    def _stmt_memset(self, m):
+        v = self._vals(m.group(1))
+        return MemsetOp(v[0], v[1], v[2])
+
+    @_form(_STMT, r"memcpy (.+)$")
+    def _stmt_memcpy(self, m):
+        v = self._vals(m.group(1))
+        return MemcpyOp(v[0], v[1], v[2])
+
+    @_form(_STMT, r"cache_push (.+)$")
+    def _stmt_cache_push(self, m):
+        v = self._vals(m.group(1))
+        return CachePushOp(v[0], v[1])
+
+    @_form(_STMT, r"(for|workshare_for)( simd)?( reversed)? (%\S+) in "
+           r"\[(.+), (.+)\) step (\S+)(\s*\{[^{]*\})? \{$",
+           "for", "workshare_for")
+    def _stmt_for(self, m):
+        kind, simd, _rev, iv, lb, ub, step, attrs = m.groups()
+        op = ForOp(self._val(lb), self._val(ub), self._val(step),
+                   workshare=(kind == "workshare_for"),
+                   simd=bool(simd), ivar_name=iv.lstrip("%"))
+        op.attrs.update(_parse_attrs((attrs or "").strip()))
+        self._define(iv, op.ivar)
+        return op
+
+    @_form(_STMT, r"parallel_for (%\S+) in \[(.+), (.+)\)"
+           r"(\s*\{[^{]*\})? \{$")
+    def _stmt_parallel_for(self, m):
+        iv, lb, ub, attrs = m.groups()
+        a = _parse_attrs((attrs or "").strip())
+        op = ParallelForOp(self._val(lb), self._val(ub),
+                           framework=a.get("framework", "openmp"),
+                           ivar_name=iv.lstrip("%"),
+                           schedule=a.get("schedule", "static"))
+        self._define(iv, op.ivar)
+        return op
+
+    @_form(_STMT, r"fork\((.+)\) \((%\S+), (%\S+)\)"
+           r"(\s*\{[^{]*\})? \{$")
+    def _stmt_fork(self, m):
+        nt, tid, nth, attrs = m.groups()
+        op = ForkOp(self._val(nt))
+        op.attrs.update(_parse_attrs(attrs or ""))
+        self._define(tid, op.tid)
+        self._define(nth, op.nthreads)
+        return op
+
+    @_form(_STMT, r"if (\S+) \{$")
+    def _stmt_if(self, m):
+        return IfOp(self._val(m.group(1)))
+
+    @_form(_STMT, r"while (%\S+) \{$")
+    def _stmt_while(self, m):
+        op = WhileOp(ivar_name=m.group(1).lstrip("%"))
+        self._define(m.group(1), op.ivar)
+        return op
 
     def _parse_if_regions(self, op: IfOp) -> None:
         # then-body runs until "}" or "} else {"

@@ -1,12 +1,19 @@
 """Persistent compile cache: key correctness (anything that can change
-the generated code changes the key), corruption tolerance, and the
+the generated code changes the key), hit/miss equivalence of the code a
+process ends up running, corruption tolerance, and the
 ExecConfig/environment plumbing."""
 
+import base64
+import dataclasses
+import hashlib
 import json
+import marshal
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ad import ADConfig, Duplicated, autodiff
 from repro.interp import (
@@ -18,7 +25,16 @@ from repro.interp import (
     resolve_cache_dir,
 )
 from repro.interp.diskcache import FORMAT_VERSION, open_cache
-from repro.ir import I64, IRBuilder, Ptr, verify_module
+from repro.interp.lowering import const_recipe, lower_function, resolve_consts
+from repro.ir import (I64, IRBuilder, Ptr, parse_function, print_closure,
+                      print_function, verify_module)
+from repro.passes import certify_bounds
+
+from ..ad.test_gradient_roundtrip import (
+    APPS, _assert_same_run as _assert_same_app_run, _run as _run_app)
+from ..properties import simd_programs as sp
+from ..properties.test_adjoint_equivalence import _time_stepped
+from ..properties.test_roundtrip_properties import _STMT
 
 
 def _module(scale: float = 2.0):
@@ -36,6 +52,11 @@ def _lowered_source(module, fn="f", **kwargs):
                             **kwargs).__lowered_source__
 
 
+def _key_text(module, fn="f"):
+    """What the compiled tier addresses its code entry by."""
+    return print_closure(module, fn)
+
+
 def _entry_paths(root):
     out = []
     for dirpath, _, files in os.walk(root):
@@ -50,12 +71,12 @@ def _entry_paths(root):
 
 def test_exec_config_change_is_a_miss(tmp_path):
     cache = CompileCache(str(tmp_path))
-    src = _lowered_source(_module())
+    src = _key_text(_module())
     fp1 = config_fingerprint(ExecConfig(num_threads=1))
     fp2 = config_fingerprint(ExecConfig(num_threads=4))
     assert fp1 != fp2
     assert cache.key(src, fp1) != cache.key(src, fp2)
-    code = compile(src, "<t>", "exec")
+    code = compile(_lowered_source(_module()), "<t>", "exec")
     cache.store(src, fp1, code)
     assert cache.load(src, fp2) is None      # different config: miss
     assert cache.load(src, fp1) is not None  # same config: hit
@@ -66,21 +87,19 @@ def test_exec_config_change_is_a_miss(tmp_path):
 def test_ir_body_change_is_a_miss(tmp_path):
     cache = CompileCache(str(tmp_path))
     fp = config_fingerprint(ExecConfig())
-    src1 = _lowered_source(_module(2.0))
-    src2 = _lowered_source(_module(3.0))
+    src1 = _key_text(_module(2.0))
+    src2 = _key_text(_module(3.0))
     assert src1 != src2
-    cache.store(src1, fp, compile(src1, "<t>", "exec"))
+    cache.store(src1, fp, compile(_lowered_source(_module(2.0)), "<t>",
+                                  "exec"))
     assert cache.load(src2, fp) is None
     assert cache.load(src1, fp) is not None
 
 
 def test_ad_config_change_is_a_miss(tmp_path):
     """An ADConfig that changes the generated gradient code must reach
-    the key through the lowered source.  (ADConfig knobs that only
-    change *constants* — e.g. alloc attributes from cache_space — may
-    legitimately share an entry: the cache stores the compiled code
-    object only, and lowering rebuilds the constant table on every
-    load.)"""
+    the key through the printed gradient (which the lowered source is a
+    function of)."""
     def nonlinear_module():
         b = IRBuilder()
         with b.function("f", [("x", Ptr()), ("n", I64)]) as f:
@@ -97,20 +116,21 @@ def test_ad_config_change_is_a_miss(tmp_path):
     for cfg in (ADConfig(), ADConfig(opt_level="none", post_opt=False)):
         mod = nonlinear_module()
         grad = autodiff(mod, "f", [Duplicated, None], cfg)
-        sources.append(_lowered_source(mod, grad))
-    src_a, src_b = sources
-    assert src_a != src_b
-    cache.store(src_a, fp, compile(src_a, "<t>", "exec"))
-    assert cache.load(src_b, fp) is None
-    assert cache.load(src_a, fp) is not None
+        sources.append((_key_text(mod, grad), _lowered_source(mod, grad)))
+    (text_a, src_a), (text_b, src_b) = sources
+    assert src_a != src_b and text_a != text_b
+    cache.store(text_a, fp, compile(src_a, "<t>", "exec"))
+    assert cache.load(text_b, fp) is None
+    assert cache.load(text_a, fp) is not None
 
 
 def test_adjoint_strategy_change_is_a_miss(tmp_path):
     """ADConfig.adjoint reaches the key two ways: the generated IR
-    differs (source), and the gradient function carries the strategy
-    fingerprint in ``attrs['adjoint']``, which CompiledBackend folds
-    into the ExecConfig fingerprint — so strategies can never share a
-    cache entry even if their lowered source ever coincided."""
+    differs (and its printed closure carries the function attrs), and
+    the gradient function carries the strategy fingerprint in
+    ``attrs['adjoint']``, which CompiledBackend folds into the
+    ExecConfig fingerprint — so strategies can never share a cache
+    entry even if their IR ever coincided."""
     from repro.ad.strategy import strategy_fingerprint
 
     def loop_module():
@@ -133,7 +153,7 @@ def test_adjoint_strategy_change_is_a_miss(tmp_path):
         grad = autodiff(mod, "f", [Duplicated, None, None], cfg)
         fn = mod.functions[grad]
         assert fn.attrs["adjoint"] == strategy_fingerprint(cfg)
-        sources.append(_lowered_source(mod, grad))
+        sources.append(_key_text(mod, grad))
         # The fold CompiledBackend.get_compiled applies:
         fps.append(f"{base_fp}|adjoint={fn.attrs['adjoint']}")
     src_a, src_b = sources
@@ -141,7 +161,7 @@ def test_adjoint_strategy_change_is_a_miss(tmp_path):
     assert src_a != src_b                      # IR-level separation
     assert fp_a != fp_b                        # fingerprint separation
     assert cache.key(src_a, fp_a) != cache.key(src_a, fp_b)
-    cache.store(src_a, fp_a, compile(src_a, "<t>", "exec"))
+    cache.store(src_a, fp_a, compile("pass", "<t>", "exec"))
     assert cache.load(src_a, fp_b) is None
     assert cache.load(src_a, fp_a) is not None
 
@@ -158,13 +178,20 @@ def test_implicit_iters_changes_fingerprint():
 
 
 def test_fusion_flag_changes_source_and_key(tmp_path):
+    """The IR text is the same fused or not, so ``compile_function``
+    folds the flag into the fingerprint it looks up."""
     cache = CompileCache(str(tmp_path))
     fp = config_fingerprint(ExecConfig())
-    mod = _module()
-    src_on = _lowered_source(mod, fusion=True)
-    src_off = _lowered_source(mod, fusion=False)
-    assert src_on != src_off
-    assert cache.key(src_on, fp) != cache.key(src_off, fp)
+    sources = []
+    for fusion in (True, False, True):
+        mod = _module()
+        code = compile_function(mod.functions["f"], fusion=fusion,
+                                cache=cache, fingerprint=fp, module=mod)
+        sources.append(code.__lowered_source__)
+    src_on, src_off, warm = sources
+    assert src_on != src_off and warm is None
+    assert cache.stats() == {"hits": 1, "misses": 2, "stores": 2,
+                             "errors": 0}
 
 
 def test_format_version_change_is_a_miss(tmp_path, monkeypatch):
@@ -531,8 +558,8 @@ def test_source_digest_change_moves_the_gradient_key(tmp_path, monkeypatch):
     cache = CompileCache(str(tmp_path))
     text = print_closure(_nonlinear_module(), "f")
     key = cache.gradient_key(text, _ACTS, ADConfig())
-    assert len(dc.gradient_sources_digest()) == 64
-    monkeypatch.setattr(dc, "gradient_sources_digest", lambda: "0" * 64)
+    assert len(dc.sources_digest(dc._GRADIENT_SOURCES)) == 64
+    monkeypatch.setattr(dc, "sources_digest", lambda packages: "0" * 64)
     assert cache.gradient_key(text, _ACTS, ADConfig()) != key
 
 
@@ -585,9 +612,11 @@ def test_gradient_key_covers_callees(tmp_path):
 @pytest.mark.parametrize("how", ["config", "env"])
 def test_cache_off_prints_hashes_and_writes_nothing(tmp_path, monkeypatch,
                                                     how):
-    """With the cache off, ``grad_fn()`` is the transform and nothing
-    else: no printer call, no key, no directory."""
+    """With the cache off, ``grad_fn()`` is the transform and a compile
+    is certify + lower + ``compile()``, nothing else: no printer call,
+    no key, no directory."""
     import repro.ad.transform as transform
+    import repro.interp.compile as compile_mod
     import repro.interp.diskcache as dc
     from repro.apps.lulesh.driver import LuleshApp
     from repro.apps.minibude import MinibudeApp
@@ -603,16 +632,24 @@ def test_cache_off_prints_hashes_and_writes_nothing(tmp_path, monkeypatch,
     else:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ignored"))
         setting = "off"
-    for name in ("print_closure", "print_function"):
-        monkeypatch.setattr(transform, name, forbidden)
-    monkeypatch.setattr(dc, "gradient_sources_digest", forbidden)
+    for mod in (transform, compile_mod):
+        for name in ("print_closure", "print_function"):
+            monkeypatch.setattr(mod, name, forbidden)
+    monkeypatch.setattr(dc, "sources_digest", forbidden)
     monkeypatch.setattr(dc.hashlib, "sha256", forbidden)
 
-    for app in (LuleshApp("serial", 2, compile_cache=setting),
-                MinibudeApp("serial", make_deck(4, 2, 6),
-                            compile_cache=setting)):
-        app.grad_fn()
+    lulesh = LuleshApp("serial", 2, backend="compiled",
+                       compile_cache=setting)
+    bude = MinibudeApp("serial", make_deck(4, 2, 6), backend="compiled",
+                       compile_cache=setting)
+    doms = lulesh.make_domains()
+    lulesh.run_gradient(doms, 2)
+    bude.run_gradient()
+    for app in (lulesh, bude):
         assert app.gradient_cache == {"event": "off"}
+        stats = app.last_compile_stats
+        assert stats["cache"] is None and stats["lowered"] == 1
+        assert stats["interpreter_only"] == {}
     assert list(tmp_path.iterdir()) == []
 
 
@@ -639,3 +676,356 @@ def test_app_drivers_share_one_directory_with_the_executor(tmp_path):
     assert s1["cache"] == {"hits": 1, "misses": 0, "stores": 0,
                            "errors": 0}
     assert len(_entry_paths(str(tmp_path))) == 2
+
+
+# ---------------------------------------------------------------------------
+# Code entries are addressed by the IR they were lowered from
+# ---------------------------------------------------------------------------
+
+def _k_table(code):
+    """The constant table a compiled function's globals hold."""
+    return {k: v for k, v in code.__globals__.items()
+            if re.fullmatch(r"_k\d+", k)}
+
+
+def _forbid_lowering(monkeypatch):
+    import repro.interp.compile as compile_mod
+    import repro.passes.intervals as intervals
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm process certified or lowered")
+
+    monkeypatch.setattr(compile_mod, "lower_function", forbidden)
+    monkeypatch.setattr(intervals, "certify_bounds", forbidden)
+
+
+@pytest.mark.parametrize("name", sorted(APPS))
+def test_code_hit_is_the_code_a_miss_builds(name, tmp_path, monkeypatch):
+    """A process served from the directory runs what it would have
+    built: same bytecode, a constant table holding the live function's
+    own objects, equal counters, bit-identical arrays / clock / cost /
+    peak AD-cache bytes — with certification and lowering out of reach.
+    ``lulesh-mpi`` has bridged ``mpi.*`` calls, the julia flavour spawn
+    regions."""
+    make, threads = APPS[name]
+    monkeypatch.setenv("REPRO_CACHE_DIR", "off")
+    want = _run_app(make(), threads, "compiled")
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    cold = make()
+    _assert_same_app_run(_run_app(cold, threads, "compiled"), want)
+    assert cold.gradient_cache["event"] == "miss"
+
+    warm = make()
+    with monkeypatch.context() as m:
+        _forbid_lowering(m)
+        # _run pins strict backends: a compile that raised would surface
+        _assert_same_app_run(_run_app(warm, threads, "compiled"), want)
+    assert warm.gradient_cache["event"] == "hit"
+
+    built = cold.module.functions[cold.grad_fn()]._compiled_code
+    fn = warm.module.functions[warm.grad_fn()]
+    served = fn._compiled_code
+    assert built.__lowered_source__ and served.__lowered_source__ is None
+    assert served.__code__.co_code == built.__code__.co_code
+    assert served.__code__.co_consts == built.__code__.co_consts
+    source, consts, stats = lower_function(
+        fn, bounds=certify_bounds(fn, warm.module))
+    assert source == built.__lowered_source__
+    table = _k_table(served)
+    assert list(table) == list(consts) and consts
+    assert all(table[k] is consts[k] for k in consts)
+    assert served.__fusion_stats__.as_dict() == stats.as_dict()
+
+
+def _alloc_module(scale=2.0, extent=8, callee_scale=1.0, effects="pure"):
+    """``f`` with one of every constant-table kind the small programs
+    reach (an ``alloc`` op, a ``call`` op, an evaluate function) and
+    everything else a code key has to cover: an ``extent`` the bounds
+    certifier reads, a user callee, an intrinsic."""
+    from repro.ir.function import IntrinsicInfo
+
+    b = IRBuilder()
+    b.module.register_intrinsic(
+        IntrinsicInfo("rt.num_threads", [], I64, effects=effects))
+    with b.function("g", [("x", Ptr()), ("i", I64)]) as f:
+        x, i = f.args
+        b.store(b.mul(b.load(x, i), callee_scale), x, i)
+    with b.function("f", [("x", Ptr()), ("n", I64)],
+                    arg_attrs=[{"extent": extent}, {}]) as f:
+        x, n = f.args
+        tmp = b.alloc(n)
+        with b.for_(0, n, simd=True) as i:
+            b.store(b.sqrt(b.mul(b.load(x, i), scale)), tmp, i)
+        with b.for_(0, 8, simd=True) as i:
+            b.store(b.load(tmp, i), x, i)
+        b.call("g", x, b.sub(b.call("rt.num_threads"), 1))
+    verify_module(b.module)
+    return b.module
+
+
+def _run_alloc(module, cache_dir, strict=True):
+    ex = Executor(module, ExecConfig(backend="compiled",
+                                     compile_cache=cache_dir))
+    ex.interp.backend.strict = strict
+    x = np.linspace(1.0, 2.0, 8)
+    ex.run("f", x, 8)
+    return x, ex.clock, ex.cost.as_dict(), ex.compile_stats()
+
+
+def test_recipe_addresses_every_kind_of_constant():
+    module = _alloc_module()
+    fn = module.functions["f"]
+    _, consts, _ = lower_function(fn, bounds=certify_bounds(fn, module))
+    recipe = const_recipe(fn, consts)
+    assert sorted({entry[0] for entry in recipe}) == ["evaluate", "op"]
+    assert sorted(e[2] for e in recipe if e[0] == "op") == [
+        "alloc", "call", "call"]
+    resolved = resolve_consts(fn, recipe)
+    assert list(resolved) == list(consts)
+    assert all(resolved[k] is consts[k] for k in consts)
+
+
+_BASE_FP = config_fingerprint(ExecConfig())
+
+#: One non-default value per ExecConfig field that is part of the code
+#: key.  A field added to ExecConfig must be added here or to the
+#: exemption below (the key test's first assert says so).
+_OTHER_EXECCONFIG = {
+    "num_threads": 4, "gc_stress": True, "machine": "c6i",
+    "mpi_impl": "mpich", "max_while_iters": 7, "max_call_depth": 3,
+    "sanitize": True, "sanitize_raise": False, "backend": "compiled",
+    "fusion": False, "cc": "gcc",
+}
+
+
+@pytest.mark.parametrize("change", [
+    dict(module=dict(scale=3.0)),
+    dict(module=dict(extent=16)),
+    dict(module=dict(callee_scale=2.0)),
+    dict(module=dict(effects="read")),
+    dict(fusion=False),
+    dict(fingerprint=f"{_BASE_FP}|adjoint=checkpoint"),
+    dict(sources="0" * 64),
+] + [dict(config={name: value})
+     for name, value in _OTHER_EXECCONFIG.items()],
+    ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items())[:40])
+def test_code_key_covers_what_the_code_depends_on(change, tmp_path,
+                                                  monkeypatch):
+    import repro.interp.diskcache as dc
+    from repro.perf.machine import c6i_metal
+
+    assert set(_OTHER_EXECCONFIG) | {"compile_cache"} == {
+        f.name for f in dataclasses.fields(ExecConfig)}
+
+    def build(module=None, fusion=True, fingerprint=_BASE_FP, config=None,
+              sources=None):
+        if config is not None:
+            if "machine" in config:
+                config = {"machine": c6i_metal()}
+            (name, value), = config.items()
+            assert getattr(ExecConfig(), name) != value
+            fingerprint = config_fingerprint(ExecConfig(**config))
+        with monkeypatch.context() as m:
+            if sources is not None:
+                m.setattr(dc, "sources_digest", lambda packages: sources)
+            mod = _alloc_module(**(module or {}))
+            cache = CompileCache(str(tmp_path))
+            code = compile_function(mod.functions["f"], fusion=fusion,
+                                    cache=cache, fingerprint=fingerprint,
+                                    module=mod)
+            return code.__lowered_source__ is None, cache.stats()
+
+    assert build() == (False, {"hits": 0, "misses": 1, "stores": 1,
+                               "errors": 0})
+    assert build(**change) == (False, {"hits": 0, "misses": 1,
+                                       "stores": 1, "errors": 0})
+    for again in ({}, change):
+        assert build(**again) == (True, {"hits": 1, "misses": 0,
+                                         "stores": 0, "errors": 0})
+    assert len(_entry_paths(str(tmp_path))) == 2
+
+
+def test_cache_location_is_not_part_of_the_code_key(tmp_path, monkeypatch):
+    """Where the cache lives is a deployment setting: the directory
+    named by the config, the same one through the environment, and the
+    same one moved elsewhere (a CI cache restore) all serve the entries
+    the first process stored."""
+    from repro.apps.minibude import MinibudeApp
+    from repro.apps.minibude.deck import make_deck
+
+    assert config_fingerprint(ExecConfig(compile_cache="/a")) == \
+        config_fingerprint(ExecConfig()) == \
+        config_fingerprint(ExecConfig(compile_cache="off"))
+
+    def process(compile_cache):
+        app = MinibudeApp("serial", make_deck(4, 2, 6), backend="compiled",
+                          compile_cache=compile_cache)
+        shadows, res = app.run_gradient()
+        stats = app.last_compile_stats
+        return (shadows["poses"], res.time, app.gradient_cache["event"],
+                stats["cache"], stats["lowered"])
+
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    first = process(str(tmp_path / "a"))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a"))
+    second = process(None)
+    monkeypatch.delenv("REPRO_CACHE_DIR")
+    os.rename(tmp_path / "a", tmp_path / "moved")
+    third = process(str(tmp_path / "moved"))
+
+    assert first[2:] == ("miss", {"hits": 0, "misses": 1, "stores": 1,
+                                  "errors": 0}, 1)
+    for later in (second, third):
+        np.testing.assert_array_equal(later[0], first[0])
+        assert later[1] == first[1]
+        assert later[2:] == ("hit", {"hits": 1, "misses": 0, "stores": 0,
+                                     "errors": 0}, 0)
+
+
+def test_primal_and_gradient_never_share_a_code_entry(tmp_path):
+    from repro.apps.minibude import MinibudeApp
+    from repro.apps.minibude.deck import make_deck
+
+    for expect in ("stores", "hits"):
+        app = MinibudeApp("serial", make_deck(4, 2, 6), backend="compiled",
+                          compile_cache=str(tmp_path))
+        app.run_forward()
+        assert app.last_compile_stats["cache"][expect] == 1
+        app.run_gradient()
+        assert app.last_compile_stats["cache"][expect] == 1
+        assert len(_entry_paths(os.path.join(tmp_path, "compiled-ir"))) == 2
+
+
+def _with_blob(entry, blob):
+    """The entry holding ``blob`` instead, its digest matching."""
+    entry["code"] = base64.b64encode(blob).decode("ascii")
+    entry["sha256"] = hashlib.sha256(blob).hexdigest()
+    return json.dumps(entry).encode()
+
+
+def _rewrite_code(entry, edit_source):
+    """Replace an entry's code by the compiled, edited lowering of
+    ``_alloc_module``'s ``f`` — a well-formed entry (its blob digest
+    matches) holding something other than what was stored."""
+    module = _alloc_module()
+    fn = module.functions["f"]
+    source = lower_function(fn, bounds=certify_bounds(fn, module))[0]
+    edited = edit_source(source)
+    assert edited != source
+    return _with_blob(entry, marshal.dumps(
+        compile(edited, "<tampered>", "exec")))
+
+
+def _recipe_edit(pattern, replacement):
+    def edit(entry, raw):
+        return _rewrite_code(entry, lambda source: re.sub(
+            r"(?m)^_CONSTS = .*$",
+            lambda m: re.sub(pattern, replacement, m.group(), count=1),
+            source))
+    return edit
+
+
+def _truncated_blob(entry, raw):
+    return _with_blob(entry, base64.b64decode(entry["code"])[:-40])
+
+
+@pytest.mark.parametrize("corrupt", [
+    _truncate,
+    _truncated_blob,
+    _edit(sha256="0" * 64),
+    _edit(sources="0" * 64),
+    _recipe_edit(r"\('op', \d+, 'alloc'\)", "('op', 9999, 'alloc')"),
+    # op 0 is the alloc itself: the call site's entry now names it
+    _recipe_edit(r"\('op', \d+, 'call'\)", "('op', 0, 'call')"),
+    _recipe_edit(r"\('evaluate', '\w+'\)", "('evaluate', 'no_such_op')"),
+    _recipe_edit(r"\('op', ", "('operation', "),
+    lambda entry, raw: _rewrite_code(
+        entry, lambda source: source.replace("_CONSTS = ", "_CONSTANTS = ")),
+    lambda entry, raw: _rewrite_code(
+        entry, lambda source: re.sub(r"(?m)^_STATS = \{",
+                                     "_STATS = {'extra': 1, ", source)),
+], ids=["truncated-file", "truncated-blob", "blob-digest", "sources-skew",
+        "index-out-of-range", "wrong-kind-of-op", "unknown-evaluate",
+        "unknown-entry-kind", "missing-recipe", "stats-skew"])
+def test_corrupt_code_entry_is_a_miss_and_a_fresh_compile(tmp_path, corrupt):
+    """A code entry that does not read, does not match its digests or
+    whose recipe does not resolve against the live function is dropped
+    and rebuilt: never an exception, never a partly filled table."""
+    want = _run_alloc(_alloc_module(), "off")
+    assert want[3]["cache"] is None
+    _run_alloc(_alloc_module(), str(tmp_path))
+    # the entry of f (g is the smaller one)
+    path = max(_entry_paths(str(tmp_path)), key=os.path.getsize)
+    with open(path, "rb") as f:
+        raw = f.read()
+    with open(path, "wb") as f:
+        f.write(corrupt(json.loads(raw), raw))
+
+    x, clock, cost, stats = _run_alloc(_alloc_module(), str(tmp_path))
+    np.testing.assert_array_equal(x, want[0])
+    assert (clock, cost) == want[1:3]
+    # f: corrupt miss, rebuilt and stored; g: hit
+    assert stats["cache"] == {"hits": 1, "misses": 1, "stores": 1,
+                              "errors": 1}
+    assert stats["lowered"] == 1 and stats["interpreter_only"] == {}
+    assert os.path.exists(path)
+    again = _run_alloc(_alloc_module(), str(tmp_path))[3]
+    assert again["cache"] == {"hits": 2, "misses": 0, "stores": 0,
+                              "errors": 0}
+    assert again["lowered"] == 0
+
+
+def test_compile_stats_name_the_interpreter_only_fallback(monkeypatch):
+    """The reason a function fell back to the interpreter is in the
+    report, not only on the Function object."""
+    import repro.interp.compile as compile_mod
+
+    def broken(*args, **kwargs):
+        raise compile_mod.LoweringError("synthetic failure")
+
+    monkeypatch.setattr(compile_mod, "lower_function", broken)
+    x, _, _, stats = _run_alloc(_alloc_module(), "off", strict=False)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(x, _run_alloc(_alloc_module(), "off")[0])
+    assert stats["functions"] == 0 and stats["lowered"] == 0
+    assert stats["interpreter_only"] == {
+        "f": "LoweringError: synthetic failure"}
+
+
+def _assert_text_determines_code(module, name):
+    """Two functions with one printed closure lower to one source —
+    recipe and counters included — and the recipe of either resolves,
+    against the other, to the other's own constant table."""
+    old = module.functions[name]
+    text = print_closure(module, name)
+    src_old, consts_old, _ = lower_function(
+        old, bounds=certify_bounds(old, module))
+    del module.functions[name]
+    new = parse_function(print_function(old), module)
+    new.attrs.update(old.attrs)
+    assert print_closure(module, name) == text
+    src_new, consts_new, _ = lower_function(
+        new, bounds=certify_bounds(new, module))
+    assert src_new == src_old
+    recipe = const_recipe(old, consts_old)
+    assert recipe == const_recipe(new, consts_new)
+    resolved = resolve_consts(new, recipe)
+    assert list(resolved) == list(consts_new)
+    assert all(resolved[k] is consts_new[k] for k in consts_new)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=sp.SPEC)
+def test_closure_text_determines_code_simd_programs(spec):
+    _assert_text_determines_code(*sp.gradient(spec, simd=True))
+
+
+@settings(max_examples=25, deadline=None)
+@given(stmts=st.lists(_STMT, min_size=1, max_size=3),
+       adjoint=st.sampled_from(["cache-all", "checkpoint"]))
+def test_closure_text_determines_code_time_stepped_programs(stmts, adjoint):
+    module = _time_stepped(stmts)
+    grad = autodiff(module, "prog", [Duplicated, None, None],
+                    ADConfig(adjoint=adjoint))
+    _assert_text_determines_code(module, grad)

@@ -5,7 +5,7 @@ under its own ``PYTHONHASHSEED``.
 
 Whoever loses the race to store reads the winner's entries, so this is
 also the determinism test of the gradient IR: the entries are keyed on
-the primal (gradient) and on the lowered gradient source (code), and
+the printed primal (gradient) and on the printed gradient (code), and
 only one of each may exist afterwards."""
 
 import json
@@ -30,7 +30,9 @@ print(json.dumps({
         np.ascontiguousarray(shadows[0][f]).tobytes()
         for f in sorted(shadows[0]))).hexdigest(),
     "clock": run.time,
-    "gradient": stats["gradient_cache"], "code": stats["cache"]}))
+    "gradient": stats["gradient_cache"], "code": stats["cache"],
+    "lowered": stats["lowered"],
+    "interpreter_only": stats["interpreter_only"]}))
 """
 
 #: More workers than this box has cores.
@@ -58,6 +60,9 @@ def test_concurrent_processes_share_one_directory(tmp_path):
     for r in results:
         assert r["gradient"]["event"] in ("hit", "miss")
         assert r["gradient"]["errors"] == 0 and r["code"]["errors"] == 0
+        assert r["interpreter_only"] == {}
+        # whoever missed lowered, whoever hit did not
+        assert r["lowered"] == r["code"]["misses"]
     # at least one process found the directory empty
     assert any(r["gradient"]["event"] == "miss" for r in results)
 
@@ -78,3 +83,4 @@ def test_concurrent_processes_share_one_directory(tmp_path):
     assert late["gradient"]["event"] == "hit"
     assert late["code"] == {"hits": 1, "misses": 0, "stores": 0,
                             "errors": 0}
+    assert late["lowered"] == 0 and late["interpreter_only"] == {}
