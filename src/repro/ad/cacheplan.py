@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..ir.function import Function, Module
+from ..ir.intrinsics import RECOMPUTABLE_INTRINSICS
 from ..ir.ops import Op
 from ..ir.types import F64, I1, I64, PointerType, Request, Task, Type
 from ..ir.values import Argument, BlockArg, Constant, Result, Value
@@ -54,9 +55,6 @@ class ForkNThreads:
     def __init__(self, fork_op: Op) -> None:
         self.fork_op = fork_op
 
-
-#: Pure intrinsics whose results may be recomputed in the reverse pass.
-_PURE_INTRINSICS = {"mpi.comm_rank", "mpi.comm_size", "rt.num_threads"}
 
 #: Loop-like region ops that constitute cache index dimensions.
 _DIM_OPS = ("for", "parallel_for", "while", "fork")
@@ -480,7 +478,7 @@ class CachePlanner:
                 self._need_pointer(op.operands[0], self.plan.needed)
                 return [op.operands[1]]
             return None
-        if oc == "call" and op.attrs["callee"] in _PURE_INTRINSICS:
+        if oc == "call" and op.attrs["callee"] in RECOMPUTABLE_INTRINSICS:
             return []
         return None
 

@@ -34,7 +34,7 @@ class Function:
         raise KeyError(f"function {self.name} has no argument {name!r}")
 
     def walk(self):
-        yield from self.body.walk()
+        return self.body.walk()
 
     def num_ops(self) -> int:
         return sum(1 for _ in self.walk())

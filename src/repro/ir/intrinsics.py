@@ -15,6 +15,14 @@ from __future__ import annotations
 
 from .types import F64, I1, I64, Ptr, Request, Token, Void
 
+#: Pure intrinsics whose result CSE and the AD emitter value-number and
+#: the cache planner recomputes in the reverse pass instead of caching.
+RECOMPUTABLE_INTRINSICS = frozenset({
+    "mpi.comm_rank", "mpi.comm_size", "rt.num_threads"})
+
+#: Pure intrinsics DCE removes when their result is unused.
+REMOVABLE_INTRINSICS = RECOMPUTABLE_INTRINSICS | {"jl.arrayptr"}
+
 
 def register_default_intrinsics(module) -> None:
     from .function import IntrinsicInfo

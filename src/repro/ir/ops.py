@@ -66,11 +66,20 @@ class Block:
         op.parent = None
 
     def walk(self) -> Iterator["Op"]:
-        """Pre-order walk over all ops in this block, recursively."""
-        for op in list(self.ops):
-            yield op
-            for region in op.regions:
-                yield from region.walk()
+        """Pre-order walk over all ops in this block, recursively.  One
+        generator frame whatever the nesting depth; a block's op list
+        is snapshotted when the walk reaches that block, so the caller
+        may remove the op it was just handed."""
+        stack = [iter(list(self.ops))]
+        while stack:
+            for op in stack[-1]:
+                yield op
+                if op.regions:
+                    stack.append(itertools.chain.from_iterable(
+                        map(list, op.regions)))
+                    break
+            else:
+                stack.pop()
 
     def __iter__(self) -> Iterator["Op"]:
         return iter(self.ops)

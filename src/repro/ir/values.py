@@ -120,11 +120,9 @@ class Value:
     def __ge__(self, other):
         return current_builder().cmp("ge", self, other)
 
-    # NOTE: __eq__/__ne__ keep identity semantics so values can live in
-    # dicts and sets; use builder.cmp("eq", a, b) for IR equality.
-
-    def __hash__(self) -> int:  # identity hashing
-        return id(self)
+    # NOTE: __eq__/__ne__/__hash__ are object's: identity semantics (at
+    # C speed) so values can live in dicts and sets; use
+    # builder.cmp("eq", a, b) for IR equality.
 
     def __repr__(self) -> str:
         label = self.name or f"@{id(self):x}"

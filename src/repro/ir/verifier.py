@@ -21,9 +21,9 @@ offending op.
 
 from __future__ import annotations
 
-from .function import Function, Module
+from .function import Function, IntrinsicInfo, Module
 from .ops import Block, Op
-from .types import I64, PointerType
+from .types import I64, PointerType, Request, Void
 from .values import Argument, BlockArg, Constant, Result, Value
 
 
@@ -32,22 +32,27 @@ class VerificationError(Exception):
 
 
 class _Scope:
-    """A stack of visible-value frames (one per nested region)."""
+    """The values visible right now: one live set, and per open region
+    the list of what it defined (SSA: each value once), retracted when
+    the region closes."""
 
     def __init__(self) -> None:
-        self.frames: list[set[Value]] = []
+        self.live: set[Value] = set()
+        self.frames: list[list[Value]] = []
 
     def push(self, values=()) -> None:
-        self.frames.append(set(values))
+        self.frames.append(list(values))
+        self.live.update(values)
 
     def pop(self) -> None:
-        self.frames.pop()
+        self.live.difference_update(self.frames.pop())
 
     def define(self, v: Value) -> None:
-        self.frames[-1].add(v)
+        self.frames[-1].append(v)
+        self.live.add(v)
 
     def visible(self, v: Value) -> bool:
-        return any(v in frame for frame in self.frames)
+        return v in self.live
 
 
 def verify_module(module: Module) -> None:
@@ -112,6 +117,8 @@ def _check_placement(op: Op, index: int, block: Block,
             raise _err(fn, op, "condition outside a while body")
         if block.ops[-1] is not op:
             raise _err(fn, op, "condition must terminate the while body")
+    if oc == "barrier" and "parallel_for" in context:
+        raise _err(fn, op, "barrier inside parallel_for body")
     if oc == "barrier" and "fork" not in context:
         raise _err(fn, op, "barrier outside a fork region")
     if oc == "for" and op.attrs.get("workshare"):
@@ -132,11 +139,6 @@ def _check_placement(op: Op, index: int, block: Block,
         # contain forks.
         if "parallel_for" in context or "fork" in context:
             raise _err(fn, op, f"nested {oc} inside a parallel region")
-    if context and context[-1] == "parallel_for":
-        pass
-    if "parallel_for" in context or ("for" in context and oc == "barrier"):
-        if oc == "barrier" and "parallel_for" in context:
-            raise _err(fn, op, "barrier inside parallel_for body")
 
 
 #: Opcodes through which a request-typed value may legally flow (the
@@ -145,14 +147,12 @@ _REQUEST_SINKS = frozenset({"call", "store", "cache_push", "return"})
 
 
 def _check_request_flow(op: Op, fn: Function, module: Module) -> None:
-    from .types import Request
     oc = op.opcode
     if oc == "call":
         try:
             target = module.lookup_callee(op.attrs["callee"])
         except KeyError:
             return      # reported by the arity/existence check
-        from .function import IntrinsicInfo
         if isinstance(target, IntrinsicInfo):
             decl = list(target.arg_types)
             variadic = target.variadic
@@ -224,7 +224,6 @@ def _check_op(op: Op, fn: Function, module: Module) -> None:
             target = module.lookup_callee(op.attrs["callee"])
         except KeyError as e:
             raise _err(fn, op, str(e))
-        from .function import IntrinsicInfo
         if isinstance(target, IntrinsicInfo):
             if not target.variadic and len(op.operands) != len(target.arg_types):
                 raise _err(fn, op,
@@ -240,7 +239,6 @@ def _check_op(op: Op, fn: Function, module: Module) -> None:
             if fn.ret_type is None or op.operands[0].type is not fn.ret_type:
                 raise _err(fn, op, "return type mismatch")
         else:
-            from .types import Void
             if fn.ret_type is not Void:
                 raise _err(fn, op, f"missing return value ({fn.ret_type})")
     elif oc == "while":

@@ -20,6 +20,10 @@ from .pass_manager import FunctionPass
 
 _CMP = OP_INFO["cmp"].attrs["preds"]
 
+#: Opcodes :func:`fold_op` can fold without a constant operand.
+_SAME_OPERAND = frozenset({"select", "min", "max", "imin", "imax",
+                           "and", "or"})
+
 
 def _const(v) -> Constant:
     if isinstance(v, (np.floating,)):
@@ -42,10 +46,18 @@ def fold_op(op: Op) -> Value | None:
     asks before appending; :class:`ConstantFold` asks of every op of a
     function)."""
     oc = op.opcode
+    ops_ = op.operands
+    # The usual op folds nothing: no constant operand, and not one of
+    # the opcodes with a same-operand identity below.
+    if oc not in _SAME_OPERAND:
+        for v in ops_:
+            if isinstance(v, Constant):
+                break
+        else:
+            return None
     info = OP_INFO.get(oc)
     if info is None:
         return None
-    ops_ = op.operands
     if all(isinstance(v, Constant) for v in ops_):
         if oc == "cmp":
             return _const(_CMP[op.attrs["pred"]](ops_[0].value,
@@ -84,7 +96,7 @@ def fold_op(op: Op) -> Value | None:
             return ops_[1] if ops_[0].value else ops_[2]
         if ops_[1] is ops_[2]:
             return ops_[1]
-    elif oc in ("min", "max", "imin", "imax", "and", "or"):
+    elif oc in _SAME_OPERAND:
         if ops_[0] is ops_[1]:
             return ops_[0]
     return None

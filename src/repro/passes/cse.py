@@ -9,12 +9,11 @@ LICM and OpenMPOpt handle the profitable load cases).
 from __future__ import annotations
 
 from ..ir.function import Function, Module
+from ..ir.intrinsics import RECOMPUTABLE_INTRINSICS
 from ..ir.opinfo import OP_INFO
 from ..ir.ops import Block, Op
 from ..ir.values import Constant, Value
 from .pass_manager import FunctionPass
-
-_PURE_INTRINSICS = {"mpi.comm_rank", "mpi.comm_size", "rt.num_threads"}
 
 
 def value_key(op: Op):
@@ -24,20 +23,21 @@ def value_key(op: Op):
     ops of one block, or of one block being filled (the AD emitter)."""
     oc = op.opcode
     info = OP_INFO.get(oc)
-    pure_call = oc == "call" and op.attrs["callee"] in _PURE_INTRINSICS
-    if info is None and oc != "ptradd" and not pure_call:
+    if info is None and oc != "ptradd" and not (
+            oc == "call" and op.attrs["callee"] in RECOMPUTABLE_INTRINSICS):
         return None
     if op.result is None:
         return None
-    operand_ids = tuple(
-        ("c", v.value) if isinstance(v, Constant) else ("v", id(v))
-        for v in op.operands)
-    attr_items = tuple(sorted(
-        (k, v) for k, v in op.attrs.items() if isinstance(v, (str, int,
-                                                              bool, float))))
+    operand_ids = [("c", v.value) if isinstance(v, Constant)
+                   else ("v", id(v)) for v in op.operands]
     if info is not None and info.commutative:
-        operand_ids = tuple(sorted(operand_ids))
-    return (oc, operand_ids, attr_items)
+        operand_ids.sort()
+    attr_items: tuple = ()
+    if op.attrs:    # usually empty
+        attr_items = tuple(sorted(
+            (k, v) for k, v in op.attrs.items()
+            if isinstance(v, (str, int, bool, float))))
+    return (oc, tuple(operand_ids), attr_items)
 
 
 class CSE(FunctionPass):

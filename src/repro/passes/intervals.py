@@ -285,6 +285,9 @@ class IntervalAnalysis:
         self.access: Dict[Op, AccessFact] = {}
         #: The last ``mpi.comm_size`` result in scope (rank bounds).
         self._comm_size: Optional[Value] = None
+        #: Top-level directional bound evaluations performed: the
+        #: analysis' unit of work, next to :meth:`counts`.
+        self.evaluations = 0
 
     # -- public queries -------------------------------------------------
     def affine_of(self, v: Value) -> Affine:
@@ -366,9 +369,12 @@ class IntervalAnalysis:
 
     # -- bound evaluation -----------------------------------------------
     def bound_affine(self, aff: Affine) -> Interval:
-        lo = self._eval_dir(aff, want_hi=False, fuel=_FUEL)
-        hi = self._eval_dir(aff, want_hi=True, fuel=_FUEL)
-        return Interval(lo, hi)
+        return Interval(self._bound(aff, False), self._bound(aff, True))
+
+    def _bound(self, aff: Affine, want_hi: bool) -> Bound:
+        """One side of :meth:`bound_affine` (counted)."""
+        self.evaluations += 1
+        return self._eval_dir(aff, want_hi, _FUEL)
 
     def _eval_dir(self, aff: Affine, want_hi: bool, fuel: int) -> Bound:
         """Tightest upper (``want_hi``) / lower bound of ``aff``:
@@ -706,29 +712,31 @@ class IntervalAnalysis:
         else:
             addr_aff = off.add(self.affine_of(idx))
         if addr_aff is None or ext_aff is None:
-            index = (self.bound_affine(addr_aff)
-                     if addr_aff is not None else TOP)
-            return AccessFact(UNPROVEN, why, index=index)
-        index = self.bound_affine(addr_aff)
+            return AccessFact(UNPROVEN, why)
         # slack = extent - addr; slack >= 1 everywhere means in bounds.
-        slack = self.bound_affine(ext_aff.sub(addr_aff))
-        extent = self.bound_affine(ext_aff)
-        if index.lo >= 0 and slack.lo >= 1:
-            return AccessFact(PROVEN, "", index=index, extent=extent)
+        # The verdict reads two bounds when it certifies and four when
+        # it does not; the intervals themselves are for OOB findings.
+        slack_aff = ext_aff.sub(addr_aff)
+        index_lo = self._bound(addr_aff, False)
+        slack_lo = self._bound(slack_aff, False)
+        if index_lo >= 0 and slack_lo >= 1:
+            return AccessFact(PROVEN, "")
         # Provably out of bounds: every executed lane violates.
-        if index.hi < 0:
-            return AccessFact(OOB, "index is always negative",
-                              index=index, extent=extent)
-        if slack.hi < 1:
-            return AccessFact(OOB, "index always >= buffer extent",
-                              index=index, extent=extent)
+        index_hi = self._bound(addr_aff, True)
+        oob = ""
+        if index_hi < 0:
+            oob = "index is always negative"
+        elif self._bound(slack_aff, True) < 1:
+            oob = "index always >= buffer extent"
+        if oob:
+            return AccessFact(OOB, oob, index=Interval(index_lo, index_hi),
+                              extent=self.bound_affine(ext_aff))
         parts: List[str] = []
-        if index.lo < 0:
-            parts.append(f"index lower bound {index.lo} may be negative")
-        if slack.lo < 1:
-            parts.append(f"index may reach extent (slack {slack.lo})")
-        return AccessFact(UNPROVEN, "; ".join(parts) or why,
-                          index=index, extent=extent)
+        if index_lo < 0:
+            parts.append(f"index lower bound {index_lo} may be negative")
+        if slack_lo < 1:
+            parts.append(f"index may reach extent (slack {slack_lo})")
+        return AccessFact(UNPROVEN, "; ".join(parts) or why)
 
 
 def analyze_intervals(fn: object, module: object,

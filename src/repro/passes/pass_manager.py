@@ -25,25 +25,49 @@ class FunctionPass:
 
 
 class PassManager:
+    """Runs ``passes`` in order, round after round, until none has
+    anything left to do (or ``max_rounds``).
+
+    A pass that ran and changed nothing is *clean* until some pass
+    changes the function; a clean pass is skipped, and the manager
+    stops at the end of a round in which every entry is clean.  That is
+    exact: a deterministic pass asked again about unchanged IR answers
+    the same.  Entries are one pass when they have the same class and
+    the same constructor state (``vars`` at the time the manager is
+    built), so the two ``ConstantFold()`` of a pipeline share their
+    cleanliness and ``LICM(True)`` / ``LICM(False)`` do not.
+    """
+
     def __init__(self, passes: Iterable[FunctionPass],
                  verify_each: bool = False, max_rounds: int = 4) -> None:
         self.passes = list(passes)
         self.verify_each = verify_each
         self.max_rounds = max_rounds
+        #: ``{pass name: runs that changed the function}``
         self.stats: dict[str, int] = {}
+        #: ``{pass name: runs}`` — what clean-skipping leaves of
+        #: ``rounds × len(passes)``.
+        self.runs: dict[str, int] = {}
+        kinds = [(type(p), dict(vars(p))) for p in self.passes]
+        self._kind = [kinds.index(k) for k in kinds]
 
     def run_function(self, fn: Function, module: Module) -> bool:
         changed_any = False
+        clean: set[int] = set()
         for _ in range(self.max_rounds):
-            changed = False
-            for p in self.passes:
+            for p, kind in zip(self.passes, self._kind):
+                if kind in clean:
+                    continue
+                self.runs[p.name] = self.runs.get(p.name, 0) + 1
                 if p.run(fn, module):
-                    changed = True
+                    changed_any = True
+                    clean.clear()
                     self.stats[p.name] = self.stats.get(p.name, 0) + 1
                     if self.verify_each:
                         verify_function(fn, module)
-            changed_any |= changed
-            if not changed:
+                else:
+                    clean.add(kind)
+            if clean.issuperset(self._kind):
                 break
         return changed_any
 
