@@ -210,8 +210,16 @@ def build_lulesh(flavor_name: str, nx: int, pr: int = 1,
     extents["corner_ell"] = 8 * nnode
     extents.update({f: nelem for f in INT_FIELDS[2:]})
     extents.update({f: nnode for f in MASK_FIELDS})
+    # Value contracts of the index arrays (``below=N``: every element in
+    # [0, N)) — what certifies the gathers and scatter-adds through them:
+    # node ids, corner slots of the 8*nelem + 1 force arrays, element ids.
+    below = {"nodelist": nnode, "corner_ell": 8 * nelem + 1}
+    below.update({f: nelem for f in INT_FIELDS[2:]})
     attrs = [{"noalias": True, "extent": extents[name]}
              for name, _ in args[:-1]] + [{}]
+    for (name, _), a in zip(args, attrs):
+        if name in below:
+            a["below"] = below[name]
 
     with b.function(fn_name, args, arg_attrs=attrs) as f:
         A = {name: f.arg(name) for name in

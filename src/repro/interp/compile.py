@@ -13,25 +13,27 @@ resume, with bit-identical results and timings.
 
 The runtime helpers in this module are the out-of-line parts of the
 generated code.  Memory access comes in three statically-selected
-flavors (the lowering knows mask state and index monotonicity at
-codegen time — see :mod:`repro.interp.fusion`):
+flavors (the lowering knows mask state and the affine form of every
+address at codegen time — see ``Lowerer._plan``):
 
+* ``_lds``/``_sts``/``_ats`` — unmasked vector access whose address is
+  ``a + t*lane``: a strided slice of the buffer, no index vector, an
+  endpoint bounds check;
 * ``_ld``/``_st``/``_at`` — statically-unmasked generics (no mask
-  handling at all, plus scalar fast paths and a sequential-fold atomic
-  fast path);
-* ``_ldm``/``_stm`` (and the bounds-certified ``_ldmu``/``_stmu``) —
-  unmasked monotone-index vector access: endpoint bounds checks instead
-  of ``O(width)`` min/max reductions, and slice copies instead of
-  gather/scatter when a strictly-monotone index is contiguous at
-  runtime.  One factory (``_make_mono_helpers``) builds all four, and
-  the native tier builds its own four from it around its C loops;
+  handling at all, plus scalar fast paths): gathers and scatters
+  through an index vector, bounds-checked by one reduction over it;
 * ``_ldk``/``_stk``/``_atk`` — masked generics used inside lowered
   vectorized-``if`` branches, consulting ``rt.mask`` exactly like the
   interpreter.
 
+The first two come from one factory (``_make_access_helpers``) in a
+checked and an unchecked build; sites the interval analysis certified
+in-bounds call the unchecked one under a ``u`` suffix (``_ldsu``,
+``_ldu``, ...).
+
 Plus privatizing allocation (``_al``), segment cost accumulation
 (``_acc``), the fork-region phase driver (``_rf``), call dispatch
-(``_ca``/``_cu``) and the op-by-op interpreter bridge (``_bg``).
+(``_ca``) and the op-by-op interpreter bridge (``_bg``).
 
 Compilation itself is two-level cached: in-process on the Function
 object (fingerprint-checked, since ExecConfig.fusion changes codegen),
@@ -102,153 +104,189 @@ def _aw(rt, cost_class, res):
     rt.cost.add_class(cost_class, rt._width(res))
 
 
-def _ld(rt, ptr, idx):
-    """Statically-unmasked load with interpreter-exact cost accounting.
+_AT_UFUNC = {"add": np.add, "min": np.minimum, "max": np.maximum}
+_nd = np.ndarray
 
-    The scalar case (adjoint reverse loops run element-by-element) is
-    inlined here: check-alive, bounds check, one element, 8 bytes —
-    the same observable effects as ``Memory.load`` without the call
-    chain.  The lowering only emits ``_ld`` where ``rt.mask`` is
-    statically None (masked branches use ``_ldk``), so no mask handling
-    appears at all.
+
+def _make_access_helpers(check: bool) -> dict:
+    """The statically-unmasked memory helpers, with (``check``) or
+    without their bounds checks; certified sites call the second build.
+    The lowering only emits them where ``rt.mask`` is statically None
+    (masked branches use ``_ldk``...), so no mask handling appears.
+
+    ``ld``/``st``/``at`` take an index operand: one element when
+    pointer and index are scalars, else a gather / scatter /
+    ``ufunc.at`` whose bounds check is one reduction over the address
+    vector.
+
+    ``lds``/``sts``/``ats`` take an access plan instead (see
+    ``Lowerer._plan``): the lanes touch the cells ``a + t*lane``,
+    ``t != 0`` — a strided slice, so no address vector exists and the
+    bounds check reads the two endpoints.  The cells are distinct, so
+    NumPy's last-wins scatter order and ``ufunc.at``'s sequential
+    application cannot be observed.  ``n`` is the lane count ``W``;
+    0 says the pointer is a lane-private cell of ``t`` elements per
+    lane (its offset vector is the ``t*lane`` term, its buffer ``t*W``
+    long).  Stores and atomics charge max(value lanes, index-operand
+    lanes): ``narrow`` says the index operand was uniform (always, for
+    a cell).
+
+    The bodies are flat on purpose: one more Python frame per access is
+    4 % of a LULESH gradient.
     """
-    if not isinstance(idx, np.ndarray) and not isinstance(
-            ptr.offset, np.ndarray):
+    def address(buf, ptr, idx):
+        """Resolved address of an indexed access, bounds-checked."""
+        if buf.freed:
+            buf.check_alive()
+        off = ptr.offset
+        # Skip the index-vector add (an O(width) allocation) at offset 0.
+        at = idx if type(off) is int and not off else off + idx
+        if check:
+            n = len(buf.data)
+            if type(at) is not _nd:
+                if at < 0 or at >= n:
+                    Memory._check_bounds(buf, at)
+            elif at.dtype is _I8 and at.ndim:
+                # One reduction over a zero-copy uint64 view: negative
+                # addresses wrap to huge values (the interpreter does
+                # two; its message comes from _check_bounds).
+                if at.size and int(_umax(at.view(_U8))) >= n:
+                    Memory._check_bounds(buf, at)
+            elif at.size and (at.min() < 0 or at.max() >= n):
+                Memory._check_bounds(buf, at)
+        return at
+
+    def ld(rt, ptr, idx):
+        buf = ptr.buffer
+        # A certified gather through a live offset-0 pointer (every
+        # LULESH field) has nothing to resolve.
+        if check or buf.freed or type(ptr.offset) is not int or ptr.offset:
+            idx = address(buf, ptr, idx)
+        val = buf.data[idx]  # fancy gather copies
+        w = val.size if type(val) is _nd and val.size > 1 else 1
+        c = rt.cost
+        if buf.stream:
+            c.stream_bytes += w * 8
+        else:
+            c.load_bytes += w * 8
+        return val
+
+    def lds(rt, ptr, a, n=0, t=1):
         buf = ptr.buffer
         if buf.freed:
             buf.check_alive()
-        at = ptr.offset + idx
         data = buf.data
-        if at < 0 or at >= len(data):
-            Memory._check_bounds(buf, at)
+        if not n:
+            n = len(data) // t
+        else:
+            a += ptr.offset
+        end = a + t * (n - 1)
+        if check and (a < 0 or end < 0 or a >= len(data)
+                      or end >= len(data)):
+            Memory._check_bounds(buf, np.array((a, end)))
         c = rt.cost
         if buf.stream:
-            c.stream_bytes += 8
+            c.stream_bytes += n * 8
         else:
-            c.load_bytes += 8
-        return data[at]
-    # Vector gather, inlined from Memory.load (no mask statically).
-    buf = ptr.buffer
-    if buf.freed:
-        buf.check_alive()
-    off = ptr.offset
-    # Skip the index-vector add (an O(width) allocation) at offset 0.
-    at = idx if type(off) is int and not off else off + idx
-    data = buf.data
-    if at.size:
-        if at.dtype is _I8:
-            if int(_umax(at.view(_U8))) >= len(data):
-                Memory._check_bounds(buf, at)  # exact message
-        elif at.min() < 0 or at.max() >= len(data):
-            Memory._check_bounds(buf, at)
-    val = data[at]  # fancy gather (copies)
-    w = val.size if val.size > 1 else 1
-    c = rt.cost
-    if buf.stream:
-        c.stream_bytes += w * 8
-    else:
-        c.load_bytes += w * 8
-    return val
+            c.load_bytes += n * 8
+        return (data[a:end + 1:t] if t > 0
+                else data[end:a + 1:-t][::-1]).copy()
 
+    def st(rt, val, ptr, idx):
+        buf = ptr.buffer
+        buf.data[address(buf, ptr, idx)] = val
+        w = val.size if type(val) is _nd and val.size > 1 else 1
+        if type(idx) is _nd and idx.size > w:
+            w = idx.size
+        c = rt.cost
+        if buf.stream:
+            c.stream_bytes += w * 8
+        else:
+            c.store_bytes += w * 8
 
-def _make_mono_helpers(gather=None, scatter=None) -> dict:
-    """Build the monotone-index vector helpers ``_ldm``/``_ldmu``/
-    ``_stm``/``_stmu`` — one body per direction, specialised on whether
-    the site keeps its endpoint bounds check (the ``u`` variants serve
-    sites the interval analysis certified in-bounds).
+    def sts(rt, val, ptr, a, n=0, t=1, narrow=False):
+        buf = ptr.buffer
+        if buf.freed:
+            buf.check_alive()
+        data = buf.data
+        if not n:
+            n, narrow = len(data) // t, True
+        else:
+            a += ptr.offset
+        end = a + t * (n - 1)
+        if check and (a < 0 or end < 0 or a >= len(data)
+                      or end >= len(data)):
+            Memory._check_bounds(buf, np.array((a, end)))
+        if t > 0:
+            data[a:end + 1:t] = val
+        else:
+            data[end:a + 1:-t][::-1] = val
+        w = val.size if type(val) is _nd and val.size > 1 else 1
+        if not narrow and n > w:
+            w = n
+        c = rt.cost
+        if buf.stream:
+            c.stream_bytes += w * 8
+        else:
+            c.store_bytes += w * 8
 
-    ``d`` is the static monotonicity class of ``ptr.offset + idx``:
-    ±1 monotone non-strict, ±2 strictly monotone.  Bounds come from the
-    endpoint lanes (the extremes of any monotone vector); a strictly
-    monotone index whose endpoint span equals ``size - 1`` is
-    consecutive (pigeonhole), so the gather/scatter becomes a slice
-    copy.  NumPy's last-wins fancy-assignment semantics are preserved:
-    duplicates only occur in the non-strict case, which keeps the fancy
-    path.
-
-    ``gather(data, at)`` / ``scatter(data, at, val)`` are optional
-    accelerated kernels for the strictly-monotone (duplicate-free) but
-    non-contiguous case; each returns None to decline, and the fancy
-    NumPy access runs instead (the native tier passes its C loops).
-    """
-    def load(check):
-        def ld(rt, ptr, idx, d):
-            off = ptr.offset
-            at = idx if type(off) is int and not off else off + idx
-            if not isinstance(at, np.ndarray) or at.ndim != 1 or at.size == 0:
-                return _ld(rt, ptr, idx)
-            buf = ptr.buffer
-            if buf.freed:
-                buf.check_alive()
-            data = buf.data
-            n = at.size
-            if d > 0:
-                lo, hi = int(at[0]), int(at[n - 1])
+    def at(rt, kind, via, val, ptr, idx):
+        """``via`` is the op's lowering tag (None: hardware atomic,
+        ``"reduction"``, ``"lanes"``); it only selects the cost charged
+        (:meth:`CostVector.add_rmw`) — all three execute the same
+        conflict-safe read-modify-write.  ``ufunc.at`` applies lanes
+        *sequentially*; a scalar target accumulating a lane vector (the
+        adjoint of a broadcast read) reproduces that exact left fold
+        with ``ufunc.accumulate`` over ``[current, lane0, lane1, ...]``
+        (bit-identical, including ordered float addition and
+        signed-zero/NaN min-max behavior)."""
+        buf = ptr.buffer
+        at = address(buf, ptr, idx)
+        data, ufunc = buf.data, _AT_UFUNC[kind]
+        vec = type(val) is _nd and val.ndim > 0
+        if type(at) is not _nd or at.ndim == 0:
+            if vec:
+                data[at] = ufunc.accumulate(
+                    np.concatenate((data[at:at + 1], val.ravel())))[-1]
             else:
-                lo, hi = int(at[n - 1]), int(at[0])
-            if check and (lo < 0 or hi >= len(data)):
-                Memory._check_bounds(buf, at)  # raises, exact message
-            val = None
-            if d == 2 or d == -2:
-                if hi - lo == n - 1:
-                    sl = data[lo:hi + 1]
-                    val = sl[::-1].copy() if d < 0 else sl.copy()
-                elif gather is not None:
-                    val = gather(data, at)
-            if val is None:
-                val = data[at]  # fancy gather (copies)
-            c = rt.cost
-            w = n if n > 1 else 1
-            if buf.stream:
-                c.stream_bytes += w * 8
-            else:
-                c.load_bytes += w * 8
-            return val
-        return ld
+                data[at] = ufunc(data[at], val)
+        elif vec and at.shape == val.shape and at.ndim == 1:
+            ufunc.at(data, at, val)
+        else:
+            shape = np.broadcast_shapes(at.shape, np.shape(val))
+            ufunc.at(data, np.broadcast_to(at, shape).ravel(),
+                     np.broadcast_to(val, shape).ravel())
+        w = val.size if type(val) is _nd and val.size > 1 else 1
+        if type(idx) is _nd and idx.size > w:
+            w = idx.size
+        rt.cost.add_rmw(via, w)
 
-    def store(check):
-        def st(rt, val, ptr, idx, d):
-            off = ptr.offset
-            at = idx if type(off) is int and not off else off + idx
-            if not isinstance(at, np.ndarray) or at.ndim != 1 or at.size == 0:
-                _st(rt, val, ptr, idx)
-                return
-            buf = ptr.buffer
-            if buf.freed:
-                buf.check_alive()
-            data = buf.data
-            n = at.size
-            if d > 0:
-                lo, hi = int(at[0]), int(at[n - 1])
-            else:
-                lo, hi = int(at[n - 1]), int(at[0])
-            if check and (lo < 0 or hi >= len(data)):
-                Memory._check_bounds(buf, at)
-            val_is_arr = isinstance(val, np.ndarray)
-            strict = d == 2 or d == -2
-            if (strict and hi - lo == n - 1
-                    and (not val_is_arr or (val.ndim == 1 and (
-                        val.size == n or val.size == 1)))):
-                if val_is_arr and val.size == n and n > 1 and d < 0:
-                    data[lo:hi + 1] = val[::-1]
-                else:
-                    data[lo:hi + 1] = val
-            elif not (strict and scatter is not None
-                      and scatter(data, at, val)):
-                data[at] = val
-            c = rt.cost
-            wv = val.size if val_is_arr and val.size > 1 else 1
-            wi = idx.size if isinstance(idx, np.ndarray) and idx.size > 1 \
-                else 1
-            w = wv if wv > wi else wi
-            if buf.stream:
-                c.stream_bytes += w * 8
-            else:
-                c.store_bytes += w * 8
-        return st
+    def ats(rt, kind, via, val, ptr, a, n=0, t=1, narrow=False):
+        buf = ptr.buffer
+        if buf.freed:
+            buf.check_alive()
+        data = buf.data
+        if not n:
+            n, narrow = len(data) // t, True
+        else:
+            a += ptr.offset
+        end = a + t * (n - 1)
+        if check and (a < 0 or end < 0 or a >= len(data)
+                      or end >= len(data)):
+            Memory._check_bounds(buf, np.array((a, end)))
+        view = data[a:end + 1:t] if t > 0 else data[end:a + 1:-t][::-1]
+        _AT_UFUNC[kind](view, val, out=view)
+        w = val.size if type(val) is _nd and val.size > 1 else 1
+        rt.cost.add_rmw(via, w if narrow or w > n else n)
 
-    return {"_ldm": load(True), "_ldmu": load(False),
-            "_stm": store(True), "_stmu": store(False)}
+    return {"_ld": ld, "_st": st, "_at": at,
+            "_lds": lds, "_sts": sts, "_ats": ats}
+
+
+_ACCESS_HELPERS = _make_access_helpers(True)
+_ACCESS_HELPERS.update({name + "u": fn for name, fn in
+                        _make_access_helpers(False).items()})
+_ld, _st, _at = (_ACCESS_HELPERS[k] for k in ("_ld", "_st", "_at"))
 
 
 def _ldk(rt, ptr, idx):
@@ -265,51 +303,6 @@ def _ldk(rt, ptr, idx):
     return val
 
 
-def _st(rt, val, ptr, idx):
-    """Statically-unmasked store (mask handling lives in ``_stk``)."""
-    if (not isinstance(idx, np.ndarray) and not isinstance(val, np.ndarray)
-            and not isinstance(ptr.offset, np.ndarray)):
-        buf = ptr.buffer
-        if buf.freed:
-            buf.check_alive()
-        at = ptr.offset + idx
-        data = buf.data
-        if at < 0 or at >= len(data):
-            Memory._check_bounds(buf, at)
-        data[at] = val
-        c = rt.cost
-        if buf.stream:
-            c.stream_bytes += 8
-        else:
-            c.store_bytes += 8
-        return
-    # Vector scatter, inlined from Memory.store (no mask statically).
-    buf = ptr.buffer
-    if buf.freed:
-        buf.check_alive()
-    off = ptr.offset
-    at = idx if type(off) is int and not off else off + idx
-    data = buf.data
-    if isinstance(at, np.ndarray):
-        if at.size:
-            if at.dtype is _I8:
-                if int(_umax(at.view(_U8))) >= len(data):
-                    Memory._check_bounds(buf, at)
-            elif at.min() < 0 or at.max() >= len(data):
-                Memory._check_bounds(buf, at)
-    elif at < 0 or at >= len(data):
-        Memory._check_bounds(buf, at)
-    data[at] = val
-    wv = val.size if isinstance(val, np.ndarray) and val.size > 1 else 1
-    wi = idx.size if isinstance(idx, np.ndarray) and idx.size > 1 else 1
-    w = wv if wv > wi else wi
-    c = rt.cost
-    if buf.stream:
-        c.stream_bytes += w * 8
-    else:
-        c.store_bytes += w * 8
-
-
 def _stk(rt, val, ptr, idx):
     """Masked generic store."""
     mask = rt.mask
@@ -321,89 +314,6 @@ def _stk(rt, val, ptr, idx):
         rt.cost.add_stream(w * 8)
     else:
         rt.cost.add_store(w * 8)
-
-
-_AT_UFUNC = {"add": np.add, "min": np.minimum, "max": np.maximum}
-
-
-def _at(rt, kind, via, val, ptr, idx, d=0):
-    """Statically-unmasked atomic with fast paths for the two hot
-    shapes: a scalar target accumulating a lane vector (the adjoint of
-    a broadcast read) and a duplicate-free monotone scatter.
-
-    ``via`` is the op's lowering tag (None: hardware atomic,
-    ``"reduction"``, ``"lanes"``); it only selects the cost charged
-    (:meth:`CostVector.add_rmw`) — all three execute the same
-    conflict-safe read-modify-write.
-
-    ``ufunc.at`` applies lanes *sequentially*; the scalar-target path
-    reproduces that exact left fold with ``ufunc.accumulate`` over
-    ``[current, lane0, lane1, ...]`` (bit-identical, including ordered
-    float addition and signed-zero/NaN min-max behavior).  ``d`` is the
-    static monotonicity class of the index (see the lowering): a
-    strictly monotone index vector is duplicate-free, so each cell gets
-    exactly one application and ``ufunc.at`` collapses to a vectorized
-    read-modify-write — no runtime probe needed.
-    """
-    off = ptr.offset
-    buf = ptr.buffer
-    if not isinstance(idx, np.ndarray) and not isinstance(off, np.ndarray):
-        if buf.freed:
-            buf.check_alive()
-        at = off + idx
-        data = buf.data
-        if at < 0 or at >= len(data):
-            Memory._check_bounds(buf, at)
-        ufunc = _AT_UFUNC[kind]
-        if isinstance(val, np.ndarray) and val.ndim > 0:
-            v = val if val.ndim == 1 else val.ravel()
-            data[at] = ufunc.accumulate(
-                np.concatenate((data[at:at + 1], v)))[-1]
-            w = val.size if val.size > 1 else 1
-        else:
-            data[at] = ufunc(data[at], val)
-            w = 1
-    else:
-        if buf.freed:
-            buf.check_alive()
-        at = idx if type(off) is int and not off else off + idx
-        data = buf.data
-        at_arr = at if isinstance(at, np.ndarray) else np.asarray(at)
-        val_arr = val if isinstance(val, np.ndarray) else np.asarray(val)
-        ufunc = _AT_UFUNC[kind]
-        if ((d == 2 or d == -2) and at_arr.ndim == 1 and at_arr.size
-                and (val_arr.ndim == 0 or val_arr.shape == at_arr.shape)):
-            n = at_arr.size
-            if d > 0:
-                lo, hi = int(at_arr[0]), int(at_arr[n - 1])
-            else:
-                lo, hi = int(at_arr[n - 1]), int(at_arr[0])
-            if lo < 0 or hi >= len(data):
-                Memory._check_bounds(buf, at_arr)
-            data[at_arr] = ufunc(data[at_arr], val_arr)
-        else:
-            if at_arr.ndim == 0:
-                a0 = int(at_arr)
-                if a0 < 0 or a0 >= len(data):
-                    Memory._check_bounds(buf, at_arr)
-            elif at_arr.size:
-                if at_arr.dtype is _I8:
-                    if int(_umax(at_arr.view(_U8))) >= len(data):
-                        Memory._check_bounds(buf, at_arr)
-                elif at_arr.min() < 0 or at_arr.max() >= len(data):
-                    Memory._check_bounds(buf, at_arr)
-            if at_arr.ndim == 0 and val_arr.ndim == 0:
-                data[int(at_arr)] = ufunc(data[int(at_arr)], val_arr)
-            elif at_arr.shape == val_arr.shape and at_arr.ndim == 1:
-                ufunc.at(data, at_arr, val_arr)
-            else:
-                shape = np.broadcast_shapes(at_arr.shape, val_arr.shape)
-                ufunc.at(data, np.broadcast_to(at_arr, shape).ravel(),
-                         np.broadcast_to(val_arr, shape).ravel())
-        wv = val.size if isinstance(val, np.ndarray) and val.size > 1 else 1
-        wi = idx.size if isinstance(idx, np.ndarray) and idx.size > 1 else 1
-        w = wv if wv > wi else wi
-    rt.cost.add_rmw(via, w)
 
 
 def _atk(rt, kind, via, val, ptr, idx):
@@ -465,13 +375,10 @@ def _bg(rt, op, env):
 
 
 def _ca(rt, op, args):
-    """Call dispatch — mirror of ``Interpreter._exec_call``, except
-    user callees route through the compiled-code cache when the calling
-    context allows it."""
+    """Call dispatch — mirror of ``Interpreter._exec_call``."""
     callee = op.attrs["callee"]
     if callee in rt.module.functions:
-        rt.cost.calls += 1
-        ret = yield from _cu(rt, callee, args)
+        ret = yield from rt.call_user(rt.module.functions[callee], args)
     else:
         simple = rt.intrinsics_simple.get(callee)
         if simple is not None:
@@ -482,26 +389,6 @@ def _ca(rt, op, args):
                 raise InterpreterError(f"no handler for callee {callee!r}")
             ret = yield from gen(rt, op, args)
     return ret
-
-
-def _cu(rt, name, args):
-    """Execute a user function: compiled when the context is scalar and
-    untaped, interpreted otherwise."""
-    fn = rt.module.functions[name]
-    rt._call_depth += 1
-    if rt._call_depth > rt.config.max_call_depth:
-        raise InterpreterError("call depth exceeded (recursion?)")
-    try:
-        if (rt.tape is None and rt.simd_depth == 0 and rt.mask is None
-                and rt.backend is not None):
-            code = rt.backend.get_compiled(fn)
-            if code is not None:
-                return (yield from code(rt, *args))
-        env = dict(zip(fn.args, args))
-        result = yield from rt._exec_block(fn.body, env)
-    finally:
-        rt._call_depth -= 1
-    return result[1] if isinstance(result, tuple) else None
 
 
 def _rf(rt, nthreads, body_factory):
@@ -564,11 +451,10 @@ _HELPER_GLOBALS = {
     "Memory": Memory,
     "BarrierEvent": BarrierEvent,
     "chunk_bounds": chunk_bounds,
-    "_acc": _acc, "_aw": _aw, "_ld": _ld, "_st": _st, "_at": _at,
-    **_make_mono_helpers(),
+    "_acc": _acc, "_aw": _aw, **_ACCESS_HELPERS,
     "_ldk": _ldk, "_stk": _stk, "_atk": _atk,
     "_al": _al, "_ms": _ms, "_mc": _mc, "_bg": _bg, "_ca": _ca,
-    "_cu": _cu, "_rf": _rf,
+    "_rf": _rf,
 }
 
 
@@ -619,6 +505,7 @@ def compile_function(fn: Function, fusion: bool = True, cache=None,
         bounds = certify_bounds(fn, module)
     source, consts, stats = lower_function(fn, fusion=fusion, native=native,
                                            bounds=bounds)
+    del bounds  # dead weight under compile(), the process's memory peak
     code_obj = None
     if cache is not None and native is not None:
         text = source  # the one tier whose entries stay source-keyed

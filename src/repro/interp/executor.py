@@ -14,7 +14,7 @@ import numpy as np
 from ..ir.function import Module
 from ..ir.types import F64, I1, I64, PointerType
 from .interpreter import ExecConfig, Interpreter
-from .memory import InterpreterError, PtrVal
+from .memory import InterpreterError, PtrVal, check_contracts
 
 
 def _np_elem_dtype(elem):
@@ -125,15 +125,6 @@ class Executor:
                 if arr.ndim != 1:
                     raise TypeError(
                         f"argument {formal.name!r}: buffers must be 1-D")
-                extent = formal.attrs.get("extent")
-                if isinstance(extent, int) and arr.size < extent:
-                    # The declared extent is what bounds certification
-                    # proved accesses against; a shorter buffer would
-                    # reach certified-but-unchecked accesses.
-                    raise TypeError(
-                        f"argument {formal.name!r} of {fn_name} declares "
-                        f"extent {extent} but the buffer has only "
-                        f"{arr.size} elements")
                 wrapped.append(self.interp.memory.wrap_external(
                     arr, t.elem, name=formal.name))
             elif t is F64:
@@ -144,6 +135,10 @@ class Executor:
                 wrapped.append(bool(actual))
             else:
                 wrapped.append(actual)
+        # Declared extents and value ranges are what bounds
+        # certification proved accesses against: a buffer that breaks
+        # one would reach certified, unchecked accesses.
+        check_contracts(fn, wrapped)
         return wrapped
 
     def run(self, fn_name: str, *args) -> Any:

@@ -11,7 +11,7 @@ let :class:`repro.interp.lowering.Lowerer` fuse those per-op kernels
 * :class:`ExprFuser` — defers single-use pure compute values as
   *pending expressions* instead of emitting an assignment, so a chain
   ``t = a * b; u = t + c; store(u)`` lowers to the single fused
-  statement ``_stm(rt, ((a * b) + c), ...)`` with no intermediate
+  statement ``_sts(rt, ((a * b) + c), ...)`` with no intermediate
   locals and no per-op Python dispatch.  Pending expressions are pure
   (they only reference SSA locals and constants), so they may float
   past loads, stores and atomics inside a straight-line segment; they
@@ -22,24 +22,12 @@ let :class:`repro.interp.lowering.Lowerer` fuse those per-op kernels
 * :func:`count_uses` — static SSA use counts; a value is fusable only
   if it has exactly one textual use.
 
-* monotonicity algebra (:func:`mono_add`, :func:`mono_scale`) — a tiny
-  static analysis the lowering uses to classify index expressions.  A
-  value's *mono* is ``0`` (uniform in the vector context), ``+1`` /
-  ``-1`` (non-strictly monotone non-decreasing / non-increasing lanes),
-  ``+2`` / ``-2`` (*strictly* monotone: induction ``np.arange`` vectors
-  and integer affine combinations thereof), or ``None`` (unknown).
-  Loads/stores whose resolved index is monotone use the fused-kernel
-  memory helpers (``_ldm`` / ``_stm``): bounds come from the two
-  endpoint lanes instead of an ``O(width)`` min/max reduction, and
-  strictly-monotone index vectors that turn out contiguous at runtime
-  (endpoint span == lane count - 1, which for strict integer sequences
-  implies consecutiveness) turn gather/scatter into slice copies.
-  Strictness survives only exact integer arithmetic (``iadd``/``isub``/
-  ``ineg``/``imul`` by a signed constant and ``ptradd``); float ops,
-  ``ftoi`` rounding and min/max clamps demote to non-strict, which
-  still permits endpoint bounds but never slicing.  The analysis is
-  sound up to int64 overflow of the index arithmetic — the same point
-  where the interpreter's own gather would already be wrapping.
+* :func:`data_uses` — the values some op consumes as *data*; what is
+  left is index arithmetic used only to form addresses, which the
+  lowering keeps symbolic: a vector access whose address is affine in
+  the lane, ``a + t*lane``, lowers to a slice of the buffer (see
+  ``Lowerer._plan``) and the index vector it was computed from is never
+  materialised.
 
 Fusion only changes *how many* generated statements there are, never
 the arithmetic performed: the fused expression text is exactly the
@@ -50,6 +38,8 @@ cost segments (accounted statically at each op) are unchanged.
 from __future__ import annotations
 
 from typing import Optional
+
+from ..ir.values import Constant
 
 #: Caps keeping one fused statement's source manageable: compute ops
 #: folded into a single expression and total expression characters.
@@ -66,50 +56,31 @@ def count_uses(fn) -> dict:
     return uses
 
 
-# ---------------------------------------------------------------------------
-# Monotonicity algebra
-# ---------------------------------------------------------------------------
-
-def mono_add(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    """Mono class of ``x + y`` given the operands' classes.
-
-    Same-direction sums keep the stronger strictness (strictly
-    increasing + non-decreasing is strictly increasing); opposing
-    directions are unknown.
-    """
-    if a is None or b is None:
-        return None
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    if (a > 0) != (b > 0):
-        return None  # opposing directions
-    mag = max(abs(a), abs(b))
-    return mag if a > 0 else -mag
+#: Exact integer ops :meth:`IntervalAnalysis.affine_of` opens up
+#: (``imul`` only by a constant).
+_AFFINE_OPS = frozenset(("iadd", "isub", "ineg", "imul"))
 
 
-def mono_neg(a: Optional[int]) -> Optional[int]:
-    return None if a is None else -a
+def is_address_arith(op) -> bool:
+    """``ptradd``, or integer arithmetic the affine form sees through."""
+    oc = op.opcode
+    return oc == "ptradd" or (oc in _AFFINE_OPS and (
+        oc != "imul" or any(type(v) is Constant for v in op.operands)))
 
 
-def mono_scale(a: Optional[int], scale_sign: Optional[int]) -> Optional[int]:
-    """Mono class of ``x * c`` for a constant of known sign (integer
-    scaling: any nonzero integer constant has magnitude >= 1, so
-    strictness survives)."""
-    if a is None or scale_sign is None:
-        return None
-    if a == 0 or scale_sign == 0:
-        return 0
-    return a if scale_sign > 0 else -a
-
-
-def mono_relax(a: Optional[int]) -> Optional[int]:
-    """Demote strict monotonicity to non-strict (rounding, clamping and
-    float arithmetic can introduce repeated lanes)."""
-    if a is None or a == 0:
-        return a
-    return 1 if a > 0 else -1
+def data_uses(fn) -> set:
+    """Values with a use other than forming an address.  An address use
+    is the pointer or index operand of a ``load`` / ``store`` /
+    ``atomic``, or an operand of address arithmetic
+    (:func:`is_address_arith`) whose result has only address uses."""
+    data: set = set()
+    # Reverse pre-order: SSA puts every use after its definition.
+    for op in reversed(list(fn.body.walk())):
+        if op.opcode in ("load", "store", "atomic"):
+            data.update(op.operands[:-2])  # the stored value, if any
+        elif not (is_address_arith(op) and op.result not in data):
+            data.update(op.operands)
+    return data
 
 
 class FusionStats:
@@ -127,7 +98,8 @@ class FusionStats:
         self.kernels = 0
         #: Compute ops folded into another statement's expression.
         self.fused_ops = 0
-        #: Loads / stores lowered through the monotone fast helpers.
+        #: Vector loads / stores lowered to slices of the buffer (an
+        #: address affine in the lane).
         self.mono_loads = 0
         self.mono_stores = 0
         #: Atomics lowered through the statically-unmasked fast helper.

@@ -48,6 +48,7 @@ from .memory import (
     PtrVal,
     TaskVal,
     TokenVal,
+    check_contracts,
 )
 
 _CMP = OP_INFO["cmp"].attrs["preds"]
@@ -92,8 +93,8 @@ class ExecConfig:
     #: individual access.
     backend: str = "interp"
     #: Trace fusion in the compiled backend: collapse chains of
-    #: single-use elementwise ops into one generated kernel and use the
-    #: monotone-index memory fast paths (see :mod:`repro.interp.fusion`).
+    #: single-use elementwise ops into one generated kernel
+    #: (see :mod:`repro.interp.fusion`).
     #: Execution is bit-identical either way; off is for A/B testing.
     fusion: bool = True
     #: Disk-persistent compile cache directory for the compiled
@@ -881,21 +882,34 @@ class Interpreter:
             self.tape.on_parallel_region(self.config.num_threads)
 
     # ------------------------------------------------------------------
+    def call_user(self, fn, args: list):
+        """Execute a user function on runtime values — the one call path
+        of both tiers: the callee's argument contracts are enforced,
+        then it runs compiled when a backend is attached and the context
+        is scalar and untaped, interpreted otherwise."""
+        check_contracts(fn, args)
+        self.cost.calls += 1
+        self._call_depth += 1
+        if self._call_depth > self.config.max_call_depth:
+            raise InterpreterError("call depth exceeded (recursion?)")
+        try:
+            if (self.backend is not None and self.tape is None
+                    and self.simd_depth == 0 and self.mask is None):
+                code = self.backend.get_compiled(fn)
+                if code is not None:
+                    return (yield from code(self, *args))
+            result = yield from self._exec_block(fn.body,
+                                                 dict(zip(fn.args, args)))
+        finally:
+            self._call_depth -= 1
+        return result[1] if isinstance(result, tuple) else None
+
     def _exec_call(self, op: Op, env: dict):
         callee = op.attrs["callee"]
         args = [self._get(v, env) for v in op.operands]
         if callee in self.module.functions:
-            fn = self.module.functions[callee]
-            self.cost.calls += 1
-            self._call_depth += 1
-            if self._call_depth > self.config.max_call_depth:
-                raise InterpreterError("call depth exceeded (recursion?)")
-            try:
-                new_env = dict(zip(fn.args, args))
-                result = yield from self._exec_block(fn.body, new_env)
-            finally:
-                self._call_depth -= 1
-            ret = result[1] if isinstance(result, tuple) else None
+            ret = yield from self.call_user(self.module.functions[callee],
+                                            args)
         else:
             simple = self.intrinsics_simple.get(callee)
             if simple is not None:

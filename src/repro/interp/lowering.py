@@ -21,12 +21,17 @@ interpreter instance (``rt``) as shared runtime state:
   bridges see the exact interpreter state; the lowering tracks mask
   state *statically*, so code outside masked branches uses memory
   helpers with no mask handling at all;
-* loads/stores whose index vector is statically monotone (induction
-  vectors and affine combinations) call the ``_ldm``/``_stm`` helper
-  family: endpoint bounds checks and slice-copy fast paths instead of
-  ``O(width)`` reductions and gather/scatter.  These are one-line
-  calls on purpose — generated source size, not helper-call overhead,
-  is what sets ``compile()`` time and peak memory for a large adjoint;
+* an unmasked vector load/store/atomic asks the affine form of *pointer
+  offset + index* (:meth:`IntervalAnalysis.affine_of` / ``ptr_root``)
+  for an **access plan**: when the address is ``a + t*lane`` with every
+  term but the lane lane-uniform, it is a slice of the buffer
+  (``_lds``/``_sts``/``_ats``; ``u`` variants on bounds-certified
+  sites) and the index vector is never computed; anything else
+  (indirect, clamped, float-derived) is a gather (``_ld``/``_st``/
+  ``_at``, unchecked ``_ldu``/``_atu`` when certified).  These are
+  one-line calls on purpose — generated source size, not helper-call
+  overhead, is what sets ``compile()`` time and peak memory for a large
+  adjoint;
 * instruction-cost accounting is aggregated statically: each
   straight-line segment contributes one ``_acc(...)`` call instead of
   one ``CostVector`` update per op, with per-lane counts scaled by the
@@ -57,15 +62,14 @@ from typing import Optional
 from ..ir.opinfo import OP_INFO
 from ..ir.ops import Op
 from ..ir.values import Argument, BlockArg, Constant, Result, Value
+from ..passes.intervals import IntervalAnalysis
 from .fusion import (
     FUSE_CHAR_CAP,
     FUSE_OP_CAP,
     ExprFuser,
     count_uses,
-    mono_add,
-    mono_neg,
-    mono_relax,
-    mono_scale,
+    data_uses,
+    is_address_arith,
 )
 
 
@@ -95,18 +99,6 @@ _CMP_TEMPLATES = {
 #: Cost classes accumulated by segment aggregation, in `_acc` argument
 #: order.  COST_FREE contributes nothing (matches CostVector.add_class).
 _ACC_CLASSES = ("flop", "div", "special", "int")
-
-#: Opcodes whose monotonicity can be derived from their operands (the
-#: index-arithmetic algebra; see repro.interp.fusion).
-_MONO_ADD_OPS = {"add", "iadd"}
-_MONO_SUB_OPS = {"sub", "isub"}
-_MONO_MUL_OPS = {"mul", "imul"}
-_MONO_NEG_OPS = {"neg", "ineg"}
-_MONO_KEEP_OPS = {"itof", "ftoi"}
-_MONO_CLAMP_OPS = {"min", "max", "imin", "imax"}
-#: Exact integer arithmetic preserves *strict* monotonicity; everything
-#: else (float rounding, ftoi, clamps) demotes to non-strict.
-_MONO_STRICT_OPS = {"iadd", "isub", "ineg", "imul"}
 
 
 def free_values(op) -> list:
@@ -192,11 +184,13 @@ def _literal(c: Constant) -> str:
     return repr(c.value)
 
 
-def _const_sign(v) -> Optional[int]:
-    """Sign of a numeric Constant, or None for non-constants."""
-    if type(v) is Constant and isinstance(v.value, (int, float)):
-        return (v.value > 0) - (v.value < 0)
-    return None
+def _linear(const: int, terms: dict) -> str:
+    """Python text of ``const + sum(coeff * name)``."""
+    parts = [name if c == 1 else f"{c}*{name}"
+             for name, c in terms.items() if c]
+    if const or not parts:
+        parts.append(str(const))
+    return " + ".join(parts)
 
 
 class Lowerer:
@@ -216,20 +210,35 @@ class Lowerer:
         #: keeps them.  A certified check can never fire, so eliding it
         #: preserves bit-identity with the interpreter.
         self.bounds = bounds
+        #: The affine form of indexes and pointer offsets (pure SSA
+        #: facts: an uncertified lowering gets the same access plans).
+        self.facts = bounds if bounds is not None else IntervalAnalysis(
+            fn, None)
         #: Value -> CExpr for pending fused values the native emitter
         #: can also render (keys are a subset of ``fuser.pending``).
         self.cpend: dict = {}
         self.lines: list[str] = []
         self._ind = 0
-        self._n = 0
+        self._n: dict[str, int] = {}
         #: Value -> generated local name.
         self.names: dict[Value, str] = {}
         #: Value -> True (lane-varying) / False (uniform) / None (only
         #: decidable at runtime; cost falls back to rt._width).
         self.vary: dict[Value, Optional[bool]] = {}
-        #: Value -> monotonicity class of lane-varying values (see
-        #: repro.interp.fusion): +1 / -1 monotone, None unknown.
-        self.mono: dict[Value, Optional[int]] = {}
+        #: Values consumed as data somewhere; a vectorised region's
+        #: address arithmetic outside this set is kept as text (``lazy``)
+        #: and evaluated only where an access turns out to need it.
+        self.data = data_uses(fn)
+        self.lazy: dict[Value, str] = {}
+        #: Inside a vectorised region: (induction vector, its lane-0
+        #: value, its lane stride, width local) — the last three are
+        #: ints or names of int locals.
+        self.lane: Optional[tuple] = None
+        #: Address text (a plan's lane-0 address, a ``lazy`` value some
+        #: gather needs after all) -> local holding it, see ``_shared``;
+        #: ``_shared_ind`` is the current vectorised body's indentation.
+        self._shared_names: dict[str, str] = {}
+        self._shared_ind = -1
         #: Objects the generated code references by global name.
         self.consts: dict[str, object] = {}
         self._const_ids: dict[int, str] = {}
@@ -237,7 +246,7 @@ class Lowerer:
         self.depth = 0
         #: Statically inside a masked (vectorized-if) branch: memory
         #: helpers must consult rt.mask.  Outside, rt.mask is None by
-        #: the caller guards in compile._cu / CompiledBackend.
+        #: the caller guards in Interpreter.call_user / CompiledBackend.
         self.masked = False
         #: Expression for the current per-lane width ("1" when scalar).
         self.wexpr = "1"
@@ -257,8 +266,9 @@ class Lowerer:
         self.lines.append("    " * self._ind + line if line else "")
 
     def fresh(self, prefix: str = "_t") -> str:
-        self._n += 1
-        return f"{prefix}{self._n}"
+        # One counter per prefix keeps the names (and the source) short.
+        n = self._n[prefix] = self._n.get(prefix, 0) + 1
+        return f"{prefix}{n}"
 
     def konst(self, obj) -> str:
         name = self._const_ids.get(id(obj))
@@ -278,7 +288,7 @@ class Lowerer:
         if ent is not None:
             return ent[0]
         try:
-            return self.names[v]
+            return self.names.get(v) or self._shared(self.lazy[v])
         except KeyError:
             raise LoweringError(f"use of value {v!r} before definition")
 
@@ -287,37 +297,26 @@ class Lowerer:
         pending expression), for templates that repeat the operand."""
         if type(v) is Constant:
             return _literal(v)
-        name = self.fuser.materialize(v)
-        if name is not None:
-            return name
-        try:
-            return self.names[v]
-        except KeyError:
+        name = self.fuser.materialize(v) or self.names.get(v)
+        if name is None and v in self.lazy:
+            name = self._shared(self.lazy[v])
+            if name == self.lazy[v]:  # nested: a local for this use only
+                name = self.fresh("v")
+                self.emit(f"{name} = {self.lazy[v]}")
+        if name is None:
             raise LoweringError(f"use of value {v!r} before definition")
+        return name
 
-    def bind(self, v: Value, varying: Optional[bool],
-             mono: Optional[int] = None) -> str:
+    def bind(self, v: Value, varying: Optional[bool]) -> str:
         name = self.fresh("v")
         self.names[v] = name
         self.vary[v] = varying
-        if mono is not None:
-            self.mono[v] = mono
         return name
 
     def vary_of(self, v: Value) -> Optional[bool]:
         if type(v) is Constant:
             return False
         return self.vary.get(v, False)
-
-    def mono_of(self, v: Value) -> Optional[int]:
-        """Monotonicity class of ``v``: 0 for uniform values, +1/-1 for
-        monotone index vectors, None when unknown."""
-        vr = self.vary_of(v)
-        if vr is False:
-            return 0
-        if vr is None:
-            return None
-        return self.mono.get(v)
 
     def _join_vary(self, operands) -> Optional[bool]:
         out: Optional[bool] = False
@@ -416,6 +415,9 @@ class Lowerer:
         stats.fused_ops = max(0, stats.ops - stats.kernels)
         self.lines.append(f"_CONSTS = {const_recipe(fn, self.consts)!r}")
         self.lines.append(f"_STATS = {stats.as_dict()!r}")
+        # Break the lowerer <-> fuser cycle: the lowering's state is then
+        # freed on return, not still live under ``compile()``'s peak.
+        self.fuser.lowerer = None
         return "\n".join(self.lines) + "\n", self.consts, stats
 
     # ------------------------------------------------------------------
@@ -509,29 +511,28 @@ class Lowerer:
                               f"{v}.size if {v}.size > 1 else 1)")
                     self._ind -= 1
                     self.emit(f"else: _at(rt, {op.attrs['kind']!r}, "
-                              f"{via!r}, {v}, {p}, {i}, 0)")
+                              f"{via!r}, {v}, {p}, {i})")
                     return
-                d = mono_add(self.mono_of(ptr_v), self.mono_of(idx_v))
-                self.emit(f"_at(rt, {op.attrs['kind']!r}, {via!r}, "
-                          f"{self.ref(val_v)}, "
-                          f"{self.ref(ptr_v)}, "
-                          f"{self.ref(idx_v)}, {d or 0})")
+                self._emit_access(
+                    "at", f"{op.attrs['kind']!r}, {via!r}, "
+                    f"{self.ref(val_v)}, ", ptr_v, idx_v, proven)
         elif oc == "alloc":
-            vec = self.depth > 0
-            # Lane-privatised offsets are arange(w) * count: strictly
-            # increasing for a positive constant count.
-            cnt = op.operands[0]
-            strict = type(cnt) is Constant and cnt.value >= 1
-            res = self.bind(op.result, vec, (2 if strict else 1) if vec else 0)
+            res = self.bind(op.result, self.depth > 0)
             self.emit(f"{res} = _al(rt, {self.konst(op)}, "
                       f"{self.ref(op.operands[0])})")
         elif oc == "ptradd":
             base, idx = op.operands
-            res = self.bind(op.result, self._join_vary(op.operands),
-                            mono_add(self.mono_of(base), self.mono_of(idx)))
+            varying = self._join_vary(op.operands)
+            self.seg_add("int", False)
+            if self._address_only(op, varying):
+                self.lazy[op.result] = (
+                    f"{self.lazy.get(base) or self.ref_local(base)}.added("
+                    f"{self.lazy.get(idx) or self.ref_local(idx)})")
+                self.vary[op.result] = varying
+                return
+            res = self.bind(op.result, varying)
             self.emit(f"{res} = {self.ref(base)}"
                       f".added({self.ref(idx)})")
-            self.seg_add("int", False)
         elif oc == "memset":
             self.emit(f"_ms(rt, {self.ref(op.operands[0])}, "
                       f"{self.ref(op.operands[1])}, "
@@ -591,46 +592,27 @@ class Lowerer:
         if ent is not None:
             return ent
         try:
-            return self.names[v], 0
+            return self.names.get(v) or self._shared(self.lazy[v]), 0
         except KeyError:
             raise LoweringError(f"use of value {v!r} before definition")
-
-    def _result_mono(self, oc, op, operand_monos) -> Optional[int]:
-        """Monotonicity of a compute result (index-arithmetic algebra)."""
-        if oc in _MONO_ADD_OPS:
-            m = mono_add(operand_monos[0], operand_monos[1])
-        elif oc in _MONO_SUB_OPS:
-            m = mono_add(operand_monos[0], mono_neg(operand_monos[1]))
-        elif oc in _MONO_NEG_OPS:
-            m = mono_neg(operand_monos[0])
-        elif oc in _MONO_KEEP_OPS:
-            m = operand_monos[0]
-        elif oc in _MONO_MUL_OPS:
-            a, b = op.operands
-            sa, sb = _const_sign(a), _const_sign(b)
-            if sa is not None:
-                m = mono_scale(operand_monos[1], sa)
-            elif sb is not None:
-                m = mono_scale(operand_monos[0], sb)
-            else:
-                m = None
-        elif oc in _MONO_CLAMP_OPS:
-            # min/max against a uniform bound preserves direction but
-            # plateaus at the bound (never strict).
-            ma, mb = operand_monos
-            if ma == 0:
-                m = mb
-            elif mb == 0:
-                m = ma
-            else:
-                m = ma if ma == mb else None
-        else:
-            return None
-        return m if oc in _MONO_STRICT_OPS else mono_relax(m)
 
     def lower_compute(self, op, info) -> None:
         oc = op.opcode
         varying = self._join_vary(op.operands)
+        if self._address_only(op, varying):
+            if varying:
+                refs = [self.lazy.get(v) or self.ref_local(v)
+                        for v in op.operands]
+                text = f"{self.konst(info.evaluate)}({', '.join(refs)})"
+            else:  # exact on ints: the affine form is the value
+                aff = self.facts.affine_of(op.result)
+                text = "(%s)" % _linear(aff.const, {
+                    self.ref_local(v): c for v, c in aff.terms.items()})
+            self.lazy[op.result] = text
+            self.vary[op.result] = varying
+            self.fuser.stats.ops += 1
+            self.seg_add(info.cost, varying)
+            return
         cexp = None
         if (self.native is not None and varying is True
                 and self.depth > 0 and not self.masked):
@@ -685,13 +667,10 @@ class Lowerer:
             nops += sum(n for _, n in parts)
             refs = [e for e, _ in parts]
             expr = f"{self.konst(info.evaluate)}({', '.join(refs)})"
-        mono = (self._result_mono(oc, op, [self.mono_of(v)
-                                           for v in op.operands])
-                if varying is True else None)
         stats = self.fuser.stats
         stats.ops += 1
         if varying is None:
-            res = self.bind(op.result, varying, mono)
+            res = self.bind(op.result, varying)
             self.emit(f"{res} = {expr}")
             stats.kernels += 1
             self.flush_seg()
@@ -702,13 +681,11 @@ class Lowerer:
                 and nops <= FUSE_OP_CAP and len(expr) <= FUSE_CHAR_CAP):
             # Single consumer: defer as a pending fused expression.
             self.vary[op.result] = varying
-            if mono is not None:
-                self.mono[op.result] = mono
             if cexp is not None:
                 self.cpend[op.result] = cexp
             self.fuser.defer(op.result, expr, nops)
             return
-        res = self.bind(op.result, varying, mono)
+        res = self.bind(op.result, varying)
         if cexp is not None and self.native.worthwhile(cexp):
             self._emit_native_assign(res, cexp, expr)
         else:
@@ -729,6 +706,114 @@ class Lowerer:
             return True
         stats.bounds_unproven += 1
         return False
+
+    def _address_only(self, op, varying) -> bool:
+        """Address arithmetic of a vectorised region that no op consumes
+        as data and that is affine in the lane (so the accesses it feeds
+        can have plans): kept as text instead of being computed."""
+        if (varying is None or self.depth == 0 or op.result in self.data
+                or not is_address_arith(op)):
+            return False
+        if op.opcode == "ptradd":
+            root, aff = self.facts.ptr_root(op.result)
+            if self.vary_of(root) is None:
+                return False
+        else:
+            aff = self.facts.affine_of(op.result)
+        return all(v is self.lane[0] or self.vary_of(v) is False
+                   for v in aff.terms)
+
+    def _plan(self, ptr_v, idx_v) -> Optional[list]:
+        """Access plan of an unmasked vector access: the helper
+        arguments ``[ptr, a, W, t]`` when its address is ``a + t*lane``,
+        ``lane`` in ``[0, W)``, with ``t != 0``; None when it is not
+        affine in the lane (a gather).
+
+        The induction vector contributes ``first + step*lane``.  A
+        lane-private ``alloc c`` cell contributes ``c*lane``; its buffer
+        holds ``c`` elements per lane, so the helper needs no ``W`` and
+        gets 0: ``[ptr, a, 0, c]``.  Every other term must be
+        lane-uniform and is evaluated once, as an int."""
+        root, off = self.facts.ptr_root(ptr_v)
+        aff = self.facts.affine_of(idx_v)
+        if root is not ptr_v:
+            aff = off.add(aff)
+        ivar, first, step, width = self.lane
+        lanes = aff.terms.get(ivar, 0)
+        cell = self.vary_of(root) is not False
+        if cell:
+            count = root.op.operands[0] if (
+                isinstance(root, Result)
+                and root.op.opcode == "alloc") else None
+            if (lanes or self.vary_of(root) is not True
+                    or type(count) is not Constant or count.value < 1):
+                return None
+        elif not lanes:
+            return None
+        if any(v is not ivar and self.vary_of(v) is not False
+               for v in aff.terms):
+            return None
+        const = aff.const
+        terms = {self.ref_local(v): c for v, c in aff.terms.items()
+                 if v is not ivar}
+        if cell:
+            return [self.ref_local(root), _linear(const, terms), "0",
+                    str(count.value)]
+        if type(first) is int:
+            const += lanes * first
+        else:
+            terms[first] = lanes
+        stride = (str(lanes * step) if type(step) is int
+                  else _linear(0, {step: lanes}))
+        a = _linear(const, terms)
+        return [self.ref_local(root),
+                self._shared(a) if "*" in a or " + " in a else a,
+                width, stride]
+
+    def _shared(self, text: str) -> str:
+        """A local holding the pure expression ``text``, evaluated once
+        for all its uses in the current vectorised body — when asked at
+        the body's top level, where the definition dominates the rest;
+        elsewhere the text itself."""
+        name = self._shared_names.get(text)
+        if name is None and self._ind == self._shared_ind:
+            name = self._shared_names[text] = self.fresh("_a")
+            self.emit(f"{name} = {text}")
+        return name or text
+
+    def _emit_access(self, kind: str, lead: str, ptr_v, idx_v,
+                     proven: bool, res: str = "") -> None:
+        """Emit one unmasked ``ld`` / ``st`` / ``at`` helper call
+        (``lead`` holds the arguments between ``rt`` and the pointer): a
+        slice when the access has a plan, else a gather; certified sites
+        take the unchecked ``u`` variant of either."""
+        vec = (self.vary_of(ptr_v) is True or self.vary_of(idx_v) is True)
+        plan = self._plan(ptr_v, idx_v) if vec and self.lane else None
+        if plan is not None:
+            cell = plan[2] == "0"
+            # Stores and atomics are charged max(value lanes, index
+            # lanes).  The helpers take a cell's index operand to be one
+            # lane wide and a strided one's W, unless told otherwise.
+            narrow = kind != "ld" and self.vary_of(idx_v) is not True
+            if narrow and not cell:
+                plan.append("1")
+            elif cell and kind != "ld" and not narrow:
+                plan = None
+            elif plan[3] == "1":  # the helpers' defaults
+                del plan[2 if cell else 3:]
+        stats = self.fuser.stats
+        if plan is not None:
+            name, args = f"_{kind}s", ", ".join(plan)
+            stats.mono_loads += kind == "ld"
+            stats.mono_stores += kind == "st"
+        else:
+            name = f"_{kind}"
+            args = f"{self.ref(ptr_v)}, {self.ref(idx_v)}"
+            proven = proven and vec and kind != "st"
+        if proven:
+            name += "u"
+            stats.checks_elided += 1
+        self.emit(f"{res}{name}(rt, {lead}{args})")
 
     def _emit_scalar_access(self, ptr_v, idx_v, proven: bool = False
                             ) -> tuple:
@@ -769,26 +854,12 @@ class Lowerer:
             self.emit(f"if {b}.stream: rt.cost.stream_bytes += 8")
             self.emit("else: rt.cost.load_bytes += 8")
             return
-        vec = (self.vary_of(ptr_v) is True or self.vary_of(idx_v) is True)
-        d = mono_add(self.mono_of(ptr_v), self.mono_of(idx_v))
         res = self.bind(op.result, varying)
-        if not self.masked and vec and d:
-            # Monotone vector gather: endpoint bounds + slice copy when
-            # contiguous, all inside the helper (one table for every
-            # tier; see compile._make_mono_helpers).
-            self.fuser.stats.mono_loads += 1
-            helper = "_ldm"
-            if proven:
-                helper = "_ldmu"
-                self.fuser.stats.checks_elided += 1
-            if self.native is not None and (d == 2 or d == -2):
-                self.native.claim_gather(proven)
-            self.emit(f"{res} = {helper}(rt, {self.ref(ptr_v)}, "
-                      f"{self.ref(idx_v)}, {d})")
-        else:
-            helper = "_ldk" if self.masked else "_ld"
-            self.emit(f"{res} = {helper}(rt, {self.ref(ptr_v)}, "
+        if self.masked:
+            self.emit(f"{res} = _ldk(rt, {self.ref(ptr_v)}, "
                       f"{self.ref(idx_v)})")
+        else:
+            self._emit_access("ld", "", ptr_v, idx_v, proven, f"{res} = ")
 
     def lower_store(self, op) -> None:
         val_v, ptr_v, idx_v = op.operands
@@ -806,34 +877,25 @@ class Lowerer:
             self.emit(f"if {b}.stream: rt.cost.stream_bytes += 8")
             self.emit("else: rt.cost.store_bytes += 8")
             return
-        vec = (self.vary_of(ptr_v) is True or self.vary_of(idx_v) is True)
-        d = mono_add(self.mono_of(ptr_v), self.mono_of(idx_v))
-        if not self.masked and vec and d:
-            self.fuser.stats.mono_stores += 1
-            helper = "_stm"
-            if proven:
-                helper = "_stmu"
-                self.fuser.stats.checks_elided += 1
-            if self.native is not None and (d == 2 or d == -2):
-                self.native.claim_scatter(proven)
-            self.emit(f"{helper}(rt, {val}, {self.ref(ptr_v)}, "
-                      f"{self.ref(idx_v)}, {d})")
-        else:
-            helper = "_stk" if self.masked else "_st"
-            self.emit(f"{helper}(rt, {val}, {self.ref(ptr_v)}, "
+        if self.masked:
+            self.emit(f"_stk(rt, {val}, {self.ref(ptr_v)}, "
                       f"{self.ref(idx_v)})")
+        else:
+            self._emit_access("st", f"{val}, ", ptr_v, idx_v, proven)
 
     # ------------------------------------------------------------------
-    def _lower_vector_body(self, body, ivar_name: str) -> None:
+    def _lower_vector_body(self, body, first, step) -> None:
         """Emit the simd_depth/simd_width bookkeeping + vectorized body.
 
         The caller has already emitted the ``np.arange`` assignment for
-        the induction vector; indentation is inside the enclosing
-        ``if trips:`` guard.
+        the induction vector ``body.args[0]``, whose lane ``k`` holds
+        ``first + step*k`` (ints, or names of int locals);
+        indentation is inside the enclosing ``if trips:`` guard.
         """
+        ivar = body.args[0]
         w = self.fresh("_W")
         sw = self.fresh("_sw")
-        self.emit(f"{w} = {ivar_name}.size")
+        self.emit(f"{w} = {self.names[ivar]}.size")
         self.emit("rt.simd_depth += 1")
         self.emit(f"{sw} = rt.simd_width")
         self.emit(f"rt.simd_width = {w}")
@@ -841,11 +903,14 @@ class Lowerer:
         self.emit("    with np.errstate(all='ignore'):")
         saved_depth, saved_w = self.depth, self.wexpr
         self.depth, self.wexpr = self.depth + 1, w
+        self.lane = (ivar, first, step, w)
         self._ind += 2
+        self._shared_names, self._shared_ind = {}, self._ind
         self.loops += 1
         self.lower_block(body)
         self.loops -= 1
         self._ind -= 2
+        self.lane, self._shared_ind = None, -1
         self.depth, self.wexpr = saved_depth, saved_w
         self.emit("finally:")
         self.emit("    rt.simd_depth -= 1")
@@ -863,6 +928,9 @@ class Lowerer:
         ivar = body.args[0]
         simd = bool(op.attrs.get("simd")) and self.depth == 0
         backwards = bool(op.attrs.get("reverse_order"))
+        # The lane stride of the induction vector, folded when static.
+        step = op.operands[2]
+        step = step.value if type(step) is Constant else st
 
         if op.attrs.get("workshare"):
             lo, hi = self.fresh("_lo"), self.fresh("_hi")
@@ -872,13 +940,19 @@ class Lowerer:
             self.emit(f"{lo}, {hi} = chunk_bounds({lb}, {ub}, {st}, "
                       f"rt.current_thread, rt._fork_width)")
             if simd:
-                vi = self.bind(ivar, True, -2 if backwards else 2)
+                vi = self.bind(ivar, True)
                 self.emit(f"if {hi} > {lo}:")
                 self._ind += 1
                 arange = f"np.arange({lo}, {hi}, {st}, dtype=np.int64)"
-                self.emit(f"{vi} = {arange}[::-1]" if backwards
-                          else f"{vi} = {arange}")
-                self._lower_vector_body(body, vi)
+                if backwards:
+                    # lane 0 is the chunk's last trip: ``lo`` (not read
+                    # again below) becomes that value for the plans
+                    self.emit(f"{vi} = {arange}[::-1]")
+                    self.emit(f"{lo} = int({vi}[0])")
+                    step = -step if type(step) is int else f"-{step}"
+                else:
+                    self.emit(f"{vi} = {arange}")
+                self._lower_vector_body(body, lo, step)
                 self._ind -= 1
             else:
                 vi = self.bind(ivar, False)
@@ -896,11 +970,13 @@ class Lowerer:
         elif simd:
             # reverse_order is only honored on workshare loops (matching
             # the interpreter) — plain simd induction is non-decreasing.
-            vi = self.bind(ivar, True, 2)
+            vi = self.bind(ivar, True)
             self.emit(f"if {ub} > {lb}:")
             self._ind += 1
             self.emit(f"{vi} = np.arange({lb}, {ub}, {st}, dtype=np.int64)")
-            self._lower_vector_body(body, vi)
+            first = op.operands[0]
+            self._lower_vector_body(
+                body, first.value if type(first) is Constant else lb, step)
             self._ind -= 1
         else:
             # Serial loop: uniform induction variable at any depth.
@@ -942,11 +1018,11 @@ class Lowerer:
         self.emit(f"rt.cost = {c}")
         self.emit(f"rt.current_thread = {t}")
         body = op.regions[0]
-        vi = self.bind(body.args[0], True, 2)
+        vi = self.bind(body.args[0], True)
         self.emit(f"if {hi} > {lo}:")
         self._ind += 1
         self.emit(f"{vi} = np.arange({lo}, {hi}, dtype=np.int64)")
-        self._lower_vector_body(body, vi)
+        self._lower_vector_body(body, lo, 1)
         self._ind -= 1
         self.emit(f"{tcs}.append({c})")
         self.emit(f"rt.raw_total.merge({c})")

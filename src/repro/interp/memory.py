@@ -34,6 +34,12 @@ class InterpreterError(Exception):
     pass
 
 
+class ContractError(TypeError):
+    """An actual pointer argument breaks a contract its formal declares
+    (``extent=N``, ``below=N``).  Certified accesses run unchecked
+    against those contracts, so they are enforced at every entry."""
+
+
 def _np_dtype(elem: Type):
     if elem is F64:
         return np.float64
@@ -150,6 +156,37 @@ class PtrVal:
 
     def __repr__(self) -> str:
         return f"<ptr {self.buffer!r} +{self.offset}{' raw' if self.raw else ''}>"
+
+
+def check_contracts(fn, actuals) -> None:
+    """Enforce the pointer-argument contracts of ``fn`` on the runtime
+    values about to be bound to its arguments: ``extent=N`` — at least
+    ``N`` elements from the pointer on; ``below=N`` — every one of them
+    in ``[0, N)``.  Raises :class:`ContractError` naming function,
+    argument and contract."""
+    for formal, ptr in zip(fn.args, actuals):
+        attrs = formal.attrs
+        if not attrs or type(ptr) is not PtrVal:
+            continue
+        extent, below = attrs.get("extent"), attrs.get("below")
+        if extent is None and below is None:
+            continue
+        data, lo = ptr.buffer.data, ptr.offset
+        hi = lo
+        if type(lo) is not int:  # a lane vector of offsets
+            lo, hi = int(np.min(lo)), int(np.max(lo))
+        if extent is not None and len(data) - hi < extent:
+            raise ContractError(
+                f"argument {formal.name!r} of {fn.name} declares extent "
+                f"{extent} but the buffer has only {len(data) - hi} "
+                f"elements")
+        if below is not None:
+            cells = data[max(lo, 0):]
+            if cells.size and (cells.min() < 0 or cells.max() >= below):
+                raise ContractError(
+                    f"argument {formal.name!r} of {fn.name} declares below "
+                    f"{below} but holds elements in [{cells.min()}, "
+                    f"{cells.max()}]")
 
 
 class TokenVal:

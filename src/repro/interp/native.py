@@ -2,9 +2,9 @@
 
 The compiled backend (:mod:`repro.interp.compile`) already isolates the
 hot kernels statically: trace fusion collapses single-use elementwise
-chains into one generated NumPy expression, monotone loads/stores call
-the ``_ldm``/``_stm`` helper family, and scalar-target reductions are
-open-coded ordered folds.  This module adds a third tier that emits C
+chains into one generated NumPy expression, vector accesses affine in
+the lane are slices (no kernel to claim), and scalar-target reductions
+are open-coded ordered folds.  This module adds a third tier that emits C
 source for exactly those kernels, compiles it with the system C
 compiler into one shared object per function, and calls the machine
 code in place of the NumPy expression — operating in-place on the same
@@ -61,7 +61,6 @@ from .compile import (
     compile_function,
     _at as _py_at,
     _ld as _py_ld,
-    _make_mono_helpers,
     _st as _py_st,
 )
 
@@ -80,14 +79,6 @@ NATIVE_MIN_OPS = 2
 
 #: Cap on one kernel expression's C text.
 NATIVE_CHAR_CAP = 4000
-
-#: Runtime width floor for the gather/scatter helpers.  NumPy's fancy
-#: indexing is already near the memory floor, so exporting three
-#: buffers through the FFI only wins once the span is wide (measured
-#: crossover ~2k elements); below it the wrapper declines the claim
-#: and the generated ``dd[x]`` path runs.  Folds and fused expression
-#: kernels win at every width and carry no such floor.
-NATIVE_MIN_GATHER = 2048
 
 #: Compile flags: position-independent shared object, optimization ON,
 #: but every value-changing shortcut OFF — no fast-math, no FMA
@@ -263,16 +254,6 @@ double repro_fold_max(double cur, const double* v, long long n) {
     for (i = 0; i < n; i++) cur = _rmax(cur, v[i]);
     return cur;
 }
-void repro_gather(const double* d, const long long* x, double* out,
-                  long long n) {
-    long long i;
-    for (i = 0; i < n; i++) out[i] = d[x[i]];
-}
-void repro_scatter(double* d, const long long* x, const double* v,
-                   long long n) {
-    long long i;
-    for (i = 0; i < n; i++) d[x[i]] = v[i];
-}
 
 /* Bounds-checked runtime helpers backing the generic _ld/_st/_at
  * paths.  Each returns the first out-of-bounds lane (so the caller
@@ -343,12 +324,6 @@ long long repro_scatter_fold_max(double* d, long long dlen, long long off,
 _FOLD_NAMES = {"add": "_nfadd", "min": "_nfmin", "max": "_nfmax"}
 _FOLD_SYMS = {"_nfadd": "repro_fold_add", "_nfmin": "repro_fold_min",
               "_nfmax": "repro_fold_max"}
-#: Unchecked gather/scatter loops behind the ``_ldm``/``_stm`` family
-#: overrides (the helpers' endpoint test, or the interval analysis,
-#: has already established the bounds).
-_GATHER_NAME = "_ngat"
-_SCATTER_NAME = "_nsca"
-
 #: Bounds-checked helper symbols (back the _ld/_st/_at overrides; not
 #: referenced by generated source, so they have no global name).
 _HELPER_SYMS = {
@@ -365,9 +340,9 @@ class NativeStats:
     """Counters describing one function's native lowering (summed
     across functions in ``compile_stats()``)."""
 
-    __slots__ = ("kernels", "claimed", "claimed_ops", "folds", "gathers",
-                 "scatters", "claims_proven", "claims_unproven",
-                 "compile_seconds", "so_cached")
+    __slots__ = ("kernels", "claimed", "claimed_ops", "folds",
+                 "claims_proven", "claims_unproven", "compile_seconds",
+                 "so_cached")
 
     def __init__(self) -> None:
         #: Distinct C kernels emitted for this function.
@@ -376,14 +351,12 @@ class NativeStats:
         self.claimed = 0
         #: Compute ops covered by claimed sites.
         self.claimed_ops = 0
-        #: Reduction-fold / gather / scatter sites routed natively.
+        #: Reduction-fold sites routed natively.
         self.folds = 0
-        self.gathers = 0
-        self.scatters = 0
-        #: Gather/scatter/fold claims split by the interval analysis:
-        #: bounds-certified sites reach the C helper with no bounds
-        #: check on any layer; unproven sites keep the generated-Python
-        #: endpoint check in front of the same helper.
+        #: Fold claims split by the interval analysis: bounds-certified
+        #: sites reach the C helper with no bounds check on any layer;
+        #: unproven sites keep the generated-Python check in front of
+        #: the same helper.
         self.claims_proven = 0
         self.claims_unproven = 0
         #: Seconds spent in the C compiler (0.0 when cache-served).
@@ -392,16 +365,13 @@ class NativeStats:
 
     @property
     def used(self) -> bool:
-        return bool(self.claimed or self.folds or self.gathers
-                    or self.scatters)
+        return bool(self.claimed or self.folds)
 
     def merge(self, other: "NativeStats") -> None:
         self.kernels += other.kernels
         self.claimed += other.claimed
         self.claimed_ops += other.claimed_ops
         self.folds += other.folds
-        self.gathers += other.gathers
-        self.scatters += other.scatters
         self.claims_proven += other.claims_proven
         self.claims_unproven += other.claims_unproven
         self.compile_seconds += other.compile_seconds
@@ -558,26 +528,13 @@ class NativeEmitter:
         self.stats.claimed_ops += c.nops
         return gname, [nm for nm, _ in leaves]
 
-    def _classify_claim(self, proven: bool) -> None:
+    def fold_name(self, kind: str, proven: bool = False) -> str:
+        self.stats.folds += 1
         if proven:
             self.stats.claims_proven += 1
         else:
             self.stats.claims_unproven += 1
-
-    def fold_name(self, kind: str, proven: bool = False) -> str:
-        self.stats.folds += 1
-        self._classify_claim(proven)
         return _FOLD_NAMES[kind]
-
-    def claim_gather(self, proven: bool = False) -> None:
-        """Count one strictly-monotone load site: its ``_ldm``/``_ldmu``
-        call reaches the C gather when the span is not contiguous."""
-        self.stats.gathers += 1
-        self._classify_claim(proven)
-
-    def claim_scatter(self, proven: bool = False) -> None:
-        self.stats.scatters += 1
-        self._classify_claim(proven)
 
     # -- C source ------------------------------------------------------
     def c_source(self) -> str:
@@ -598,7 +555,7 @@ class NativeEmitter:
     def build(self, cache=None) -> dict:
         """Compile (or cache-load) the kernels; returns the globals the
         generated Python source references plus the ``_ld``/``_st``/
-        ``_at`` and ``_ldm``/``_stm``-family helper overrides (claimed
+        ``_at`` helper overrides (claimed
         dynamically at run time, so they ship even when no expression
         kernel was claimed — every kernel-free function shares one
         prelude-only library through the memo).  Raises
@@ -698,8 +655,6 @@ def _dlopen_bindings(path: str, kernels) -> dict:
         decls = ["double repro_fold_add(double, void*, long long);",
                  "double repro_fold_min(double, void*, long long);",
                  "double repro_fold_max(double, void*, long long);",
-                 "void repro_gather(void*, void*, void*, long long);",
-                 "void repro_scatter(void*, void*, void*, long long);",
                  "long long repro_gather_bc(void*, long long, long long,"
                  " void*, void*, long long);",
                  "long long repro_scatter_bc(void*, long long, long long,"
@@ -737,8 +692,6 @@ def _dlopen_bindings(path: str, kernels) -> dict:
             def fb_w(a, _fb=ffi.from_buffer):
                 return _fb(a, require_writable=True)
         raw = {name: getattr(lib, sym) for name, sym in _FOLD_SYMS.items()}
-        raw[_GATHER_NAME] = lib.repro_gather
-        raw[_SCATTER_NAME] = lib.repro_scatter
         for name, sym in _HELPER_SYMS.items():
             raw[name] = getattr(lib, sym)
         for gname, _ in kernels:
@@ -754,12 +707,6 @@ def _dlopen_bindings(path: str, kernels) -> dict:
             fn = getattr(lib, sym)
             fn.restype = c_d
             fn.argtypes = [c_d, c_p, c_ll]
-            raw[name] = fn
-        for name, sym in ((_GATHER_NAME, "repro_gather"),
-                          (_SCATTER_NAME, "repro_scatter")):
-            fn = getattr(lib, sym)
-            fn.restype = None
-            fn.argtypes = [c_p, c_p, c_p, c_ll]
             raw[name] = fn
         for name, sym in _HELPER_SYMS.items():
             fn = getattr(lib, sym)
@@ -793,11 +740,6 @@ def _dlopen_bindings(path: str, kernels) -> dict:
         bindings[gname] = _make_expr_wrapper(gname, kinds, raw[gname], fb)
     for name in _FOLD_SYMS:
         bindings[name] = _FoldKernel(raw[name], fb)
-    # The monotone helper family, rebuilt around the C loops for the
-    # strictly-monotone non-contiguous case.
-    bindings.update(_make_mono_helpers(
-        _GatherKernel(raw[_GATHER_NAME], fb),
-        _ScatterKernel(raw[_SCATTER_NAME], fb, fb_w)))
     bindings.update(_make_helper_overrides(raw, fb, fb_w))
     return bindings
 
@@ -853,57 +795,6 @@ class _FoldKernel:
             return self.fn(float(data[x]), self.fb(v), v.size)
         except _CLAIM_ERRORS:
             return None
-
-
-class _GatherKernel:
-    """Fancy gather ``data[x]`` for an in-bounds index vector (bounds
-    were already checked by the calling helper's endpoint test, or
-    certified statically)."""
-
-    __slots__ = ("fn", "fb")
-
-    def __init__(self, fn, fb) -> None:
-        self.fn = fn
-        self.fb = fb
-
-    def __call__(self, data, x):
-        if (data.dtype is not _F8 or type(x) is not np.ndarray
-                or x.dtype is not _I8):
-            return None
-        n = x.size
-        if n < NATIVE_MIN_GATHER:
-            return None
-        out = np.empty(n)
-        try:
-            self.fn(self.fb(data), self.fb(x), self.fb(out), n)
-        except _CLAIM_ERRORS:
-            return None
-        return out
-
-
-class _ScatterKernel:
-    """Fancy scatter ``data[x] = v`` for a *strictly monotone* (hence
-    duplicate-free) in-bounds index vector; duplicate-free means NumPy's
-    last-wins semantics cannot be observed, so element order is free."""
-
-    __slots__ = ("fn", "fb", "fbw")
-
-    def __init__(self, fn, fb, fbw) -> None:
-        self.fn = fn
-        self.fb = fb
-        self.fbw = fbw
-
-    def __call__(self, data, x, v):
-        if (data.dtype is not _F8 or type(x) is not np.ndarray
-                or x.dtype is not _I8 or type(v) is not np.ndarray
-                or v.dtype is not _F8 or v.size != x.size
-                or x.size < NATIVE_MIN_GATHER):
-            return None
-        try:
-            self.fn(self.fbw(data), self.fb(x), self.fb(v), x.size)
-        except _CLAIM_ERRORS:
-            return None
-        return True
 
 
 def _make_helper_overrides(raw, fb, fb_w) -> dict:
@@ -1014,7 +905,7 @@ def _make_helper_overrides(raw, fb, fb_w) -> dict:
         else:
             c.store_bytes += w * 8
 
-    def _at(rt, kind, via, val, ptr, idx, d=0):
+    def _at(rt, kind, via, val, ptr, idx):
         buf = ptr.buffer
         off = ptr.offset
         data = buf.data
@@ -1025,14 +916,14 @@ def _make_helper_overrides(raw, fb, fb_w) -> dict:
                     or type(val) is not _nda or val.ndim != 1
                     or val.dtype is not _F8 or data.dtype is not _F8
                     or val.size == 0):
-                return _py_at(rt, kind, via, val, ptr, idx, d)
+                return _py_at(rt, kind, via, val, ptr, idx)
             at = off + idx
             if at < 0 or at >= data.size:
-                return _py_at(rt, kind, via, val, ptr, idx, d)
+                return _py_at(rt, kind, via, val, ptr, idx)
             try:
                 data[at] = fold[kind](float(data[at]), fb(val), val.size)
             except _CLAIM_ERRORS:
-                return _py_at(rt, kind, via, val, ptr, idx, d)
+                return _py_at(rt, kind, via, val, ptr, idx)
             w = val.size if val.size > 1 else 1
         else:
             n = idx.size
@@ -1040,14 +931,14 @@ def _make_helper_overrides(raw, fb, fb_w) -> dict:
                     or idx.ndim != 1 or data.dtype is not _F8
                     or type(val) is not _nda or val.shape != idx.shape
                     or val.dtype is not _F8 or n == 0):
-                return _py_at(rt, kind, via, val, ptr, idx, d)
+                return _py_at(rt, kind, via, val, ptr, idx)
             try:
                 bad = sfold[kind](fb_w(data), data.size, off, fb(idx),
                                   fb(val), n)
             except _CLAIM_ERRORS:
-                return _py_at(rt, kind, via, val, ptr, idx, d)
+                return _py_at(rt, kind, via, val, ptr, idx)
             if bad >= 0:
-                return _py_at(rt, kind, via, val, ptr, idx, d)
+                return _py_at(rt, kind, via, val, ptr, idx)
             w = n if n > 1 else 1
         rt.cost.add_rmw(via, w)
 

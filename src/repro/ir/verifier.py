@@ -8,6 +8,8 @@ Checks the structural invariants the rest of the stack relies on:
   ``condition`` terminating while bodies, ``return`` at function top
   level only),
 * callee existence and arity,
+* argument contracts: ``extent=N`` (``N >= 0``) only on pointer
+  arguments, ``below=N`` (``N >= 1``) only on ``ptr<i64>`` arguments,
 * pointer-typed operands where memory ops require them,
 * request hygiene: a ``request``-typed value may only flow into a call
   argument declared ``request`` (wait/test and the mpid adjoint
@@ -60,7 +62,29 @@ def verify_module(module: Module) -> None:
         verify_function(fn, module)
 
 
+def _check_arg_contracts(fn: Function) -> None:
+    """``extent`` / ``below`` are what bounds certification proves
+    against, so a malformed one must not reach it."""
+    for a in fn.args:
+        for key, least, ok in (
+                ("extent", 0, isinstance(a.type, PointerType)),
+                ("below", 1, isinstance(a.type, PointerType)
+                 and a.type.elem is I64)):
+            n = a.attrs.get(key)
+            if n is None:
+                continue
+            if not ok:
+                raise VerificationError(
+                    f"{fn.name}: argument {a.name!r} of type {a.type} "
+                    f"cannot declare {key}")
+            if isinstance(n, bool) or not isinstance(n, int) or n < least:
+                raise VerificationError(
+                    f"{fn.name}: argument {a.name!r} declares {key}={n!r}, "
+                    f"want an integer >= {least}")
+
+
 def verify_function(fn: Function, module: Module) -> None:
+    _check_arg_contracts(fn)
     scope = _Scope()
     scope.push(fn.args)
     _verify_block(fn.body, scope, fn, module, context=())

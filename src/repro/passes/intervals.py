@@ -48,7 +48,15 @@ runtime bounds check), ``unproven`` (checks stay on), or ``oob``
 (provably out of bounds on every executed lane: a compile-time lint
 finding).  Buffer extents come from the ``count`` operand of a
 dominating ``alloc`` or from the ``extent`` attribute of a pointer
-argument (a caller contract enforced by ``Executor.wrap_args``).
+argument; the elements of a ``ptr<i64>`` argument that declares
+``below=N`` and that nothing in the function writes lie in ``[0, N-1]``,
+which is what certifies an indirect gather through an index array.
+Both are caller contracts (``repro.interp.memory.check_contracts``
+enforces them at every entry).
+
+:meth:`IntervalAnalysis.affine_of` and :meth:`IntervalAnalysis.ptr_root`
+are pure SSA facts: they answer on an analysis that never ran its walk,
+which is how the lowering asks for the shape of an address.
 """
 
 from __future__ import annotations
@@ -264,8 +272,9 @@ class IntervalAnalysis:
                  aliasing: Optional[AliasInfo] = None) -> None:
         self.fn = fn
         self.module = module
-        self.aliasing: AliasInfo = (aliasing if aliasing is not None
-                                    else analyze_aliasing(fn, module))
+        #: Provenance and written origins; computed on first read when
+        #: not handed in (the SSA queries never read it).
+        self._aliasing: Optional[AliasInfo] = aliasing
         #: Exact affine decomposition memo (pure SSA facts).
         self._affine: Dict[Value, Affine] = {}
         #: Plain ranges for symbols the walk registered.
@@ -279,8 +288,8 @@ class IntervalAnalysis:
         #: Statically-uniform values (refinement gate: lane-varying
         #: conditions execute masked, so they must refine nothing).
         self._uniform: Dict[Value, bool] = {}
-        #: Pointer offset (relative to its single origin) memo.
-        self._ptr_off: Dict[Value, Optional[Affine]] = {}
+        #: ``ptradd``-chain root and offset from it, per pointer.
+        self._ptr_root: Dict[Value, Tuple[Value, Affine]] = {}
         #: Per access op (load/store/atomic): the bounds verdict.
         self.access: Dict[Op, AccessFact] = {}
         #: The last ``mpi.comm_size`` result in scope (rank bounds).
@@ -288,6 +297,12 @@ class IntervalAnalysis:
         #: Top-level directional bound evaluations performed: the
         #: analysis' unit of work, next to :meth:`counts`.
         self.evaluations = 0
+
+    @property
+    def aliasing(self) -> AliasInfo:
+        if self._aliasing is None:
+            self._aliasing = analyze_aliasing(self.fn, self.module)
+        return self._aliasing
 
     # -- public queries -------------------------------------------------
     def affine_of(self, v: Value) -> Affine:
@@ -459,6 +474,10 @@ class IntervalAnalysis:
             self.access[op] = self._classify_access(ptr, idx)
             if op.result is not None:
                 self._uniform[op.result] = False
+                below = (self._below(ptr) if oc == "load"
+                         and op.result.type is I64 else None)
+                if below is not None:
+                    self._sym_range[op.result] = Interval(0, below - 1)
             return
         if oc == "store":
             self.access[op] = self._classify_access(op.operands[1],
@@ -497,16 +516,9 @@ class IntervalAnalysis:
             self._visit_call(op)
             return
         if oc == "alloc":
-            self._ptr_off[op.result] = Affine(0)
             self._uniform[op.result] = True
             return
         if oc == "ptradd":
-            base_off = self.ptr_offset(op.operands[0])
-            if base_off is not None:
-                self._ptr_off[op.result] = base_off.add(
-                    self.affine_of(op.operands[1]))
-            else:
-                self._ptr_off[op.result] = None
             self._uniform[op.result] = all(
                 self.is_uniform(v) for v in op.operands)
             return
@@ -664,24 +676,40 @@ class IntervalAnalysis:
                         or (hi is not None and v in hi.terms))]
 
     # -- pointers & access classification --------------------------------
+    def ptr_root(self, ptr: Value) -> Tuple[Value, Affine]:
+        """The pointer ``ptr`` derives from by ``ptradd`` alone, and its
+        exact element offset from that pointer."""
+        got = self._ptr_root.get(ptr)
+        if got is None:
+            if isinstance(ptr, Result) and ptr.op.opcode == "ptradd":
+                root, off = self.ptr_root(ptr.op.operands[0])
+                got = (root, off.add(self.affine_of(ptr.op.operands[1])))
+            else:
+                got = (ptr, Affine(0))
+            self._ptr_root[ptr] = got
+        return got
+
     def ptr_offset(self, ptr: Value) -> Optional[Affine]:
         """Element offset of ``ptr`` relative to its origin base, or
         None when the pointer's derivation is opaque."""
-        if ptr in self._ptr_off:
-            return self._ptr_off[ptr]
-        out: Optional[Affine]
-        if isinstance(ptr, Argument):
-            out = Affine(0)
-        elif isinstance(ptr, Result) and ptr.op.opcode == "alloc":
-            out = Affine(0)
-        elif isinstance(ptr, Result) and ptr.op.opcode == "ptradd":
-            base = self.ptr_offset(ptr.op.operands[0])
-            out = (base.add(self.affine_of(ptr.op.operands[1]))
-                   if base is not None else None)
-        else:
-            out = None
-        self._ptr_off[ptr] = out
-        return out
+        root, off = self.ptr_root(ptr)
+        if isinstance(root, Argument) or (
+                isinstance(root, Result) and root.op.opcode == "alloc"):
+            return off
+        return None
+
+    def _below(self, ptr: Value) -> Optional[int]:
+        """``N`` when every element ``ptr`` can reach is in ``[0, N)``:
+        its single origin is an argument declaring ``below=N`` that no
+        write in the function may touch."""
+        prov = self.aliasing.provenance(ptr)
+        if len(prov) != 1:
+            return None
+        (origin,) = prov
+        below = origin[1].attrs.get("below") if origin[0] == "arg" else None
+        if isinstance(below, int) and self.aliasing.is_readonly(ptr):
+            return below
+        return None
 
     def extent_of(self, ptr: Value) -> Tuple[Optional[Affine], str]:
         """Affine element count of the buffer ``ptr`` points into,

@@ -40,9 +40,8 @@ from ..apps.minibude.driver import MinibudeApp
 #: toy.  Measured honestly, the threaded rows sit at ~2.7-3.6x vs the
 #: interpreter and the native tier only edges out the compiled one:
 #: the dominant remaining cost on both is inline per-statement NumPy
-#: work in fork bodies, which is backend-neutral (and the monotone
-#: scatter lowering already avoids ``ufunc.at``, so C gathers are a
-#: wash at these widths — see ROADMAP on loop-level C regions).
+#: work in fork bodies, which is backend-neutral (see ROADMAP on
+#: loop-level C regions).
 #: miniBUDE keeps the default deck: its per-task chunks are 8 poses
 #: wide, so its floor is per-call overhead, not kernel width — the
 #: honest hard case.
@@ -75,7 +74,7 @@ _SPEEDUP_NOTE = (
     "a runner that changes speed mid-run moves the seconds, not the ratio. "
     "Static bounds certification is "
     "in effect (certified sites drop their runtime checks) and every "
-    "monotone vector access goes through the _ldm/_stm helper family."
+    "vector access affine in the lane is a slice (_lds/_sts/_ats)."
 )
 
 _SMOKE_CASES = [
@@ -295,8 +294,7 @@ def main(argv=None) -> int:
             nat = be.get("native")
             if nat:
                 extra += (f" native[k={nat['kernels']} c={nat['claimed']}"
-                          f" f={nat['folds']} g={nat['gathers']}"
-                          f" s={nat['scatters']}]" if nat["enabled"]
+                          f" f={nat['folds']}]" if nat["enabled"]
                           else " native[fallback]")
             if row.get("adjoint") and row.get("adjoint_stats"):
                 extra += (

@@ -110,8 +110,7 @@ def render_backend_report(payload: dict) -> str:
             return ""
         if not nat.get("enabled"):
             return "fallback"
-        return (f"k{nat['kernels']}+f{nat['folds']}"
-                f"+g{nat['gathers']}+s{nat['scatters']} "
+        return (f"k{nat['kernels']}+f{nat['folds']} "
                 f"{nat['compile_seconds']:.2f}s")
 
     rows = [{"case": r["case"],

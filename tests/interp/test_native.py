@@ -154,26 +154,13 @@ def test_fold_parity_with_nan_and_signed_zero():
 
 @needs_cc
 def test_gather_scatter_parity_small_width():
-    """Below NATIVE_MIN_GATHER the claims decline and NumPy runs."""
+    """Indirect gather/scatter goes through the bounds-checked C loops
+    behind ``_ld``/``_st`` at any width (the strided loops with a width
+    floor went with the monotone helpers)."""
     n = 32
 
     def arrays():
         rng = np.random.default_rng(7)
-        return (rng.standard_normal(n).copy(),
-                np.zeros(n),
-                rng.permutation(n).astype(np.int64))
-    run_three(_gather_scatter_module(), "gs", arrays, (n,))
-
-
-@needs_cc
-def test_gather_scatter_parity_forced_c_path(monkeypatch):
-    """With the width floor lowered the C gather/scatter helpers claim
-    at fuzz-sized widths — exercising the machine-code path itself."""
-    monkeypatch.setattr(native_mod, "NATIVE_MIN_GATHER", 1)
-    n = 48
-
-    def arrays():
-        rng = np.random.default_rng(11)
         return (rng.standard_normal(n).copy(),
                 np.zeros(n),
                 rng.permutation(n).astype(np.int64))
@@ -253,11 +240,10 @@ def test_unclaimable_function_records_reason():
 
 
 @needs_cc
-def test_oob_store_raises_identically(monkeypatch):
+def test_oob_store_raises_identically():
     """Bounds violations through the native helper overrides must
     surface the same error as the interpreter — and must not partially
     mutate the target buffer first."""
-    monkeypatch.setattr(native_mod, "NATIVE_MIN_GATHER", 1)
     module = _gather_scatter_module()
     n = 8
     errs, bufs = {}, {}
@@ -326,16 +312,16 @@ def _certified_module():
                 j = b.load(idx, i)               # proven
                 w = b.load(x, j)                 # unproven (indirect)
                 b.store(b.add(w, 0.5), y, j)     # unproven
+                b.atomic_add(w, y, 0)            # proven fold onto y[0]
     verify_module(b.module)
     return b.module, n
 
 
 @needs_cc
-def test_native_claims_classified_proven_unproven(monkeypatch):
-    """Every gather/scatter claim is classified proven/unproven in
-    compile_stats(), and with the claim floors forced down the parity
-    suite still holds bit-identically with elision live."""
-    monkeypatch.setattr(native_mod, "NATIVE_MIN_GATHER", 1)
+def test_native_claims_classified_proven_unproven():
+    """Every fold claim is classified proven/unproven in
+    compile_stats(), and the parity suite holds bit-identically with
+    elision live."""
     module, n = _certified_module()
 
     def arrays():
@@ -345,14 +331,12 @@ def test_native_claims_classified_proven_unproven(monkeypatch):
 
     ex = run_three(module, "ce", arrays, (n,), num_threads=2)
     stats = ex.compile_stats()
-    # The analysis certifies 4 sites; one proven load rides inside a
+    # The analysis certifies 5 sites; one proven load rides inside a
     # fused trace and is never lowered as its own access, so the
-    # lowering-time counters see 3 proven + 2 unproven sites.
-    assert stats["bounds_proven"] == 3
+    # lowering-time counters see 4 proven + 2 unproven sites.
+    assert stats["bounds_proven"] == 4
     assert stats["bounds_unproven"] == 2
     assert stats["checks_elided"] > 0
     nat = stats["native"]
     assert nat["claims_proven"] > 0
-    # Every classified claim is one of the counted kinds.
-    assert (nat["claims_proven"] + nat["claims_unproven"]
-            == nat["gathers"] + nat["scatters"] + nat["folds"])
+    assert nat["claims_proven"] + nat["claims_unproven"] == nat["folds"]

@@ -1,4 +1,5 @@
-"""Random ``simd`` programs for the vectorised-adjoint property tests.
+"""Random ``simd`` programs for the vectorised-adjoint property tests
+(and, at the end of the file, for the lowering's access plans).
 
 A program is described by a JSON-able *spec* so the same program can be
 rebuilt with ``simd=False`` (the scalar twin the gradient is compared
@@ -174,3 +175,157 @@ def run_gradient(module, grad: str, n: int, seed: int,
         ex.interp.backend.strict = True
     ex.run(grad, *args)
     return shadows, data["out"], ex.cost.as_dict(), ex.clock
+
+
+# ---------------------------------------------------------------------------
+# Access-plan programs
+# ---------------------------------------------------------------------------
+#
+# A second family, for the lowering's access plans (an address affine in
+# the lane is a slice, anything else a gather).  Spec::
+#
+#     {"loop": "simd" | "workshare" | "reverse" | "parallel_for",
+#      "lb": int, "trips": int, "step": int,
+#      "accesses": [{"op": "load" | "store" | "atomic",
+#                    "c0": int, "s": int, "uniform": bool, "hops": int,
+#                    "masked": bool, "cell": [c, k] | None}, ...],
+#      "oob": None | [access number, "lo" | "hi"]}
+#
+# Access ``a`` touches ``buf[base_a + c0 + s*i + (u if uniform)]`` with
+# ``base_a`` chosen so that every lane is in range, the offset split
+# over ``hops`` ``ptradd``s; ``s`` is 0 (every lane one cell), +-1 or
+# +-k.  With ``cell`` the value takes a round trip through element ``k``
+# of a lane-private ``alloc c`` first.  ``oob`` moves one access so that
+# exactly its lowest lane reads ``-1`` or its highest the buffer length.
+
+U = 3               # value of the uniform argument ``u``
+SPAN = 160          # length of x and y: covers every generated address
+
+_ACCESS = st.fixed_dictionaries({
+    "op": st.sampled_from(["load", "store", "atomic"]),
+    "c0": st.integers(0, 4),
+    "s": st.sampled_from([0, 1, -1, 2, -2, 3, -3]),
+    "uniform": st.booleans(),
+    "hops": st.integers(0, 2),
+    "masked": st.booleans(),
+    "cell": st.one_of(st.none(), st.integers(1, 3).flatmap(
+        lambda c: st.tuples(st.just(c), st.integers(0, c - 1)).map(list))),
+})
+
+PLAN_SPEC = st.fixed_dictionaries({
+    "loop": st.sampled_from(["simd", "workshare", "reverse",
+                             "parallel_for"]),
+    "lb": st.integers(0, 3),
+    "trips": st.integers(1, 9),
+    "step": st.integers(1, 3),
+    "accesses": st.lists(_ACCESS, min_size=1, max_size=4),
+    "oob": st.one_of(st.none(), st.tuples(
+        st.integers(0, 3), st.sampled_from(["lo", "hi"])).map(list)),
+})
+
+
+def _plan_ivs(spec) -> tuple:
+    """(lowest, highest) induction value of the loop."""
+    step = 1 if spec["loop"] == "parallel_for" else spec["step"]
+    return spec["lb"], spec["lb"] + step * (spec["trips"] - 1)
+
+
+def _plan_base(spec, k: int) -> int:
+    """Constant placing access ``k``'s lanes inside ``[0, SPAN)`` — or,
+    for the one ``oob`` names, one cell outside at that end."""
+    acc = spec["accesses"][k]
+    lo_iv, hi_iv = _plan_ivs(spec)
+    ends = [acc["s"] * lo_iv, acc["s"] * hi_iv]
+    rest = acc["c0"] + (U if acc["uniform"] else 0)
+    base = 8 - min(ends) - rest
+    if spec["oob"] and spec["oob"][0] % len(spec["accesses"]) == k:
+        if spec["oob"][1] == "lo":
+            base = -1 - min(ends) - rest
+        else:
+            base = SPAN - max(ends) - rest
+    return base
+
+
+def build_plan(spec):
+    """Emit ``plan`` for ``spec``; returns the module."""
+    b = IRBuilder()
+    sig = [("x", Ptr()), ("y", Ptr()), ("out", Ptr()), ("u", I64)]
+    with b.function("plan", sig, arg_attrs=[NA] * 3 + [{}]) as f:
+        x, y, out, u = f.args
+
+        def address(buf, acc, k, i):
+            """(pointer, index) of access ``k``: the affine offset is
+            split between ``hops`` ptradds and the index operand."""
+            parts = [b.mul(i, acc["s"]), _plan_base(spec, k) + acc["c0"]]
+            if acc["uniform"]:
+                parts.append(u)
+            ptr = buf
+            for _ in range(min(acc["hops"], len(parts) - 1)):
+                ptr = b.ptradd(ptr, parts.pop())
+            idx = parts.pop()
+            for p in parts:
+                idx = b.add(idx, p)
+            return ptr, idx
+
+        def body(i):
+            v = b.itof(i)
+            for k, acc in enumerate(spec["accesses"]):
+                if acc["cell"]:
+                    cell = b.alloc(acc["cell"][0], name="cell")
+                    b.store(v, cell, acc["cell"][1])
+                    v = b.mul(b.load(cell, acc["cell"][1]), 1.5)
+
+                def access():
+                    ptr, idx = address(x if acc["op"] == "load" else y,
+                                       acc, k, i)
+                    if acc["op"] == "load":
+                        return b.add(v, b.load(ptr, idx))
+                    if acc["op"] == "store":
+                        b.store(b.add(v, 1.0), ptr, idx)
+                    else:
+                        b.atomic_add(v, ptr, idx)
+                    return v
+
+                if acc["masked"]:
+                    # Loads under a mask would need a phi; only their
+                    # side effect (the bounds check) matters here.
+                    with b.if_(b.cmp("gt", v, 2.5)):
+                        access()
+                else:
+                    v = access()
+            b.store(v, out, i)
+
+        lo, hi = _plan_ivs(spec)
+        if spec["loop"] == "parallel_for":
+            with b.parallel_for(lo, hi + 1) as i:
+                body(i)
+        elif spec["loop"] == "simd":
+            with b.for_(lo, hi + 1, spec["step"], simd=True) as i:
+                body(i)
+        else:
+            with b.fork(2):
+                with b.workshare(lo, hi + 1, spec["step"]) as i:
+                    if spec["loop"] == "reverse":
+                        i.owner.attrs["reverse_order"] = True
+                    body(i)
+    verify_module(b.module)
+    return b.module
+
+
+def run_plan(module, backend: str):
+    """Run ``plan``; returns ``(x, y, out, clock, cost dict, error)``
+    with ``error`` the ``(type, message)`` of the exception, if any."""
+    import re
+    rng = np.random.default_rng(11)
+    x, y = rng.uniform(-1.0, 1.0, SPAN), rng.uniform(-1.0, 1.0, SPAN)
+    out = np.zeros(64)
+    ex = Executor(module, ExecConfig(backend=backend, num_threads=2))
+    if backend != "interp":
+        ex.interp.backend.strict = True
+    error = None
+    try:
+        ex.run("plan", x, y, out, U)
+    except Exception as e:  # noqa: BLE001 - compared across tiers
+        # Buffer ids differ between executors; normalise them out.
+        error = (type(e), re.sub(r"#\d+", "#N", str(e)))
+    return x, y, out, ex.clock, ex.cost.as_dict(), error

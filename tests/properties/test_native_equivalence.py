@@ -22,7 +22,7 @@ pytestmark = pytest.mark.skipif(probe_toolchain() is None,
 
 #: Claim every fused chain (the suite's widths are tiny, so the
 #: default floor would leave the C kernels untested).
-_EAGER = {"NATIVE_MIN_OPS": 1, "NATIVE_MIN_GATHER": 1}
+_EAGER = {"NATIVE_MIN_OPS": 1}
 
 
 def _build(stmts):
@@ -81,8 +81,8 @@ def test_gradient_three_way(stmts, xs):
        xs=st.lists(st.floats(-1.2, 1.2), min_size=2, max_size=4))
 def test_gradient_three_way_forced_native(stmts, xs):
     """Same property with every native claim floor dropped to 1, so the
-    C expression kernels and gather/scatter helpers actually run at the
-    fuzzer's widths instead of declining."""
+    C expression kernels actually run at the fuzzer's widths instead
+    of declining."""
     saved = {k: getattr(native_mod, k) for k in _EAGER}
     for k, v in _EAGER.items():
         setattr(native_mod, k, v)
