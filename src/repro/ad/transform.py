@@ -685,11 +685,13 @@ class ADTransform:
         key = (b.block, tuple(slot.dims), ivs)
         idx = self._addr_memo.get(key)
         if idx is None:
+            # The outermost extent never scales anything: asking for it
+            # here would only emit a dead clamp into this block.
             idx = Constant(0, I64)
-            for dim, iv in zip(slot.dims, ivs):
-                extent = self._dim_extent_fwd(dim)
+            for k, (dim, iv) in enumerate(zip(slot.dims, ivs)):
+                extent = self._dim_extent_fwd(dim) if k else None
                 local = self._dim_local_index(dim, iv)
-                idx = b.add(b.mul(idx, extent), local)
+                idx = b.add(b.mul(idx, extent), local) if k else local
             self._addr_memo[key] = idx
         return idx
 

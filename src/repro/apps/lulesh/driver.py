@@ -65,7 +65,6 @@ class LuleshApp:
                  ad_config: Optional[ADConfig] = None,
                  machine: Optional[MachineModel] = None,
                  sanitize: bool = False, backend: str = "interp",
-                 fusion: bool = True,
                  compile_cache: Optional[str] = None,
                  adjoint: Optional[str] = None,
                  cc: Optional[str] = None) -> None:
@@ -94,9 +93,8 @@ class LuleshApp:
         self.sanitize = sanitize
         #: "interp", "compiled" or "native" (see ExecConfig.backend).
         self.backend = backend
-        #: Trace fusion / persistent compile cache / C compiler
-        #: (compiled + native backends).
-        self.fusion = fusion
+        #: Persistent compile cache / C compiler (compiled + native
+        #: backends).
         self.compile_cache = compile_cache
         self.cc = cc
         #: Backend counters from the most recent single-rank run
@@ -114,13 +112,6 @@ class LuleshApp:
         #: stores / errors; also ``last_compile_stats["gradient_cache"]``.
         self.gradient_cache: Optional[dict] = None
         self._grad: Optional[str] = None
-
-    def region_report(self) -> dict:
-        """Statement-level native-region claimability report for this
-        flavor's kernel (``repro.passes.regioncheck``); the payload
-        ``summarize --region-report`` renders."""
-        from ...passes.regioncheck import region_report
-        return region_report(self.module.functions[self.fn], self.module)
 
     # ------------------------------------------------------------------
     @property
@@ -160,7 +151,7 @@ class LuleshApp:
         impl = "mpich" if self.flavor.style == "julia" else "openmpi"
         return ExecConfig(num_threads=num_threads, machine=self.machine,
                           mpi_impl=impl, sanitize=self.sanitize,
-                          backend=self.backend, fusion=self.fusion,
+                          backend=self.backend,
                           compile_cache=self.compile_cache, cc=self.cc)
 
     # ------------------------------------------------------------------
@@ -356,9 +347,6 @@ def main(argv: Optional[list] = None) -> int:
                     help="skip the gradient run")
     ap.add_argument("--json", action="store_true",
                     help="emit the raw report as JSON")
-    ap.add_argument("--region-report", action="store_true",
-                    help="include the native-region claimability "
-                         "report (regioncheck) in the output")
     args = ap.parse_args(argv)
 
     app = LuleshApp(args.flavor, args.nx, pr=args.pr,
@@ -385,13 +373,6 @@ def main(argv: Optional[list] = None) -> int:
         report["gradient_digest"] = hashlib.sha256(b"".join(
             np.ascontiguousarray(sh[f]).tobytes()
             for sh in shadows for f in sorted(sh))).hexdigest()
-    if args.region_report:
-        rep = app.region_report()
-        if args.json:
-            report["region_report"] = rep
-        else:
-            from ...tools.summarize import render_region_report
-            print(render_region_report(rep))
     if args.json:
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")

@@ -30,7 +30,6 @@ class MinibudeApp:
                  ad_config: Optional[ADConfig] = None,
                  machine: Optional[MachineModel] = None,
                  sanitize: bool = False, backend: str = "interp",
-                 fusion: bool = True,
                  compile_cache: Optional[str] = None,
                  nprocs: int = 4,
                  cc: Optional[str] = None) -> None:
@@ -49,9 +48,8 @@ class MinibudeApp:
         self.sanitize = sanitize
         #: "interp", "compiled" or "native" (see ExecConfig.backend).
         self.backend = backend
-        #: Trace fusion / persistent compile cache / C compiler
-        #: (compiled + native backends).
-        self.fusion = fusion
+        #: Persistent compile cache / C compiler (compiled + native
+        #: backends).
         self.compile_cache = compile_cache
         self.cc = cc
         #: Backend counters from the most recent single-rank run
@@ -63,13 +61,6 @@ class MinibudeApp:
         #: stores / errors; also ``last_compile_stats["gradient_cache"]``.
         self.gradient_cache: Optional[dict] = None
         self._grad: Optional[str] = None
-
-    def region_report(self) -> dict:
-        """Statement-level native-region claimability report for this
-        variant's kernel (``repro.passes.regioncheck``); the payload
-        ``summarize --region-report`` renders."""
-        from ...passes.regioncheck import region_report
-        return region_report(self.module.functions[self.fn], self.module)
 
     # ------------------------------------------------------------------
     def grad_fn(self) -> str:
@@ -87,7 +78,6 @@ class MinibudeApp:
     def _config(self, num_threads: int) -> ExecConfig:
         return ExecConfig(num_threads=num_threads, machine=self.machine,
                           sanitize=self.sanitize, backend=self.backend,
-                          fusion=self.fusion,
                           compile_cache=self.compile_cache, cc=self.cc)
 
     def _args(self) -> tuple[dict, tuple]:
@@ -201,8 +191,7 @@ def main(argv: Optional[list] = None) -> int:
     (``compile_stats``: code-entry hits / misses, functions ``lowered``
     in this process, ``interpreter_only`` fallbacks; ``null`` under
     ``--backend interp`` and the MPI variant), and carries a SHA-256 of
-    the shadow arrays.  ``--region-report`` prints the native-region
-    claimability report for its kernel."""
+    the shadow arrays."""
     import argparse
     import hashlib
     import json
@@ -220,9 +209,6 @@ def main(argv: Optional[list] = None) -> int:
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--json", action="store_true",
                     help="emit the raw report as JSON")
-    ap.add_argument("--region-report", action="store_true",
-                    help="include the native-region claimability "
-                         "report (regioncheck) in the output")
     args = ap.parse_args(argv)
 
     app = MinibudeApp(args.variant, backend=args.backend)
@@ -239,13 +225,6 @@ def main(argv: Optional[list] = None) -> int:
             np.ascontiguousarray(shadows[n]).tobytes()
             for n in ARG_NAMES)).hexdigest(),
     }
-    if args.region_report:
-        rep = app.region_report()
-        if args.json:
-            report["region_report"] = rep
-        else:
-            from ...tools.summarize import render_region_report
-            print(render_region_report(rep))
     if args.json:
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")

@@ -16,12 +16,10 @@ from .intervals import (
     Affine,
     Interval,
     IntervalAnalysis,
-    analyze_intervals,
     certify_bounds,
 )
 from .licm import LICM
 from .openmp_opt import OpenMPOpt
-from .regioncheck import RegionChecker, region_report
 from .pass_manager import (
     FunctionPass,
     PassManager,
@@ -33,9 +31,8 @@ from .simplify import Simplify
 __all__ = [
     "AliasInfo", "analyze_aliasing",
     "Affine", "Interval", "IntervalAnalysis",
-    "analyze_intervals", "certify_bounds",
+    "certify_bounds",
     "ConstantFold", "CSE", "DCE", "LICM", "OpenMPOpt", "Simplify",
-    "RegionChecker", "region_report",
     "force_inline_all", "inline_all",
     "FunctionPass", "PassManager", "cleanup_pipeline", "default_pipeline",
 ]

@@ -91,7 +91,7 @@ class AliasInfo:
         return None
 
     # ------------------------------------------------------------------
-    # Per-region write tracking (public: regioncheck and LICM consume it)
+    # Per-region write tracking (public: LICM consumes it)
     # ------------------------------------------------------------------
     def region_written_origins(self, region_op: Op) -> tuple[frozenset,
                                                              bool]:
@@ -145,17 +145,6 @@ class AliasInfo:
         out = (frozenset(origins), unknown)
         self._region_writes_cache[region_op] = out
         return out
-
-    def readonly_in_region(self, ptr: Value, region_op: Op) -> bool:
-        """True if no write *inside* ``region_op`` may touch ``ptr``'s
-        origins — the per-region analogue of :meth:`is_readonly`."""
-        p = self.provenance(ptr)
-        if UNKNOWN in p:
-            return False
-        writes, unknown = self.region_written_origins(region_op)
-        if unknown:
-            return False
-        return not (p & writes)
 
 
 def provs_may_alias(pa: frozenset, pb: frozenset) -> bool:

@@ -263,7 +263,7 @@ class BoundsFinding:
 class IntervalAnalysis:
     """One function's interval/affine facts (see module docstring).
 
-    Build with :func:`analyze_intervals`; query with :meth:`interval`,
+    Build with :func:`certify_bounds`; query with :meth:`interval`,
     :meth:`affine_of` and :attr:`access` (per-op
     :class:`AccessFact`).
     """
@@ -767,17 +767,10 @@ class IntervalAnalysis:
         return AccessFact(UNPROVEN, "; ".join(parts) or why)
 
 
-def analyze_intervals(fn: object, module: object,
-                      aliasing: Optional[AliasInfo] = None
-                      ) -> IntervalAnalysis:
-    """Run the interval/affine dataflow over ``fn``; returns the facts."""
-    return IntervalAnalysis(fn, module, aliasing).run()
-
-
 def certify_bounds(fn: object, module: object,
                    aliasing: Optional[AliasInfo] = None
                    ) -> IntervalAnalysis:
-    """Alias of :func:`analyze_intervals`, named for its consumer: the
-    backend lowering asks the result ``facts.proven(op)`` per memory
+    """Run the interval/affine dataflow over ``fn``; returns the facts.
+    The backend lowering asks the result ``facts.proven(op)`` per memory
     access and elides the runtime bounds check on certified sites."""
-    return analyze_intervals(fn, module, aliasing)
+    return IntervalAnalysis(fn, module, aliasing).run()

@@ -85,75 +85,6 @@ def render_sanitize_report(payload: dict) -> str:
                      f"LintResult.to_json() or RaceChecker.to_json() output")
 
 
-def render_backend_report(payload: dict) -> str:
-    """Render ``repro.tools.bench_backend`` JSON as a benchmark table."""
-    if payload.get("tool") != "backend-bench":
-        raise ValueError(f"not a backend-bench report "
-                         f"(tool={payload.get('tool')!r}); expected "
-                         f"bench_backend --out output")
-    def _fused(r):
-        be = r.get("backend")
-        if not be:
-            return ""
-        return f"{be['fused_ops']}/{be['ops']}"
-
-    def _cache(r):
-        cache = (r.get("backend") or {}).get("cache")
-        if not cache:
-            return "off"
-        return (f"h{cache['hits']} m{cache['misses']} "
-                f"s{cache['stores']}")
-
-    def _native(r):
-        nat = (r.get("backend") or {}).get("native")
-        if not nat:
-            return ""
-        if not nat.get("enabled"):
-            return "fallback"
-        return (f"k{nat['kernels']}+f{nat['folds']} "
-                f"{nat['compile_seconds']:.2f}s")
-
-    rows = [{"case": r["case"],
-             "headline": "yes" if r.get("headline") else "",
-             "interp_s": r["interp_seconds"],
-             "backend_s": r["compiled_seconds"],
-             "speedup": f"{r['speedup']:.2f}x",
-             "max_abs_dev": f"{r['max_abs_dev']:.1e}",
-             "clock": "=" if r["clock_match"] else "DIVERGED",
-             "cost": "=" if r["cost_match"] else "DIVERGED",
-             "fused_ops": _fused(r),
-             "kernels": (r.get("backend") or {}).get("kernels", ""),
-             "native": _native(r),
-             "cache": _cache(r)}
-            for r in payload.get("rows", [])]
-    title = (f"backend-bench ({payload.get('mode', '?')}): "
-             f"backends vs interp, headline speedup "
-             f"{payload.get('speedup', '?')}x, "
-             f"max |dev| {payload.get('max_abs_dev', '?')}")
-    if not rows:
-        return f"== {title} ==\nno cases\n"
-    cols = list(rows[0].keys())
-    out = format_table(title, cols,
-                       [[r.get(c) for c in cols] for r in rows])
-    # Surface native-tier fallbacks explicitly: a row that silently ran
-    # the NumPy path instead of C would otherwise only show as a
-    # missing kernel count.
-    notes = []
-    for r in payload.get("rows", []):
-        nat = (r.get("backend") or {}).get("native")
-        if not nat:
-            continue
-        reason = nat.get("fallback_reason")
-        if reason:
-            notes.append(f"note: {r['case']}: native fallback - {reason}")
-        for fn, why in sorted((nat.get("function_fallbacks")
-                               or {}).items()):
-            notes.append(f"note: {r['case']}: {fn}: {why}")
-    if notes:
-        out += "\n".join(notes) + "\n"
-    return out
-
-
 def render_comm_report(payload: dict) -> str:
     """Render commcheck JSON (one report or an mpi_lint suite)."""
     tool = payload.get("tool")
@@ -219,52 +150,13 @@ def render_adjoint_report(payload: dict) -> str:
                         [[r.get(c) for c in cols] for r in rows])
 
 
-def render_region_report(payload: dict) -> str:
-    """Render regioncheck JSON (one report or a region_lint suite): the
-    per-region claimability table plus the bounds-certification
-    counts."""
-    tool = payload.get("tool")
-    if tool == "regioncheck-suite":
-        return "\n".join(
-            render_region_report(r)
-            for r in payload.get("reports", {}).values())
-    if tool != "regioncheck":
-        raise ValueError(f"not a regioncheck report (tool={tool!r}); "
-                         f"expected region_report() output or "
-                         f"region_lint --out output")
-    b = payload.get("bounds", {})
-    regions = payload.get("regions", [])
-    title = (f"regioncheck @{payload.get('fn', '?')}: "
-             f"{len(regions)} region(s), "
-             f"{payload.get('claimable_regions', 0)} fully claimable; "
-             f"bounds {b.get('proven', 0)} proven / "
-             f"{b.get('unproven', 0)} unproven / {b.get('oob', 0)} oob")
-    if not regions:
-        return f"== {title} ==\nno parallel regions\n"
-    rows = [{"region": r["label"], "kind": r["kind"],
-             "claimable": "yes" if r["claimable"] else "no",
-             "reasons": ", ".join(f"{k}={v}" for k, v in
-                                  sorted(r["counts"].items()))}
-            for r in regions]
-    cols = list(rows[0].keys())
-    text = format_table(title, cols,
-                        [[row.get(c) for c in cols] for row in rows])
-    oob = payload.get("oob_findings", [])
-    for f in oob:
-        text += f"OOB {f.get('fn', '?')}: {f.get('reason', '?')}\n"
-    return text
-
-
 #: dest -> (renderer, help) for the report-file options shared by the
-#: sanitizer, backend-bench, commcheck, and adjoint render paths.
+#: sanitizer, commcheck, and adjoint render paths.
 _REPORT_KINDS = {
     "sanitize_report": (render_sanitize_report,
                         "render a sanitizer JSON report (lint or "
                         "racecheck output) instead of benchmark "
                         "results; repeatable"),
-    "backend_report": (render_backend_report,
-                       "render a bench_backend JSON report "
-                       "(BENCH_backend.json); repeatable"),
     "comm_report": (render_comm_report,
                     "render a commcheck JSON report (CommReport or "
                     "mpi_lint --out output); repeatable"),
@@ -272,11 +164,6 @@ _REPORT_KINDS = {
                        "render an adjoint-strategy report (lulesh "
                        "driver --json gradient output): managed loops, "
                        "fallbacks, peak cached bytes; repeatable"),
-    "region_report": (render_region_report,
-                      "render a regioncheck JSON report "
-                      "(region_report() or region_lint --out output): "
-                      "per-region claimability with reasons plus "
-                      "bounds-certification counts; repeatable"),
 }
 
 

@@ -7,9 +7,10 @@ always was.
     of the ``post_opt=True`` one, and computes bit-identical arrays on
     ``interp`` and ``compiled``.  Its clock and cost are *not below* the
     cleaned gradient's rather than equal to them: DCE still removes
-    executed dead ops (an unused recomputed ``sin``, an ``imax`` that a
-    hoisted copy duplicates), which is what ``cleanup_pipeline`` is
-    still for.
+    executed dead ops (an unused recomputed ``sin``, an unused cache
+    ``alloc``), which is what ``cleanup_pipeline`` is still for.  A cache
+    slot's flat index asks for no extent of its outermost loop, so no
+    dead trip-count clamp is emitted per nested arm.
 (b) Differential: with the plain ``IRBuilder`` patched in as the emitter
     (test-only — the product has one emission path) the post-cleanup
     text is byte-identical.
@@ -25,7 +26,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.ad import ADConfig, Const, Duplicated, autodiff, transform
 from repro.apps.lulesh.driver import LuleshApp
@@ -159,6 +160,9 @@ def test_random_simd_programs(spec, n, seed):
        xs=st.lists(st.floats(-1.2, 1.2), min_size=2, max_size=4),
        steps=st.integers(0, 5),
        adjoint=st.sampled_from(["cache-all", "checkpoint"]))
+@example(stmts=[("branch", 0.0, [("branch", 0.0, [], [("trig",)])],
+                 [("branch", 0.0, [], [("branch", 0.0, [], [("trig",)])])])],
+         xs=[0.0, 0.0], steps=0, adjoint="cache-all")
 def test_random_time_stepped_programs(stmts, xs, steps, adjoint):
     acts = [Duplicated, Const, Const]
 

@@ -37,8 +37,8 @@ def _lulesh(flavor, **kw):
     return (lambda: LuleshApp(flavor, 2, pr=pr, **kw)), threads
 
 
-def _minibude(variant):
-    return (lambda: MinibudeApp(variant, make_deck(4, 2, 6))), 1
+def _minibude(variant, threads=1):
+    return (lambda: MinibudeApp(variant, make_deck(4, 2, 6))), threads
 
 
 APPS = {
@@ -50,6 +50,7 @@ APPS = {
     # an intrinsic called at another type than it is registered with
     "lulesh-julia": _lulesh("julia"),
     "minibude-serial": _minibude("serial"),
+    "minibude-openmp": _minibude("openmp", threads=4),
     "minibude-mpi": _minibude("mpi"),
 }
 

@@ -9,6 +9,7 @@ failure is one typed error on every tier.
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
@@ -18,6 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.lulesh.driver import LuleshApp, domain_args
+from repro.apps.minibude import MinibudeApp
+from repro.apps.minibude.deck import make_deck
 from repro.interp import ExecConfig, Executor, probe_toolchain
 from repro.interp.memory import ContractError
 from repro.ir import (F64, I64, IRBuilder, Module, Ptr, VerificationError,
@@ -151,16 +154,29 @@ def test_below_is_enforced_at_entry(backend, bad):
     assert not out.any()
 
 
-# -- every LULESH argument that declares a contract -------------------------
+# -- every app argument that declares a contract ----------------------------
 
 _APP = LuleshApp("serial", 2)
-_FN = _APP.module.functions[_APP.fn]
-_DECLARED = [(k, a) for k, a in enumerate(_FN.args)
-             if "extent" in a.attrs or "below" in a.attrs]
+_BUDE = MinibudeApp("serial", make_deck(4, 2, 6))
+
+
+def _declared(app):
+    fn = app.module.functions[app.fn]
+    return [(app, k, a) for k, a in enumerate(fn.args)
+            if "extent" in a.attrs or "below" in a.attrs]
+
+
+_DECLARED = _declared(_APP) + _declared(_BUDE)
+
+
+def _fresh_args(app) -> list:
+    if app is _APP:
+        return list(domain_args(_APP.make_domains()[0], 1))
+    return list(app._args()[1])
 
 
 def test_lulesh_declares_the_index_array_contracts():
-    below = {a.name: a.attrs["below"] for _, a in _DECLARED
+    below = {a.name: a.attrs["below"] for _, _, a in _declared(_APP)
              if "below" in a.attrs}
     nelem, nnode = 8, 27
     assert below == {"nodelist": nnode, "corner_ell": 8 * nelem + 1,
@@ -168,30 +184,33 @@ def test_lulesh_declares_the_index_array_contracts():
                      "letap": nelem, "lzetam": nelem, "lzetap": nelem}
 
 
-@settings(max_examples=40, deadline=None)
-@given(pick=st.integers(0, len(_DECLARED) - 1), how=st.integers(0, 2),
-       where=st.integers(0, 10 ** 6))
-def test_lulesh_contract_violations_are_rejected_at_wrap_args(pick, how,
-                                                              where):
+@settings(max_examples=20, deadline=None)
+@given(how=st.integers(0, 2), where=st.integers(0, 10 ** 6))
+def test_app_contract_violations_are_rejected_at_wrap_args(how, where):
     """ROADMAP 5d: a buffer one element short of its extent, or one
     element of an index array set to -1 / N, never reaches the certified
-    code — ``wrap_args`` raises before anything runs."""
-    k, formal = _DECLARED[pick]
-    args = list(domain_args(_APP.make_domains()[0], 1))
-    arr = args[k]
-    if how == 0 or "below" not in formal.attrs:
-        args[k] = arr[:formal.attrs["extent"] - 1].copy()
-        want = "declares extent"
-    else:
-        arr = arr.copy()
-        arr[where % arr.size] = -1 if how == 1 else formal.attrs["below"]
-        args[k] = arr
-        want = "declares below"
-    ex = Executor(_APP.module, ExecConfig(backend="compiled"))
-    with pytest.raises(ContractError, match=want) as ei:
-        ex.wrap_args(_APP.fn, tuple(args))
-    assert f"argument {formal.name!r} of {_APP.fn}" in str(ei.value)
-    assert ex.clock == 0.0 and ex.compile_stats()["functions"] == 0
+    code — ``wrap_args`` raises before anything runs.  Every declared
+    argument of LULESH and miniBUDE, on both tiers."""
+    for (app, k, formal), backend in itertools.product(
+            _DECLARED, ("interp", "compiled")):
+        args = _fresh_args(app)
+        arr = args[k]
+        if how == 0 or "below" not in formal.attrs:
+            args[k] = arr[:formal.attrs["extent"] - 1].copy()
+            want = "declares extent"
+        else:
+            arr = arr.copy()
+            arr[where % arr.size] = -1 if how == 1 else formal.attrs["below"]
+            args[k] = arr
+            want = "declares below"
+        ex = Executor(app.module, ExecConfig(backend=backend))
+        with pytest.raises(ContractError, match=want) as ei:
+            ex.wrap_args(app.fn, tuple(args))
+        assert f"argument {formal.name!r} of {app.fn}" in str(ei.value)
+        assert ex.clock == 0.0
+        stats = ex.compile_stats()
+        assert stats is None if backend == "interp" \
+            else stats["functions"] == 0
 
 
 # -- the attribute in the IR -------------------------------------------------

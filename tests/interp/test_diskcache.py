@@ -113,7 +113,9 @@ def test_ad_config_change_is_a_miss(tmp_path):
     cache = CompileCache(str(tmp_path))
     fp = config_fingerprint(ExecConfig())
     sources = []
-    for cfg in (ADConfig(), ADConfig(opt_level="none", post_opt=False)):
+    # cache_all caches what the min-cut recomputes; post_opt=False would
+    # not do: this kernel's raw gradient is already its cleaned one.
+    for cfg in (ADConfig(), ADConfig(cache_all=True)):
         mod = nonlinear_module()
         grad = autodiff(mod, "f", [Duplicated, None], cfg)
         sources.append((_key_text(mod, grad), _lowered_source(mod, grad)))

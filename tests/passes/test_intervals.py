@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.lulesh.kernels import build_lulesh
+from repro.apps.minibude.kernels import build_minibude
 from repro.ir import I64, IRBuilder, Ptr, verify_module
 from repro.passes.intervals import (
     NEG_INF,
@@ -14,8 +16,10 @@ from repro.passes.intervals import (
     PROVEN,
     UNPROVEN,
     Interval,
-    analyze_intervals,
+    certify_bounds,
 )
+
+from ..ad.test_gradient_roundtrip import APPS
 
 
 # ---------------------------------------------------------------------
@@ -65,7 +69,7 @@ def _analyze(build):
     build(b)
     verify_module(b.module)
     fn = next(iter(b.module.functions.values()))
-    return analyze_intervals(fn, b.module), fn
+    return certify_bounds(fn, b.module), fn
 
 
 def _accesses(fn, ia, opcode):
@@ -251,3 +255,35 @@ def test_short_buffer_rejected_at_wrap(tmp_path):
         ex.run("f", np.zeros(5))
     ex2 = Executor(b.module, ExecConfig())
     ex2.run("f", np.zeros(12))   # longer is fine
+
+
+# ---------------------------------------------------------------------------
+# The real programs: no access is provably out of bounds
+# ---------------------------------------------------------------------------
+
+PRIMALS = {
+    "lulesh-serial": lambda: build_lulesh("serial", 2),
+    "lulesh-openmp": lambda: build_lulesh("openmp", 2),
+    "lulesh-raja": lambda: build_lulesh("raja", 2),
+    "minibude-openmp": lambda: build_minibude("openmp", 8, 4, 12),
+    "minibude-julia": lambda: build_minibude("julia", 8, 4, 12),
+}
+
+
+def _assert_no_oob(fn, module):
+    facts = certify_bounds(fn, module)
+    counts = facts.counts()
+    assert counts["oob"] == 0 and facts.findings() == []
+    assert counts["proven"] > 0     # the check is not vacuous
+
+
+@pytest.mark.parametrize("name", sorted(PRIMALS))
+def test_app_primal_has_no_provable_oob(name):
+    module, fn_name = PRIMALS[name]()
+    _assert_no_oob(module.functions[fn_name], module)
+
+
+@pytest.mark.parametrize("name", sorted(APPS))
+def test_app_gradient_has_no_provable_oob(name):
+    app = APPS[name][0]()
+    _assert_no_oob(app.module.functions[app.grad_fn()], app.module)

@@ -1,13 +1,13 @@
 """Interval facts × LICM/OpenMPOpt: hoisting an invariant load out of
 a loop (or a parallel region) must not lose — or invent — bounds
-certification, and the public aliasing region queries the certifier
-and the cache planner share must agree with what LICM does."""
+certification, and the public per-region write query LICM reads must
+agree with what the region writes."""
 
 from __future__ import annotations
 
 from repro.ir import I64, IRBuilder, Ptr, verify_module
 from repro.passes import LICM, OpenMPOpt, analyze_aliasing
-from repro.passes.intervals import PROVEN, UNPROVEN, analyze_intervals
+from repro.passes.intervals import PROVEN, UNPROVEN, certify_bounds
 
 
 def _fn(module):
@@ -31,14 +31,14 @@ def test_licm_hoisted_load_keeps_proven_status():
     verify_module(b.module)
     fn = _fn(b.module)
 
-    before = analyze_intervals(fn, b.module)
+    before = certify_bounds(fn, b.module)
     assert before.counts() == {"proven": 3, "unproven": 0, "oob": 0}
 
     changed = LICM().run(fn, b.module)
     assert changed
     # The invariant load now sits outside the loop; every access is
     # still classified, and none lost its proof.
-    after = analyze_intervals(fn, b.module)
+    after = certify_bounds(fn, b.module)
     assert after.counts() == {"proven": 3, "unproven": 0, "oob": 0}
     # ... and it really was hoisted to the top level.
     top = [op.opcode for op in fn.body.ops]
@@ -58,9 +58,9 @@ def test_licm_does_not_invent_proofs():
     verify_module(b.module)
     fn = _fn(b.module)
 
-    assert analyze_intervals(fn, b.module).counts()["unproven"] == 1
+    assert certify_bounds(fn, b.module).counts()["unproven"] == 1
     LICM().run(fn, b.module)
-    after = analyze_intervals(fn, b.module)
+    after = certify_bounds(fn, b.module)
     assert after.counts()["unproven"] == 1
     assert after.counts()["proven"] == 2
 
@@ -82,11 +82,11 @@ def test_openmp_opt_hoist_keeps_classification():
 
     module = build()
     fn = _fn(module)
-    before = analyze_intervals(fn, module).counts()
+    before = certify_bounds(fn, module).counts()
     assert before == {"proven": 3, "unproven": 0, "oob": 0}
 
     OpenMPOpt().run(fn, module)
-    after = analyze_intervals(fn, module).counts()
+    after = certify_bounds(fn, module).counts()
     assert after == before
 
 
@@ -109,8 +109,6 @@ def test_region_written_origins_public_query():
     assert not unknown
     # Only y's origin is written.
     assert writes == ai.provenance(fn.args[1])
-    assert ai.readonly_in_region(fn.args[0], region)
-    assert not ai.readonly_in_region(fn.args[1], region)
     # The query is cached per region op.
     assert ai.region_written_origins(region) == (writes, unknown)
 
@@ -129,4 +127,3 @@ def test_region_written_origins_unknown_on_opaque_call():
     region = next(op for op in fn.body.walk() if op.opcode == "fork")
     _writes, unknown = ai.region_written_origins(region)
     assert unknown
-    assert not ai.readonly_in_region(fn.args[0], region)
