@@ -37,8 +37,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..ir.ops import Op
-from ..ir.values import BlockArg, Constant, Result, Value
-from ..passes.aliasing import AliasInfo
+from ..ir.values import Value
+from ..passes.intervals import IntervalAnalysis, inside
 
 SERIAL = "serial"
 ATOMIC = "atomic"
@@ -67,100 +67,31 @@ class ReductionCatalog:
 DEFAULT_REDUCTIONS = ReductionCatalog()
 
 
-def _index_form(v: Value, par_ivars: set[Value], depth: int = 0,
-                uniform=None) -> Optional[dict]:
-    """Describe integer expression ``v`` as strides over parallel ivars.
+def classify_index(facts: IntervalAnalysis, idx: Value,
+                   ivars: list[Value], region: Op) -> str:
+    """Classify an access index across the instances of ``region``
+    (:meth:`IntervalAnalysis.index_strides` over ``ivars``): "disjoint"
+    (a non-zero stride in exactly one ivar, nothing else varying between
+    instances), "uniform" (no dependence on the ivars), or "unknown".
 
-    Returns ``{ivar: stride, ..., "_inner": bool}`` or None for unknown.
-    ``uniform`` is an optional predicate naming further leaves that are
-    the same for every instance of the ivars (the lane analysis passes
-    "defined outside the vectorised loop").
-    """
-    if depth > 24:
-        return None
-    if isinstance(v, Constant):
-        return {"_inner": False}
-    if v in par_ivars:
-        return {v: 1, "_inner": False}
-    if uniform is not None and uniform(v):
-        return {"_inner": False}
-    if isinstance(v, BlockArg):
-        owner = v.owner
-        if owner is not None and owner.opcode in ("for", "while"):
-            # A serial induction variable: uniform across parallel
-            # iterations at each serial step, but varying per step.
-            return {"_inner": True}
-        if owner is not None and owner.opcode == "fork" and v.index == 1:
-            return {"_inner": False}  # nthreads is uniform
-        return None
-    if isinstance(v, Result):
-        op = v.op
-        oc = op.opcode
-        if oc == "iadd" or oc == "isub":
-            a = _index_form(op.operands[0], par_ivars, depth + 1, uniform)
-            b = _index_form(op.operands[1], par_ivars, depth + 1, uniform)
-            if a is None or b is None:
-                return None
-            out = {"_inner": a["_inner"] or b["_inner"]}
-            sign = 1 if oc == "iadd" else -1
-            for k in set(a) | set(b):
-                if k == "_inner":
-                    continue
-                out[k] = a.get(k, 0) + sign * b.get(k, 0)
-            return out
-        if oc == "imul":
-            a = _index_form(op.operands[0], par_ivars, depth + 1, uniform)
-            b = _index_form(op.operands[1], par_ivars, depth + 1, uniform)
-            if a is None or b is None:
-                return None
-            a_const = isinstance(op.operands[0], Constant)
-            b_const = isinstance(op.operands[1], Constant)
-            if b_const:
-                c = op.operands[1].value
-                out = {"_inner": a["_inner"]}
-                for k, s in a.items():
-                    if k != "_inner":
-                        out[k] = s * c
-                return out
-            if a_const:
-                c = op.operands[0].value
-                out = {"_inner": b["_inner"]}
-                for k, s in b.items():
-                    if k != "_inner":
-                        out[k] = s * c
-                return out
-            if uniform is not None and len(a) == 1 and len(b) == 1:
-                # Lane analysis only: a product of lane-uniform factors
-                # (``tid * n`` recomputed inside the loop) is uniform.
-                return {"_inner": a["_inner"] or b["_inner"]}
-            return None
-    # Function arguments and other scalars: uniform.
-    from ..ir.values import Argument
-    if isinstance(v, Argument):
-        return {"_inner": False}
-    return None
-
-
-def classify_index(idx: Value, par_ivars: list[Value]) -> str:
-    """Classify an access index relative to the parallel ivars.
-
-    Returns "disjoint" (affine, nonzero stride in exactly one parallel
-    ivar, no unknown terms), "uniform" (no dependence on parallel
-    ivars), or "unknown".
-    """
-    form = _index_form(idx, set(par_ivars))
+    ``region`` is a thread-parallel construct with its enclosing parallel
+    ivars, or a vectorised ``simd`` loop (:func:`lane_loop`) with its own
+    ivar.  The lanes of a ``simd`` loop run in lockstep, one vector
+    statement per op, so a serial loop inside it does not break lane
+    disjointness; between threads it does."""
+    form = facts.index_strides(idx, ivars, region)
     if form is None:
         return "unknown"
-    strides = {k: s for k, s in form.items() if k != "_inner" and s != 0}
+    strides, inner = form
     if not strides:
         return "uniform"
-    if len(strides) == 1 and not form["_inner"]:
+    if len(strides) == 1 and (region.opcode == "for" or not inner):
         return "disjoint"
     return "unknown"
 
 
 def increment_kind(ptr: Value, idx: Value, par_ivars: list[Value],
-                   aliasing: AliasInfo,
+                   facts: IntervalAnalysis,
                    enclosing_parallel: Optional[Op],
                    catalog: ReductionCatalog = DEFAULT_REDUCTIONS,
                    atomic_everywhere: bool = False,
@@ -184,10 +115,10 @@ def increment_kind(ptr: Value, idx: Value, par_ivars: list[Value],
         # serial is provably safe even for MPI-escaping shadows.
         return SERIAL
     # Thread-local allocation?
-    alloc = aliasing.points_to_single_alloc(ptr)
-    if alloc is not None and _alloc_inside(alloc, enclosing_parallel):
+    alloc = facts.aliasing.points_to_single_alloc(ptr)
+    if alloc is not None and inside(alloc, enclosing_parallel):
         return SERIAL
-    cls = classify_index(idx, par_ivars)
+    cls = classify_index(facts, idx, par_ivars, enclosing_parallel)
     if cls == "disjoint":
         return SERIAL
     if cls == "uniform" and catalog.supports("f64", "add"):
@@ -214,46 +145,18 @@ def lane_loop(op: Op) -> Optional[Op]:
     return lane
 
 
-def classify_lane_index(idx: Value, lane: Op) -> str:
-    """Classify an access index relative to the lanes of ``lane``:
-    "disjoint" (affine with non-zero stride in the lane ivar, every
-    other term lane-uniform — serial ivars inside the loop are uniform
-    per vector statement), "uniform", or "unknown"."""
-    ivar = lane.body.args[0]
-
-    def outside(v: Value) -> bool:
-        owner = v.owner if isinstance(v, BlockArg) else getattr(v, "op", None)
-        return owner is None or not (owner is lane
-                                     or _alloc_inside(owner, lane))
-
-    form = _index_form(idx, {ivar}, uniform=outside)
-    if form is None:
-        return "unknown"
-    return "disjoint" if form.get(ivar, 0) != 0 else "uniform"
-
-
-def lane_kind(ptr: Value, idx: Value, lane: Op, aliasing: AliasInfo) -> str:
+def lane_kind(ptr: Value, idx: Value, lane: Op,
+              facts: IntervalAnalysis) -> str:
     """Lane-level mechanism for a thread-``serial`` shadow increment
     inside the vectorised loop ``lane``: SERIAL when the lanes provably
     touch distinct cells (a buffer allocated inside the loop is
     privatised per lane; a lane-disjoint index), else LANES."""
-    alloc = aliasing.points_to_single_alloc(ptr)
-    if alloc is not None and _alloc_inside(alloc, lane):
+    alloc = facts.aliasing.points_to_single_alloc(ptr)
+    if alloc is not None and inside(alloc, lane):
         return SERIAL
-    if classify_lane_index(idx, lane) == "disjoint":
+    if classify_index(facts, idx, [lane.body.args[0]], lane) == "disjoint":
         return SERIAL
     return LANES
-
-
-def _alloc_inside(alloc_op: Op, region_op: Op) -> bool:
-    """Is ``alloc_op`` lexically inside ``region_op``'s regions?"""
-    blk = alloc_op.parent
-    while blk is not None:
-        owner = blk.parent_op
-        if owner is region_op:
-            return True
-        blk = owner.parent if owner is not None else None
-    return False
 
 
 def parallel_context(op: Op) -> tuple[Optional[Op], list[Value]]:

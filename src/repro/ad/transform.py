@@ -69,6 +69,7 @@ from ..ir.printer import print_closure, print_function
 from ..ir.types import F64, I1, I64, PointerType, Ptr, Request, Task, Token
 from ..ir.values import Argument, BlockArg, Constant, Result, Value
 from ..passes.aliasing import analyze_aliasing
+from ..passes.intervals import IntervalAnalysis
 from ..passes.constfold import fold_op
 from ..passes.cse import value_key
 from ..passes.inline import force_inline_all
@@ -357,6 +358,7 @@ class ADTransform:
                 f"activities")
 
         self.aliasing = analyze_aliasing(self.fn, self.module)
+        self.facts = IntervalAnalysis(self.fn, self.module, self.aliasing)
         self._mpi_buffers = self._collect_mpi_buffers()
         duplicated = {a for a, k in zip(self.fn.args, self.activities)
                       if k == Duplicated}
@@ -1144,7 +1146,7 @@ class ADTransform:
         idx = self._avail(op.operands[1], scope)
         region, ivars = parallel_context(op)
         kind = increment_kind(op.operands[0], op.operands[1], ivars,
-                              self.aliasing, region,
+                              self.facts, region,
                               atomic_everywhere=self.config.atomic_everywhere,
                               mpi_escapes=self._escapes_mpi(op.operands[0]))
         if self.config.force_increment_kind is not None and region is not None:
@@ -1155,7 +1157,7 @@ class ADTransform:
                     f"{SERIAL!r}, {ATOMIC!r}, {REDUCTION!r}")
         elif kind == SERIAL and self._rev_lane is not None:
             kind = lane_kind(op.operands[0], op.operands[1], self._rev_lane,
-                             self.aliasing)
+                             self.facts)
         self._emit_increment(kind, adj, sp, idx)
 
     def _emit_increment(self, kind: str, adj: Value, sp: Value,

@@ -210,10 +210,12 @@ class Lowerer:
         #: keeps them.  A certified check can never fire, so eliding it
         #: preserves bit-identity with the interpreter.
         self.bounds = bounds
-        #: The affine form of indexes and pointer offsets (pure SSA
-        #: facts: an uncertified lowering gets the same access plans).
+        #: The affine form of indexes and pointer offsets and the lane
+        #: variance of every value (SSA facts: an uncertified lowering
+        #: gets the same access plans and the same scalar / vector code).
         self.facts = bounds if bounds is not None else IntervalAnalysis(
             fn, None)
+        self.variance = self.facts.variance
         #: Value -> CExpr for pending fused values the native emitter
         #: can also render (keys are a subset of ``fuser.pending``).
         self.cpend: dict = {}
@@ -222,9 +224,6 @@ class Lowerer:
         self._n: dict[str, int] = {}
         #: Value -> generated local name.
         self.names: dict[Value, str] = {}
-        #: Value -> True (lane-varying) / False (uniform) / None (only
-        #: decidable at runtime; cost falls back to rt._width).
-        self.vary: dict[Value, Optional[bool]] = {}
         #: Values consumed as data somewhere; a vectorised region's
         #: address arithmetic outside this set is kept as text (``lazy``)
         #: and evaluated only where an access turns out to need it.
@@ -307,26 +306,10 @@ class Lowerer:
             raise LoweringError(f"use of value {v!r} before definition")
         return name
 
-    def bind(self, v: Value, varying: Optional[bool]) -> str:
+    def bind(self, v: Value) -> str:
         name = self.fresh("v")
         self.names[v] = name
-        self.vary[v] = varying
         return name
-
-    def vary_of(self, v: Value) -> Optional[bool]:
-        if type(v) is Constant:
-            return False
-        return self.vary.get(v, False)
-
-    def _join_vary(self, operands) -> Optional[bool]:
-        out: Optional[bool] = False
-        for v in operands:
-            x = self.vary_of(v)
-            if x is True:
-                return True
-            if x is None:
-                out = None
-        return out
 
     # -- cost segments -------------------------------------------------
     def seg_add(self, cost_class: str, varying: bool) -> None:
@@ -400,7 +383,7 @@ class Lowerer:
         module and the function can rebuild the other two results
         without lowering."""
         fn = self.fn
-        arg_names = [self.bind(a, False) for a in fn.args]
+        arg_names = [self.bind(a) for a in fn.args]
         head = f"def _compiled(rt{''.join(', ' + a for a in arg_names)}):"
         self.emit(head)
         self._ind += 1
@@ -468,9 +451,9 @@ class Lowerer:
             else:
                 self.fuser.stats.fast_atomics += 1
                 val_v, ptr_v, idx_v = op.operands
-                if (self.vary_of(ptr_v) is False
-                        and self.vary_of(idx_v) is False
-                        and self.vary_of(val_v) is True):
+                if (self.variance(ptr_v) is False
+                        and self.variance(idx_v) is False
+                        and self.variance(val_v) is True):
                     # Scalar target accumulating a lane vector (the
                     # adjoint of a broadcast read): open-code the
                     # ordered ``accumulate`` fold from ``_at``.
@@ -517,20 +500,18 @@ class Lowerer:
                     "at", f"{op.attrs['kind']!r}, {via!r}, "
                     f"{self.ref(val_v)}, ", ptr_v, idx_v, proven)
         elif oc == "alloc":
-            res = self.bind(op.result, self.depth > 0)
+            res = self.bind(op.result)
             self.emit(f"{res} = _al(rt, {self.konst(op)}, "
                       f"{self.ref(op.operands[0])})")
         elif oc == "ptradd":
             base, idx = op.operands
-            varying = self._join_vary(op.operands)
             self.seg_add("int", False)
-            if self._address_only(op, varying):
+            if self._address_only(op):
                 self.lazy[op.result] = (
                     f"{self.lazy.get(base) or self.ref_local(base)}.added("
                     f"{self.lazy.get(idx) or self.ref_local(idx)})")
-                self.vary[op.result] = varying
                 return
-            res = self.bind(op.result, varying)
+            res = self.bind(op.result)
             self.emit(f"{res} = {self.ref(base)}"
                       f".added({self.ref(idx)})")
         elif oc == "memset":
@@ -544,13 +525,13 @@ class Lowerer:
         elif oc == "free":
             self.emit(f"rt.memory.free({self.ref(op.operands[0])})")
         elif oc == "cache_create":
-            self.emit(f"{self.bind(op.result, False)} = DynCache()")
+            self.emit(f"{self.bind(op.result)} = DynCache()")
         elif oc == "cache_push":
             self.emit(f"{self.ref(op.operands[0])}.push("
                       f"{self.ref(op.operands[1])})")
             self.emit("rt.cost.add_store(8)")
         elif oc == "cache_pop":
-            self.emit(f"{self.bind(op.result, None)} = "
+            self.emit(f"{self.bind(op.result)} = "
                       f"{self.ref(op.operands[0])}.pop()")
             self.emit("rt.cost.add_load(8)")
         elif oc == "for":
@@ -598,8 +579,8 @@ class Lowerer:
 
     def lower_compute(self, op, info) -> None:
         oc = op.opcode
-        varying = self._join_vary(op.operands)
-        if self._address_only(op, varying):
+        varying = self.variance(op.result)
+        if self._address_only(op):
             if varying:
                 refs = [self.lazy.get(v) or self.ref_local(v)
                         for v in op.operands]
@@ -609,7 +590,6 @@ class Lowerer:
                 text = "(%s)" % _linear(aff.const, {
                     self.ref_local(v): c for v, c in aff.terms.items()})
             self.lazy[op.result] = text
-            self.vary[op.result] = varying
             self.fuser.stats.ops += 1
             self.seg_add(info.cost, varying)
             return
@@ -629,7 +609,7 @@ class Lowerer:
             pyop = _CMP_TEMPLATES[op.attrs["pred"]]
             expr = f"({a} {pyop} {b})"
         elif oc == "select":
-            cv = self.vary_of(op.operands[0])
+            cv = self.variance(op.operands[0])
             if cv is True:
                 refs, counts = zip(*(self._operand(v) for v in op.operands))
                 nops += sum(counts)
@@ -646,11 +626,6 @@ class Lowerer:
                 pick = f"({refs[1]} if {refs[0]} else {refs[2]})"
                 expr = (f"({where} if isinstance({refs[0]}, np.ndarray) "
                         f"else {pick})")
-            # A select between a varying and a uniform arm under a
-            # uniform condition has runtime-dependent width.
-            if varying is not True and cv is not True and \
-                    self._join_vary(op.operands[1:]) is not False:
-                varying = None
         elif oc in _OPERATOR_TEMPLATES:
             parts = [self._operand(v) for v in op.operands]
             nops += sum(n for _, n in parts)
@@ -670,7 +645,7 @@ class Lowerer:
         stats = self.fuser.stats
         stats.ops += 1
         if varying is None:
-            res = self.bind(op.result, varying)
+            res = self.bind(op.result)
             self.emit(f"{res} = {expr}")
             stats.kernels += 1
             self.flush_seg()
@@ -680,12 +655,11 @@ class Lowerer:
         if (self.fusion and self.uses.get(op.result, 0) == 1
                 and nops <= FUSE_OP_CAP and len(expr) <= FUSE_CHAR_CAP):
             # Single consumer: defer as a pending fused expression.
-            self.vary[op.result] = varying
             if cexp is not None:
                 self.cpend[op.result] = cexp
             self.fuser.defer(op.result, expr, nops)
             return
-        res = self.bind(op.result, varying)
+        res = self.bind(op.result)
         if cexp is not None and self.native.worthwhile(cexp):
             self._emit_native_assign(res, cexp, expr)
         else:
@@ -707,20 +681,21 @@ class Lowerer:
         stats.bounds_unproven += 1
         return False
 
-    def _address_only(self, op, varying) -> bool:
+    def _address_only(self, op) -> bool:
         """Address arithmetic of a vectorised region that no op consumes
         as data and that is affine in the lane (so the accesses it feeds
         can have plans): kept as text instead of being computed."""
-        if (varying is None or self.depth == 0 or op.result in self.data
-                or not is_address_arith(op)):
+        if (self.depth == 0 or op.result in self.data
+                or not is_address_arith(op)
+                or self.variance(op.result) is None):
             return False
         if op.opcode == "ptradd":
             root, aff = self.facts.ptr_root(op.result)
-            if self.vary_of(root) is None:
+            if self.variance(root) is None:
                 return False
         else:
             aff = self.facts.affine_of(op.result)
-        return all(v is self.lane[0] or self.vary_of(v) is False
+        return all(v is self.lane[0] or self.variance(v) is False
                    for v in aff.terms)
 
     def _plan(self, ptr_v, idx_v) -> Optional[list]:
@@ -740,17 +715,17 @@ class Lowerer:
             aff = off.add(aff)
         ivar, first, step, width = self.lane
         lanes = aff.terms.get(ivar, 0)
-        cell = self.vary_of(root) is not False
+        cell = self.variance(root) is not False
         if cell:
             count = root.op.operands[0] if (
                 isinstance(root, Result)
                 and root.op.opcode == "alloc") else None
-            if (lanes or self.vary_of(root) is not True
+            if (lanes or self.variance(root) is not True
                     or type(count) is not Constant or count.value < 1):
                 return None
         elif not lanes:
             return None
-        if any(v is not ivar and self.vary_of(v) is not False
+        if any(v is not ivar and self.variance(v) is not False
                for v in aff.terms):
             return None
         const = aff.const
@@ -787,14 +762,14 @@ class Lowerer:
         (``lead`` holds the arguments between ``rt`` and the pointer): a
         slice when the access has a plan, else a gather; certified sites
         take the unchecked ``u`` variant of either."""
-        vec = (self.vary_of(ptr_v) is True or self.vary_of(idx_v) is True)
+        vec = (self.variance(ptr_v) is True or self.variance(idx_v) is True)
         plan = self._plan(ptr_v, idx_v) if vec and self.lane else None
         if plan is not None:
             cell = plan[2] == "0"
             # Stores and atomics are charged max(value lanes, index
             # lanes).  The helpers take a cell's index operand to be one
             # lane wide and a strided one's W, unless told otherwise.
-            narrow = kind != "ld" and self.vary_of(idx_v) is not True
+            narrow = kind != "ld" and self.variance(idx_v) is not True
             if narrow and not cell:
                 plan.append("1")
             elif cell and kind != "ld" and not narrow:
@@ -840,21 +815,19 @@ class Lowerer:
 
     def lower_load(self, op) -> None:
         ptr_v, idx_v = op.operands
-        varying = self._join_vary(op.operands)
         proven = self._bounds_proven(op)
-        scal = (self.vary_of(ptr_v) is False
-                and self.vary_of(idx_v) is False)
+        scal = self.variance(op.result) is False
         if scal and self.loops and not self.masked:
             # Statically scalar inside a loop: open-code the access
             # (element-by-element adjoint sweeps are bound on the
             # per-access call overhead, not the numerics).
             b, x, dd = self._emit_scalar_access(ptr_v, idx_v, proven)
-            res = self.bind(op.result, False)
+            res = self.bind(op.result)
             self.emit(f"{res} = {dd}[{x}]")
             self.emit(f"if {b}.stream: rt.cost.stream_bytes += 8")
             self.emit("else: rt.cost.load_bytes += 8")
             return
-        res = self.bind(op.result, varying)
+        res = self.bind(op.result)
         if self.masked:
             self.emit(f"{res} = _ldk(rt, {self.ref(ptr_v)}, "
                       f"{self.ref(idx_v)})")
@@ -864,9 +837,7 @@ class Lowerer:
     def lower_store(self, op) -> None:
         val_v, ptr_v, idx_v = op.operands
         proven = self._bounds_proven(op)
-        scal = (self.vary_of(val_v) is False
-                and self.vary_of(ptr_v) is False
-                and self.vary_of(idx_v) is False)
+        scal = all(self.variance(v) is False for v in op.operands)
         # A worthwhile pending chain claims through the native kernel
         # here; otherwise ref() inlines it into the store as before.
         self.native_try_claim(val_v)
@@ -939,8 +910,8 @@ class Lowerer:
                       "'workshare loop outside fork region')")
             self.emit(f"{lo}, {hi} = chunk_bounds({lb}, {ub}, {st}, "
                       f"rt.current_thread, rt._fork_width)")
+            vi = self.bind(ivar)
             if simd:
-                vi = self.bind(ivar, True)
                 self.emit(f"if {hi} > {lo}:")
                 self._ind += 1
                 arange = f"np.arange({lo}, {hi}, {st}, dtype=np.int64)"
@@ -955,7 +926,6 @@ class Lowerer:
                 self._lower_vector_body(body, lo, step)
                 self._ind -= 1
             else:
-                vi = self.bind(ivar, False)
                 rng = f"range({lo}, {hi}, {st})"
                 if backwards:
                     rng = f"reversed({rng})"
@@ -970,7 +940,7 @@ class Lowerer:
         elif simd:
             # reverse_order is only honored on workshare loops (matching
             # the interpreter) — plain simd induction is non-decreasing.
-            vi = self.bind(ivar, True)
+            vi = self.bind(ivar)
             self.emit(f"if {ub} > {lb}:")
             self._ind += 1
             self.emit(f"{vi} = np.arange({lb}, {ub}, {st}, dtype=np.int64)")
@@ -980,7 +950,7 @@ class Lowerer:
             self._ind -= 1
         else:
             # Serial loop: uniform induction variable at any depth.
-            vi = self.bind(ivar, False)
+            vi = self.bind(ivar)
             self.emit(f"for {vi} in range({lb}, {ub}, {st}):")
             self._ind += 1
             self.loops += 1
@@ -1018,7 +988,7 @@ class Lowerer:
         self.emit(f"rt.cost = {c}")
         self.emit(f"rt.current_thread = {t}")
         body = op.regions[0]
-        vi = self.bind(body.args[0], True)
+        vi = self.bind(body.args[0])
         self.emit(f"if {hi} > {lo}:")
         self._ind += 1
         self.emit(f"{vi} = np.arange({lo}, {hi}, dtype=np.int64)")
@@ -1038,7 +1008,7 @@ class Lowerer:
                   f"{tcs}, {nt}, rt.procs_on_node)")
 
     def lower_if(self, op) -> None:
-        cv = self.vary_of(op.operands[0])
+        cv = self.variance(op.operands[0])
         if cv is None:
             self.lower_bridge(op)
             return
@@ -1108,7 +1078,7 @@ class Lowerer:
         self.flush_all()
         body = op.regions[0]
         cnt, lim = self.fresh("_cnt"), self.fresh("_lim")
-        vi = self.bind(body.args[0], False)
+        vi = self.bind(body.args[0])
         self.emit(f"{cnt} = 0")
         self.emit(f"{lim} = rt.config.max_while_iters")
         self.emit("while True:")
@@ -1134,8 +1104,8 @@ class Lowerer:
         self.emit(f"{want} = int({self.ref(op.operands[0])})")
         self.emit(f"{nt} = {want} if {want} > 0 else rt.config.num_threads")
         body = op.regions[0]
-        tid = self.bind(body.args[0], False)
-        nth = self.bind(body.args[1], False)
+        tid = self.bind(body.args[0])
+        nth = self.bind(body.args[1])
         fb = self.fresh("_fb")
         self.emit(f"def {fb}({tid}, {nth}):")
         self._ind += 1
@@ -1152,7 +1122,7 @@ class Lowerer:
         args = f"[{args}]"
         call = f"yield from _ca(rt, {self.konst(op)}, {args})"
         if op.result is not None:
-            res = self.bind(op.result, None if self.depth > 0 else False)
+            res = self.bind(op.result)
             self.emit(f"{res} = {call}")
         else:
             self.emit(call)
@@ -1172,7 +1142,7 @@ class Lowerer:
         self.emit(f"{env} = {{{items}}}")
         self.emit(f"yield from _bg(rt, {self.konst(op)}, {env})")
         if op.result is not None:
-            res = self.bind(op.result, None)
+            res = self.bind(op.result)
             self.emit(f"{res} = {env}[{self.konst(op.result)}]")
 
 

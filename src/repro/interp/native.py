@@ -429,7 +429,7 @@ class NativeEmitter:
         if name is None:
             return None  # pending python-only chain: not claimable
         t = getattr(v, "type", None)
-        vr = lo.vary_of(v)
+        vr = lo.variance(v)
         if t is F64:
             kind = "vd" if vr is True else ("ud" if vr is False else None)
             ctype = "d"
@@ -470,7 +470,7 @@ class NativeEmitter:
             # Only the varying-condition form (np.where) is claimed;
             # uniform conditions lower to a Python conditional whose
             # untaken arm is never evaluated.
-            if lo.vary_of(op.operands[0]) is not True:
+            if lo.variance(op.operands[0]) is not True:
                 return None
             c = self._leaf(lo, op.operands[0])
             if c is None or c.ctype != "b":

@@ -1,7 +1,9 @@
 """Flow-sensitive interval + affine-index dataflow analysis.
 
-The static-analysis substrate the native tier builds on (paper §VII's
-"analyses run over the IR first"): every ``i64`` SSA value gets
+The one place that answers questions about an index (paper §VII's
+"analyses run over the IR first"): bounds certification, the lowering's
+access plans, the AD transform's increment rule (§VI-A1) and the race
+lint all read it.  Every ``i64`` SSA value gets
 
 * an **affine decomposition** ``c0 + Σ ci·vi`` over *symbols* (values
   the analysis cannot open up: arguments, loads, call results) and
@@ -30,10 +32,11 @@ Flow-sensitivity enters through *scoped bounds*:
   itself ``[1, +∞)`` (or the exact constant);
 * ``mpi.comm_rank`` results carry ``[0, size-1]`` against the matching
   ``mpi.comm_size`` result;
-* branch conditions over *uniform* ``i64`` values refine the compared
-  values inside the taken region (``if i < n`` gives ``i ≤ n-1``
-  there).  Lane-varying conditions refine nothing: vectorized branches
-  execute masked, where every lane still evaluates the body.
+* branch conditions over *uniform* ``i64`` values (:meth:`variance`
+  ``False``) refine the compared values inside the taken region (``if
+  i < n`` gives ``i ≤ n-1`` there).  Lane-varying conditions refine
+  nothing: vectorized branches execute masked, where every lane still
+  evaluates the body.
 
 Soundness against ``int64`` wraparound: the affine form is exact over
 ℤ and machine arithmetic is exact mod 2^64, so whenever the ℤ-value of
@@ -54,20 +57,23 @@ which is what certifies an indirect gather through an index array.
 Both are caller contracts (``repro.interp.memory.check_contracts``
 enforces them at every entry).
 
-:meth:`IntervalAnalysis.affine_of` and :meth:`IntervalAnalysis.ptr_root`
-are pure SSA facts: they answer on an analysis that never ran its walk,
-which is how the lowering asks for the shape of an address.
+The parallel consumers ask "is this index affine in that induction
+variable, and is the rest uniform?": :meth:`IntervalAnalysis.
+index_strides` answers for threads and lanes alike, and
+:meth:`IntervalAnalysis.variance` says whether a value differs between
+the lanes of its vectorised region.  Those two, ``affine_of`` and
+``ptr_root`` are SSA facts: they answer on an analysis that never ran
+its walk, which is how the lowering asks for the shape of an address.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..ir.opinfo import OP_INFO
 from ..ir.ops import Op
 from ..ir.types import I64
-from ..ir.values import Argument, Constant, Result, Value
+from ..ir.values import Argument, BlockArg, Constant, Result, Value
 from .aliasing import AliasInfo, analyze_aliasing
 
 Bound = Union[int, float]
@@ -174,6 +180,58 @@ def _floordiv(a: Bound, b: Bound) -> Bound:
     return _clamp(int(a) // int(b))
 
 
+def inside(op: Op, region: Op) -> bool:
+    """Is ``op`` lexically inside one of ``region``'s regions?"""
+    blk = op.parent
+    while blk is not None:
+        owner = blk.parent_op
+        if owner is region:
+            return True
+        blk = owner.parent if owner is not None else None
+    return False
+
+
+def _fill_variance(block: object, vector: bool,
+                   var: Dict[Value, Optional[bool]]) -> None:
+    """Enter the lane variance of every value ``block`` defines into
+    ``var``; ``block`` is inside a vectorised region when ``vector`` (the
+    lowering's static depth > 0)."""
+    for op in getattr(block, "ops"):
+        oc = op.opcode
+        res = op.result
+        if oc == "for" or oc == "parallel_for":
+            lanes = oc == "parallel_for" or (
+                bool(op.attrs.get("simd")) and not vector)
+            body = op.regions[0]
+            var[body.args[0]] = lanes
+            _fill_variance(body, vector or lanes, var)
+        elif op.regions:
+            # fork (tid, nthreads) and while (the counter) bind uniform
+            # values; a spawn's handle is bridged.
+            for region in op.regions:
+                _fill_variance(region, vector, var)
+            if res is not None:
+                var[res] = None
+        elif res is None:
+            continue
+        elif oc == "alloc":
+            var[res] = vector
+        elif oc == "call":
+            var[res] = None if vector else False
+        elif oc == "cache_pop":
+            var[res] = None
+        else:
+            out: Optional[bool] = False
+            for v in op.operands:
+                x = var.get(v, False)
+                if x:
+                    out = True
+                    break
+                if x is None:
+                    out = None
+            var[res] = out
+
+
 class Affine:
     """An exact affine form ``const + Σ coeff·value`` over ℤ."""
 
@@ -264,8 +322,8 @@ class IntervalAnalysis:
     """One function's interval/affine facts (see module docstring).
 
     Build with :func:`certify_bounds`; query with :meth:`interval`,
-    :meth:`affine_of` and :attr:`access` (per-op
-    :class:`AccessFact`).
+    :meth:`affine_of`, :meth:`index_strides`, :meth:`variance` and
+    :attr:`access` (per-op :class:`AccessFact`).
     """
 
     def __init__(self, fn: object, module: object,
@@ -285,9 +343,8 @@ class IntervalAnalysis:
         self._hi_bounds: Dict[Value, List[Affine]] = {}
         self._order: Dict[Value, int] = {}
         self._next_order = 0
-        #: Statically-uniform values (refinement gate: lane-varying
-        #: conditions execute masked, so they must refine nothing).
-        self._uniform: Dict[Value, bool] = {}
+        #: Lane variance per value, filled by one walk on first read.
+        self._variance: Optional[Dict[Value, Optional[bool]]] = None
         #: ``ptradd``-chain root and offset from it, per pointer.
         self._ptr_root: Dict[Value, Tuple[Value, Affine]] = {}
         #: Per access op (load/store/atomic): the bounds verdict.
@@ -324,10 +381,37 @@ class IntervalAnalysis:
             return TOP
         return self.bound_affine(self.affine_of(v))
 
-    def is_uniform(self, v: Value) -> bool:
-        if isinstance(v, Constant):
-            return True
-        return self._uniform.get(v, False)
+    def variance(self, v: Value) -> Optional[bool]:
+        """How ``v`` differs between the lanes of the vectorised region
+        computing it: False (one scalar for every lane), True (one value
+        per lane), None (the width is known only at run time).
+
+        The vectorised regions are the ones every executor vectorises: a
+        ``parallel_for`` body and the outermost ``simd`` loop (nested
+        ones run serially).  Their induction variables and the ``alloc``s
+        inside them vary; a ``call`` result inside them, a ``cache_pop``
+        and a ``spawn`` handle have run-time width; every other result
+        joins its operands (True wins over None over False)."""
+        if self._variance is None:
+            self._variance = {}
+            _fill_variance(getattr(self.fn, "body"), False, self._variance)
+        return self._variance.get(v, False)
+
+    def index_strides(self, idx: Value, ivars: Sequence[Value],
+                      region: Op) -> Optional[Tuple[Dict[Value, int], bool]]:
+        """``idx`` as ``Σ stride·ivar + rest`` over the induction
+        variables ``ivars``: the non-zero strides, and whether the rest
+        moves with a serial loop inside ``region`` ("inner").  None when
+        a term of the rest is not uniform across the instances of
+        ``region``.  Uniform are constants, arguments, ``fork`` thread
+        counts, values defined outside the region — and outside the loop
+        of every ivar, so an enclosing region's ivar never passes for
+        uniform — and products of uniform terms."""
+        scope = region
+        for iv in ivars:
+            if inside(scope, iv.owner):
+                scope = iv.owner
+        return self._strides(idx, ivars, scope)
 
     def proven(self, op: Op) -> bool:
         fact = self.access.get(op)
@@ -381,6 +465,43 @@ class IntervalAnalysis:
                 if isinstance(b, Constant) and isinstance(b.value, int):
                     return self.affine_of(a).scale(b.value)
         return Affine.of(v)
+
+    # -- index shape ------------------------------------------------------
+    def _strides(self, idx: Value, ivars: Sequence[Value], scope: Op
+                 ) -> Optional[Tuple[Dict[Value, int], bool]]:
+        strides: Dict[Value, int] = {}
+        inner = False
+        for v, c in self.affine_of(idx).terms.items():
+            if v in ivars:
+                strides[v] = c
+                continue
+            term = self._term(v, ivars, scope)
+            if term is None:
+                return None
+            inner = inner or term
+        return strides, inner
+
+    def _term(self, v: Value, ivars: Sequence[Value], scope: Op
+              ) -> Optional[bool]:
+        """A term of an index that is not an ivar: False uniform across
+        the instances of ``scope``, True a serial ivar inside it, None
+        unknown."""
+        if isinstance(v, BlockArg):
+            owner = v.owner
+            if owner is not scope and not inside(owner, scope):
+                return False
+            if owner.opcode in ("for", "while"):
+                return True
+            return False if owner.opcode == "fork" and v.index == 1 else None
+        if isinstance(v, Result) and inside(v.op, scope):
+            if v.op.opcode != "imul":
+                return None
+            a = self._strides(v.op.operands[0], ivars, scope)
+            b = self._strides(v.op.operands[1], ivars, scope)
+            if a is None or b is None or a[0] or b[0]:
+                return None
+            return a[1] or b[1]
+        return False
 
     # -- bound evaluation -----------------------------------------------
     def bound_affine(self, aff: Affine) -> Interval:
@@ -457,8 +578,6 @@ class IntervalAnalysis:
 
     # -- the walk --------------------------------------------------------
     def run(self) -> "IntervalAnalysis":
-        for arg in getattr(self.fn, "args", []):
-            self._uniform[arg] = True
         self._walk_block(getattr(self.fn, "body"))
         return self
 
@@ -473,7 +592,6 @@ class IntervalAnalysis:
                         else (op.operands[1], op.operands[2]))
             self.access[op] = self._classify_access(ptr, idx)
             if op.result is not None:
-                self._uniform[op.result] = False
                 below = (self._below(ptr) if oc == "load"
                          and op.result.type is I64 else None)
                 if below is not None:
@@ -483,15 +601,13 @@ class IntervalAnalysis:
             self.access[op] = self._classify_access(op.operands[1],
                                                     op.operands[2])
             return
-        if oc == "for":
-            self._visit_for(op)
-            return
-        if oc == "parallel_for":
+        if oc == "for" or oc == "parallel_for":
+            # Positive-step loops only execute the body with iv in
+            # [lb, ub-1] (reverse_order walks the same set backwards;
+            # workshare chunks a subset of it).
             body = op.regions[0]
-            iv = body.args[0]
-            self._push_bound(iv, self.affine_of(op.operands[0]),
+            self._push_bound(body.args[0], self.affine_of(op.operands[0]),
                              self.affine_of(op.operands[1]).shift(-1))
-            self._uniform[iv] = False
             self._walk_block(body)
             return
         if oc == "fork":
@@ -499,28 +615,16 @@ class IntervalAnalysis:
             return
         if oc == "while":
             body = op.regions[0]
-            iv = body.args[0]
             # The widened fixpoint of the iteration counter: [0,0]
             # widen [0,1] = [0, +inf).
-            self._sym_range[iv] = Interval(0, POS_INF)
-            self._uniform[iv] = True
+            self._sym_range[body.args[0]] = Interval(0, POS_INF)
             self._walk_block(body)
             return
         if oc == "if":
             self._visit_if(op)
             return
-        if oc == "spawn":
-            self._walk_block(op.regions[0])
-            return
         if oc == "call":
             self._visit_call(op)
-            return
-        if oc == "alloc":
-            self._uniform[op.result] = True
-            return
-        if oc == "ptradd":
-            self._uniform[op.result] = all(
-                self.is_uniform(v) for v in op.operands)
             return
         for region in op.regions:
             self._walk_block(region)
@@ -529,14 +633,9 @@ class IntervalAnalysis:
 
     def _visit_compute(self, op: Op) -> None:
         res = op.result
-        if res is None:
-            return
-        oc = op.opcode
-        pure = oc in OP_INFO or oc == "select"
-        self._uniform[res] = pure and all(
-            self.is_uniform(v) for v in op.operands)
         if getattr(res, "type", None) is not I64:
             return
+        oc = op.opcode
         # Non-affine integer ops: evaluate the result range here (the
         # facts active at the definition hold at every use — SSA
         # region scoping keeps uses inside the defining region).
@@ -570,18 +669,6 @@ class IntervalAnalysis:
                     self.interval(op.operands[2]))
             self._sym_range[res] = a.join(b)
 
-    def _visit_for(self, op: Op) -> None:
-        body = op.regions[0]
-        iv = body.args[0]
-        # Positive-step loops only execute the body with iv in
-        # [lb, ub-1] (reverse_order walks the same set backwards;
-        # workshare chunks a subset of it).
-        self._push_bound(iv, self.affine_of(op.operands[0]),
-                         self.affine_of(op.operands[1]).shift(-1))
-        simd = bool(op.attrs.get("simd"))
-        self._uniform[iv] = not simd
-        self._walk_block(body)
-
     def _visit_fork(self, op: Op) -> None:
         body = op.regions[0]
         tid, nth = body.args[0], body.args[1]
@@ -592,8 +679,6 @@ class IntervalAnalysis:
         else:
             self._sym_range[nth] = Interval(1, POS_INF)
         self._push_bound(tid, Affine(0), Affine.of(nth).shift(-1))
-        self._uniform[tid] = True
-        self._uniform[nth] = True
         self._walk_block(body)
 
     def _visit_call(self, op: Op) -> None:
@@ -601,23 +686,18 @@ class IntervalAnalysis:
         res = op.result
         if res is None:
             return
-        self._uniform[res] = False
         if callee == "mpi.comm_size":
             self._sym_range[res] = Interval(1, POS_INF)
-            self._uniform[res] = True
             self._comm_size = res
         elif callee == "mpi.comm_rank":
             self._sym_range[res] = Interval(0, POS_INF)
-            self._uniform[res] = True
             if self._comm_size is not None:
                 self._push_bound(res, Affine(0),
                                  Affine.of(self._comm_size).shift(-1))
         elif callee == "rt.num_threads":
             self._sym_range[res] = Interval(1, POS_INF)
-            self._uniform[res] = True
         elif callee == "rt.buflen":
             self._sym_range[res] = Interval(0, POS_INF)
-            self._uniform[res] = True
 
     def _visit_if(self, op: Op) -> None:
         then_body, else_body = op.regions[0], op.regions[1]
@@ -649,7 +729,7 @@ class IntervalAnalysis:
         if getattr(a, "type", None) is not I64 \
                 or getattr(b, "type", None) is not I64:
             return []
-        if not (self.is_uniform(a) and self.is_uniform(b)):
+        if self.variance(a) is not False or self.variance(b) is not False:
             return []
         pred = str(op.attrs.get("pred", ""))
         neg = {"lt": "ge", "le": "gt", "gt": "le", "ge": "lt",

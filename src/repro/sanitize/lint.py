@@ -1,10 +1,12 @@
 """Static shadow-race lint over (differentiated) IR.
 
 Walks a function's parallel structure and re-derives thread-locality
-with the same analyses the AD transform trusts
-(:func:`repro.ad.tls.classify_index` + the allocation-site alias
-analysis), then reports every non-atomic write inside a fork / MPI
-region whose disjointness proof fails.  This is the static half of the
+from the index facts the AD transform reads — the strides and lane
+variance of :class:`repro.passes.intervals.IntervalAnalysis` (classified
+by :func:`repro.ad.tls.classify_index`) and the allocation-site alias
+analysis — under decision rules of its own, then reports every
+non-atomic write inside a fork / MPI region whose disjointness proof
+fails.  This is the static half of the
 sanitizer: the dynamic half (:mod:`repro.sanitize.racecheck`) checks
 one concrete execution; the lint checks all of them, conservatively.
 
@@ -42,21 +44,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..ad.tls import (
-    LANES,
-    _alloc_inside,
-    classify_index,
-    classify_lane_index,
-    lane_loop,
-    parallel_context,
-)
+from ..ad.tls import LANES, classify_index, lane_loop, parallel_context
 from ..ir.function import Function, Module
-from ..ir.opinfo import OP_INFO
 from ..ir.ops import Block, Op
 from ..ir.printer import print_op
-from ..ir.values import Constant, Result, Value
+from ..ir.values import Constant, Value
 from ..parallel.dag import TaskDAG
-from ..passes.aliasing import AliasInfo, analyze_aliasing
+from ..passes.aliasing import AliasInfo
+from ..passes.intervals import IntervalAnalysis, inside
 from ..passes.pass_manager import FunctionPass
 
 WARN = "warn"
@@ -174,10 +169,11 @@ def _guard_key(v: Value):
     return ("val", id(v))
 
 
-def _guards_of(op: Op, par_ivars: list[Value]) -> list:
+def _guards_of(op: Op, par_ivars: list[Value], region: Op,
+               facts: IntervalAnalysis) -> list:
     """Pinning guards: enclosing ``if`` then-branches whose condition is
     ``cmp.eq(ivar, uniform)`` for a parallel ivar — the access then runs
-    on (at most) one region instance."""
+    on (at most) one instance of ``region``."""
     ivar_set = set(par_ivars)
     guards = []
     blk = op.parent
@@ -193,8 +189,8 @@ def _guards_of(op: Op, par_ivars: list[Value]) -> list:
                     and cop.attrs.get("pred") == "eq":
                 a, b = cop.operands
                 for ivar, other in ((a, b), (b, a)):
-                    if ivar in ivar_set and \
-                            classify_index(other, par_ivars) == "uniform":
+                    if ivar in ivar_set and classify_index(
+                            facts, other, par_ivars, region) == "uniform":
                         guards.append((ivar, _guard_key(other)))
                         break
         node = owner
@@ -267,7 +263,8 @@ _ACCESS_OPS = ("load", "store", "atomic", "memset", "memcpy")
 def lint_function(fn: Function, module: Module,
                   aliasing: Optional[AliasInfo] = None) -> LintResult:
     res = LintResult(fn.name)
-    aliasing = aliasing or analyze_aliasing(fn, module)
+    facts = IntervalAnalysis(fn, module, aliasing)
+    aliasing = facts.aliasing
 
     accesses: list[_Access] = []
     for op in fn.walk():
@@ -277,7 +274,8 @@ def lint_function(fn: Function, module: Module,
         region, ivars = parallel_context(op)
         phase = (_phase_of(region, op)
                  if region is not None and region.opcode == "fork" else 0)
-        guards = _guards_of(op, ivars) if region is not None else []
+        guards = (_guards_of(op, ivars, region, facts)
+                  if region is not None else [])
         if oc == "load":
             accesses.append(_Access(op, "load", op.operands[0],
                                     op.operands[1], region, phase, guards,
@@ -302,16 +300,16 @@ def lint_function(fn: Function, module: Module,
                                     region, phase, guards, atomic=False))
 
     for a in accesses:
-        _classify_access(a, aliasing, res)
+        _classify_access(a, facts, res)
         if a.kind == "store":
-            _classify_lanes(a, aliasing, res)
+            _classify_lanes(a, facts, res)
 
     _check_pairs(accesses, aliasing, res)
     _scan_inflight(fn.body, {}, aliasing, res, fn.name)
     return res
 
 
-def _classify_access(a: _Access, aliasing: AliasInfo,
+def _classify_access(a: _Access, facts: IntervalAnalysis,
                      res: LintResult) -> None:
     """Self-race rule: a non-atomic write races with its own other
     region instances unless its target is thread-local, its index is
@@ -319,12 +317,13 @@ def _classify_access(a: _Access, aliasing: AliasInfo,
     if a.region is None:
         return
     fn = res.fn
-    region, ivars = parallel_context(a.op)
-    a.cls = classify_index(a.idx, ivars) if a.idx is not None else "unknown"
+    _, ivars = parallel_context(a.op)
+    a.cls = (classify_index(facts, a.idx, ivars, a.region)
+             if a.idx is not None else "unknown")
 
     # Thread-local allocation: private by construction.
-    alloc = aliasing.points_to_single_alloc(a.ptr)
-    if alloc is not None and _alloc_inside(alloc, a.region):
+    alloc = facts.aliasing.points_to_single_alloc(a.ptr)
+    if alloc is not None and inside(alloc, a.region):
         a.local = True
         return
     if not a.writes:
@@ -399,60 +398,24 @@ def _classify_access(a: _Access, aliasing: AliasInfo,
             "not affine in the parallel ivars)", fn, a.op))
 
 
-def _lane_varying(v: Value, lane: Op, aliasing: AliasInfo,
-                  memo: dict) -> Optional[bool]:
-    """Does ``v`` differ between the lanes of the vectorised loop
-    ``lane``?  True / False when provable, None otherwise."""
-    if v is lane.body.args[0]:
-        return True
-    if not isinstance(v, Result) or not _alloc_inside(v.op, lane):
-        return False            # constants, arguments, outer values, ivars
-    if v in memo:
-        return memo[v]
-    op = v.op
-    out: Optional[bool]
-    if op.opcode == "load":
-        ptr, idx = op.operands
-        alloc = aliasing.points_to_single_alloc(ptr)
-        if alloc is not None and _alloc_inside(alloc, lane):
-            out = True          # lane-privatised buffer
-        else:
-            cls = classify_lane_index(idx, lane)
-            out = True if cls == "disjoint" else (
-                _lane_varying(ptr, lane, aliasing, memo)
-                if cls == "uniform" else None)
-    elif (op.opcode in OP_INFO or op.opcode == "ptradd"
-          or (op.opcode == "call"
-              and op.attrs.get("callee") == "jl.arrayptr")):
-        out = False
-        for o in op.operands:
-            x = _lane_varying(o, lane, aliasing, memo)
-            if x:
-                out = True
-                break
-            if x is None:
-                out = None
-    else:
-        out = None              # calls, allocs, cache pops
-    memo[v] = out
-    return out
-
-
-def _classify_lanes(a: _Access, aliasing: AliasInfo,
+def _classify_lanes(a: _Access, facts: IntervalAnalysis,
                     res: LintResult) -> None:
     """Lane rule: inside a vectorised ``simd`` loop a plain store runs
     once for all lanes, so lanes that share a cell conflict.  Private
     (lane-allocated) buffers and lane-disjoint indices are safe."""
     lane = lane_loop(a.op)
-    if lane is None or _guards_of(a.op, [lane.body.args[0]]):
-        return                  # not vectorised, or pinned to one lane
-    alloc = aliasing.points_to_single_alloc(a.ptr)
-    if alloc is not None and _alloc_inside(alloc, lane):
+    if lane is None:
+        return                  # not vectorised
+    ivars = [lane.body.args[0]]
+    if _guards_of(a.op, ivars, lane, facts):
+        return                  # pinned to one lane
+    alloc = facts.aliasing.points_to_single_alloc(a.ptr)
+    if alloc is not None and inside(alloc, lane):
         return
-    cls = classify_lane_index(a.idx, lane)
+    cls = classify_index(facts, a.idx, ivars, lane)
     if cls == "disjoint":
         return
-    varying = _lane_varying(a.op.operands[0], lane, aliasing, {})
+    varying = facts.variance(a.op.operands[0])
     if varying is False:
         return                  # every lane writes the same value
     if cls == "uniform" and varying:

@@ -16,6 +16,7 @@ from repro.ad.tls import (
 )
 from repro.ir import F64, I64, IRBuilder, Ptr
 from repro.passes.aliasing import UNKNOWN, analyze_aliasing
+from repro.passes.intervals import IntervalAnalysis
 
 
 def _analyze(build, dup_names=("x",)):
@@ -168,37 +169,46 @@ def _loop_with_index(mk_idx):
     fn = b.module.functions["f"]
     load = next(op for op in fn.walk() if op.opcode == "load"
                 and op.result.type is F64)
-    ivar = next(op for op in fn.walk()
-                if op.opcode == "parallel_for").body.args[0]
-    return b, fn, load, ivar
+    return b, fn, load
+
+
+def _classify(fn, load):
+    region, ivars = parallel_context(load)
+    return classify_index(IntervalAnalysis(fn, None), load.operands[1],
+                          ivars, region)
 
 
 def test_classify_affine_disjoint():
-    _b, fn, load, ivar = _loop_with_index(lambda b, i, idx, n: i * 2 + 1)
-    assert classify_index(load.operands[1], [ivar]) == "disjoint"
+    _b, fn, load = _loop_with_index(lambda b, i, idx, n: i * 2 + 1)
+    assert _classify(fn, load) == "disjoint"
 
 
 def test_classify_uniform():
-    _b, fn, load, ivar = _loop_with_index(lambda b, i, idx, n: n * 0 + 3)
+    _b, fn, load = _loop_with_index(lambda b, i, idx, n: n * 0 + 3)
     # n*0+3 folds conceptually to uniform; the analysis sees n-stride 0
-    assert classify_index(load.operands[1], [ivar]) == "uniform"
+    assert _classify(fn, load) == "uniform"
 
 
 def test_classify_indirect_unknown():
-    _b, fn, load, ivar = _loop_with_index(
-        lambda b, i, idx, n: b.load(idx, i))
-    assert classify_index(load.operands[1], [ivar]) == "unknown"
+    _b, fn, load = _loop_with_index(lambda b, i, idx, n: b.load(idx, i))
+    assert _classify(fn, load) == "unknown"
+
+
+def test_classify_ineg_is_exact():
+    """``-(-i)`` is the ivar itself: affine, stride 1."""
+    _b, fn, load = _loop_with_index(lambda b, i, idx, n: b.neg(b.neg(i)))
+    assert _classify(fn, load) == "disjoint"
 
 
 def test_increment_kind_dispatch():
-    b, fn, load, ivar = _loop_with_index(lambda b, i, idx, n: i * 2)
-    al = analyze_aliasing(fn, b.module)
+    b, fn, load = _loop_with_index(lambda b, i, idx, n: i * 2)
+    facts = IntervalAnalysis(fn, b.module)
     region, ivars = parallel_context(load)
     assert region is not None
-    kind = increment_kind(load.operands[0], load.operands[1], ivars, al,
+    kind = increment_kind(load.operands[0], load.operands[1], ivars, facts,
                           region)
     assert kind == SERIAL
-    kind = increment_kind(load.operands[0], load.operands[1], ivars, al,
+    kind = increment_kind(load.operands[0], load.operands[1], ivars, facts,
                           region, atomic_everywhere=True)
     assert kind == ATOMIC
 
@@ -218,8 +228,7 @@ def test_serial_outside_parallel():
         b.store(v * v, f.args[0], 0)
     fn = b.module.functions["f"]
     load = next(op for op in fn.walk() if op.opcode == "load")
-    al = analyze_aliasing(fn, b.module)
     region, ivars = parallel_context(load)
     assert region is None
-    assert increment_kind(load.operands[0], load.operands[1], ivars, al,
-                          region) == SERIAL
+    assert increment_kind(load.operands[0], load.operands[1], ivars,
+                          IntervalAnalysis(fn, b.module), region) == SERIAL

@@ -10,13 +10,7 @@ import pytest
 from repro import Active, Duplicated, autodiff, print_module
 from repro.ad import ADConfig
 from repro.ad.mpi_rules import register_mpid_intrinsics
-from repro.ad.tls import (
-    LANES,
-    SERIAL,
-    classify_lane_index,
-    lane_kind,
-    lane_loop,
-)
+from repro.ad.tls import LANES, SERIAL, classify_index, lane_kind, lane_loop
 from repro.apps.lulesh.driver import LuleshApp
 from repro.apps.lulesh.kernels import FLAVORS, _Emitter, _pad_and_reduce_min
 from repro.apps.minibude import MinibudeApp, make_deck
@@ -30,7 +24,7 @@ from repro.ir import (
     parse_module,
     verify_module,
 )
-from repro.passes.aliasing import analyze_aliasing
+from repro.passes.intervals import IntervalAnalysis
 
 
 def _loop_counts(fn) -> tuple[int, int]:
@@ -184,14 +178,16 @@ def test_lane_index_classes_and_kinds():
                     }
                     anchor = b.load(x, j).op
     lane = lane_loop(anchor)
-    assert lane.body.args[0].name == "i"
-    got = {k: classify_lane_index(v, lane) for k, v in cases.items()}
+    ivar = lane.body.args[0]
+    assert ivar.name == "i"
+    facts = IntervalAnalysis(b.module.functions["f"], b.module)
+    got = {k: classify_index(facts, v, [ivar], lane)
+           for k, v in cases.items()}
     assert got == {"disjoint": "disjoint", "thread": "disjoint",
                    "uniform": "uniform", "cancel": "uniform",
                    "data": "unknown", "nonlinear": "unknown"}
-    aliasing = analyze_aliasing(b.module.functions["f"], b.module)
-    assert lane_kind(x, cases["disjoint"], lane, aliasing) == SERIAL
-    assert lane_kind(x, cases["uniform"], lane, aliasing) == LANES
-    assert lane_kind(x, cases["data"], lane, aliasing) == LANES
+    assert lane_kind(x, cases["disjoint"], lane, facts) == SERIAL
+    assert lane_kind(x, cases["uniform"], lane, facts) == LANES
+    assert lane_kind(x, cases["data"], lane, facts) == LANES
     # a buffer allocated inside the loop is privatised per lane
-    assert lane_kind(priv, cases["uniform"], lane, aliasing) == SERIAL
+    assert lane_kind(priv, cases["uniform"], lane, facts) == SERIAL

@@ -86,19 +86,17 @@ def test_forced_atomic_is_also_clean():
 # ---------------------------------------------------------------------------
 
 def test_increment_kind_mpi_escape_unit():
-    class _NoAlias:
-        def points_to_single_alloc(self, ptr):
-            return None
+    # No region: the decision never reads the index facts (None here).
     # atomic_everywhere used to return SERIAL whenever there was no
     # enclosing parallel region, even for MPI-escaping locations.
-    assert increment_kind(None, None, [], _NoAlias(), None,
+    assert increment_kind(None, None, [], None, None,
                           atomic_everywhere=True,
                           mpi_escapes=True) == ATOMIC
-    assert increment_kind(None, None, [], _NoAlias(), None,
+    assert increment_kind(None, None, [], None, None,
                           atomic_everywhere=True,
                           mpi_escapes=False) == SERIAL
     # Optimized path: rank-local serial accumulation is provably safe.
-    assert increment_kind(None, None, [], _NoAlias(), None,
+    assert increment_kind(None, None, [], None, None,
                           mpi_escapes=True) == SERIAL
 
 

@@ -62,6 +62,31 @@ def test_unknown_index_store_is_warn():
     assert res.errors == []
 
 
+def _slot_store(serial_outside: bool):
+    """``x[t*8 + i] = 1`` — a cache-slot address — with the serial ``t``
+    loop enclosing the ``parallel_for`` or inside it."""
+    b = IRBuilder()
+    with b.function("f", [("x", Ptr()), ("n", I64)], arg_attrs=[NA, {}]) as f:
+        x, n = f.args
+        if serial_outside:
+            with b.for_(0, 3) as t:
+                with b.parallel_for(0, n) as i:
+                    b.store(1.0, x, b.add(b.mul(t, 8), i))
+        else:
+            with b.parallel_for(0, n) as i:
+                with b.for_(0, 3) as t:
+                    b.store(1.0, x, b.add(b.mul(t, 8), i))
+    return _lint(b, "f")
+
+
+def test_enclosing_serial_loop_is_uniform_across_instances():
+    # One t per parallel_for execution: the instances hit distinct cells.
+    assert _slot_store(serial_outside=True).clean
+    # Instance i at step t=1 and instance i+8 at t=0 share a cell.
+    res = _slot_store(serial_outside=False)
+    assert _codes(res) == [("warn", "unproven-store")]
+
+
 def test_atomic_uniform_clean():
     b = IRBuilder()
     with b.function("f", [("x", Ptr()), ("n", I64)], arg_attrs=[NA, {}]) as f:
