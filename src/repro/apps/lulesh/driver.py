@@ -325,7 +325,7 @@ def main(argv: Optional[list] = None) -> int:
     import sys
 
     ap = argparse.ArgumentParser(
-        prog="python -m repro.apps.lulesh.driver",
+        prog="python -m repro.apps.lulesh",
         description="Run a LULESH variant (forward and gradient).")
     ap.add_argument("--flavor", default="serial", choices=sorted(FLAVORS))
     ap.add_argument("--nx", type=int, default=3, help="elements per edge")
@@ -380,7 +380,3 @@ def main(argv: Optional[list] = None) -> int:
         for k, v in report.items():
             print(f"{k}: {v}")
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

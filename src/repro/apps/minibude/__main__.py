@@ -1,0 +1,6 @@
+"""``python -m repro.apps.minibude``: the driver CLI (see ``driver.main``)."""
+
+from .driver import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

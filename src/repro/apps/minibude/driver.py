@@ -200,7 +200,7 @@ def main(argv: Optional[list] = None) -> int:
     from .kernels import VARIANTS
 
     ap = argparse.ArgumentParser(
-        prog="python -m repro.apps.minibude.driver",
+        prog="python -m repro.apps.minibude",
         description="Run a miniBUDE variant (forward and gradient).")
     ap.add_argument("--variant", default="openmp",
                     choices=sorted(VARIANTS))
@@ -232,7 +232,3 @@ def main(argv: Optional[list] = None) -> int:
         for k, v in report.items():
             print(f"{k}: {v}")
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

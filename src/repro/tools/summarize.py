@@ -85,50 +85,15 @@ def render_sanitize_report(payload: dict) -> str:
                      f"LintResult.to_json() or RaceChecker.to_json() output")
 
 
-def render_comm_report(payload: dict) -> str:
-    """Render commcheck JSON (one report or an mpi_lint suite)."""
-    tool = payload.get("tool")
-    if tool == "commcheck-suite":
-        return "\n".join(render_comm_report(r)
-                         for r in payload.get("reports", []))
-    if tool != "commcheck":
-        raise ValueError(f"not a commcheck report (tool={tool!r}); "
-                         f"expected CommReport.to_json() or mpi_lint "
-                         f"--out output")
-    counts = payload.get("counts", {})
-    sizes = ",".join(str(p) for p in payload.get("sizes", []))
-    title = (f"commcheck{' duality' if payload.get('duality') else ''} "
-             f"@{payload.get('fn', '?')} (P={sizes}): "
-             f"{counts.get('error', 0)} error(s), "
-             f"{counts.get('warn', 0)} warning(s)")
-    if not payload.get("checked", True):
-        return f"== {title} ==\nno MPI communication\n"
-    rows = [{"severity": d["severity"], "code": d["code"],
-             "op": d["op"], "message": d["message"]}
-            for d in payload.get("diagnostics", [])]
-    if rows:
-        cols = list(rows[0].keys())
-        text = format_table(title, cols,
-                            [[r.get(c) for c in cols] for r in rows])
-    else:
-        text = f"== {title} ==\nclean\n"
-    summary = payload.get("summary", [])
-    if summary:
-        cols = list(summary[0].keys())
-        text += format_table("symbolic communication summary", cols,
-                             [[r.get(c) for c in cols] for r in summary])
-    return text
-
-
 def render_adjoint_report(payload: dict) -> str:
     """Render an adjoint-strategy report: the per-loop managed/fallback
     table plus peak AD-cache bytes, from a gradient-run JSON (the
-    ``python -m repro.apps.lulesh.driver --json`` output, or any dict
+    ``python -m repro.apps.lulesh --json`` output, or any dict
     with ``adjoint_report``/``adjoint_stats`` keys)."""
     rep = payload.get("adjoint_report")
     if rep is None:
         raise ValueError("no 'adjoint_report' in payload; expected "
-                         "`python -m repro.apps.lulesh.driver --json` "
+                         "`python -m repro.apps.lulesh --json` "
                          "output from a gradient run")
     stats = payload.get("adjoint_stats") or {}
     where = payload.get("flavor") or payload.get("fn") or "?"
@@ -151,15 +116,12 @@ def render_adjoint_report(payload: dict) -> str:
 
 
 #: dest -> (renderer, help) for the report-file options shared by the
-#: sanitizer, commcheck, and adjoint render paths.
+#: sanitizer and adjoint render paths.
 _REPORT_KINDS = {
     "sanitize_report": (render_sanitize_report,
                         "render a sanitizer JSON report (lint or "
                         "racecheck output) instead of benchmark "
                         "results; repeatable"),
-    "comm_report": (render_comm_report,
-                    "render a commcheck JSON report (CommReport or "
-                    "mpi_lint --out output); repeatable"),
     "adjoint_report": (render_adjoint_report,
                        "render an adjoint-strategy report (lulesh "
                        "driver --json gradient output): managed loops, "

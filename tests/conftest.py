@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.interp import ExecConfig, Executor
 from repro.ir import F64, I64, IRBuilder, Ptr, verify_module
+
+# Every run draws the same examples, so a property that fails fails on
+# every run.  ``pytest --hypothesis-profile=explore`` searches with fresh
+# random seeds instead.
+settings.register_profile("default", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
 
 
 @pytest.fixture

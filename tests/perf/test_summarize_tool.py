@@ -41,41 +41,3 @@ def test_main_unknown_name(results_dir):
 
 def test_main_empty_dir(tmp_path):
     assert main(["--results", str(tmp_path)]) == 1
-
-
-def _commcheck_payload():
-    from repro.ir import I64, IRBuilder, Ptr
-    from repro.sanitize.commcheck import commcheck_function
-    b = IRBuilder()
-    with b.function("um", [("x", Ptr()), ("n", I64)]) as f:
-        x, n = f.args
-        rank = b.call("mpi.comm_rank")
-        with b.if_(b.cmp("eq", rank, 0)):
-            b.call("mpi.send", x, n, 1, 3)
-    return commcheck_function("um", b.module, sizes=(2,)).to_json()
-
-
-def test_render_comm_report_single():
-    from repro.tools.summarize import render_comm_report
-    text = render_comm_report(_commcheck_payload())
-    assert "commcheck @um" in text
-    assert "unmatched-p2p" in text
-    assert "symbolic communication summary" in text
-
-
-def test_render_comm_report_suite_and_main(tmp_path, capsys):
-    from repro.tools.summarize import render_comm_report
-    payload = {"tool": "commcheck-suite",
-               "reports": [_commcheck_payload(), _commcheck_payload()]}
-    assert render_comm_report(payload).count("commcheck @um") == 2
-    path = tmp_path / "comm.json"
-    with open(path, "w") as f:
-        json.dump(payload, f)
-    assert main(["--comm-report", str(path)]) == 0
-    assert "unmatched-p2p" in capsys.readouterr().out
-
-
-def test_render_comm_report_rejects_other_tools():
-    from repro.tools.summarize import render_comm_report
-    with pytest.raises(ValueError, match="not a commcheck report"):
-        render_comm_report({"tool": "lint"})

@@ -462,7 +462,7 @@ def test_lulesh_mpi_primal_clean():
     app = LuleshApp("mpi", 2, pr=2)
     rep = commcheck_function(app.fn, app.module, sizes=(app.nprocs,),
                              bindings={"steps": 2})
-    assert not rep.errors
+    assert rep.clean, rep.render()
 
 
 def test_lulesh_mpi_duality():
@@ -470,21 +470,27 @@ def test_lulesh_mpi_duality():
     app = LuleshApp("mpi", 2, pr=2)
     rep = verify_duality(app.module, app.fn, app.grad_fn(),
                          sizes=(app.nprocs,), bindings={"steps": 2})
-    assert not rep.errors
+    assert rep.clean, rep.render()
+
+
+#: miniBUDE decks (protein atoms, ligand atoms, poses) the gates run on
+MINIBUDE_DECKS = [(6, 3, 8), (8, 4, 12)]
 
 
 def test_minibude_mpi_primal_clean():
     from repro.apps.minibude.deck import make_deck
     from repro.apps.minibude.driver import MinibudeApp
-    app = MinibudeApp("mpi", make_deck(6, 3, 8))
-    rep = commcheck_function(app.fn, app.module, sizes=(2, 4))
-    assert not rep.errors
+    for deck in MINIBUDE_DECKS:
+        app = MinibudeApp("mpi", make_deck(*deck))
+        rep = commcheck_function(app.fn, app.module, sizes=(2, 4))
+        assert rep.clean, (deck, rep.render())
 
 
 def test_minibude_mpi_duality():
     from repro.apps.minibude.deck import make_deck
     from repro.apps.minibude.driver import MinibudeApp
-    app = MinibudeApp("mpi", make_deck(6, 3, 8))
-    rep = verify_duality(app.module, app.fn, app.grad_fn(),
-                         sizes=(2, 4))
-    assert not rep.errors
+    for deck in MINIBUDE_DECKS:
+        app = MinibudeApp("mpi", make_deck(*deck))
+        rep = verify_duality(app.module, app.fn, app.grad_fn(),
+                             sizes=(2, 4))
+        assert rep.clean, (deck, rep.render())
