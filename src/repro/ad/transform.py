@@ -1371,107 +1371,34 @@ class ADTransform:
             state.append((p, n, snap))
         return state
 
-    def _ckpt_snapshot(self, rec: dict, slot_idx: Value) -> None:
+    def _snapshot(self, state: list, slot_idx: Value) -> None:
+        """Copy every state buffer into snapshot slot ``slot_idx``."""
         b = self.b
-        for p, n, snap in rec["state"]:
+        for p, n, snap in state:
             b.memcpy(b.ptradd(snap, b.mul(slot_idx, n)), p, n)
 
-    def _ckpt_restore(self, rec: dict, slot_idx: Value) -> None:
+    def _restore(self, state: list, slot_idx: Value) -> None:
+        """Copy snapshot slot ``slot_idx`` back into the state buffers."""
         b = self.b
-        for p, n, snap in rec["state"]:
+        for p, n, snap in state:
             b.memcpy(p, b.ptradd(snap, b.mul(slot_idx, n)), n)
 
-    def _ckpt_forward_loop(self, op: ForOp) -> None:
-        """Checkpointed forward sweep: snapshot the incoming state, run
-        the loop primal-only, then snapshot the final state.  Keeps
-        ``ceil(log2 N) + 2`` snapshot slots live instead of O(N)
-        per-iteration caches (the extra slot holds the final state the
-        reverse sweep restores at the end, so the primal buffers finish
-        bit-identical to the cache-all plan)."""
-        b = self.b
-        lb, ub, step, ntrips = self._managed_trip_bounds(op)
-        # nslots = ceil(log2(max(N, 1))) + 1, as a runtime value: the
-        # select chain computes nbits = position of the highest bit
-        # needed to cover N (trip counts are i64, so 62 bits suffice).
-        nbits: Value = Constant(1, I64)
-        for bit in range(62):
-            nbits = b.select(b.cmp("gt", ntrips, 1 << bit),
-                             Constant(bit + 1, I64), nbits)
-        nslots = b.add(nbits, 1)
-        # Slot `nslots` (one past the stack's peak depth) holds the
-        # final state.
-        rec = {"lb": lb, "step": step, "ntrips": ntrips, "nslots": nslots,
-               "final_slot": nslots,
-               "state": self._managed_state(op, b.add(nslots, 1), "ckpt")}
-        self._ckpt[op] = rec
-        self._ckpt_snapshot(rec, Constant(0, I64))
-        new = ForOp(lb, ub, step, ivar_name=op.body.args[0].name)
-        b.emit(new)
-        self.pm[op.body.args[0]] = new.body.args[0]
-        with b.at(new.body):
-            self._run_primal_only(op.body)
-        self._ckpt_snapshot(rec, nslots)
+    def _primal_step(self, op: ForOp, ivar: Value) -> None:
+        """One primal-only run of the managed loop's body at ``ivar``."""
+        self.pm[op.body.args[0]] = ivar
+        self._run_primal_only(op.body)
 
-    def _ckpt_reverse_loop(self, op: ForOp, scope: _Scope) -> None:
-        """Reverse sweep of a checkpointed loop: an iterative stack
-        machine over [lo, hi) segments (trip-index space).  Invariant:
-        the stack entry at position j has its segment-start state in
-        snapshot slot j.  A width-1 segment "youturns": restore, re-run
-        that iteration augmented (with single-iteration caching), then
-        reverse it.  A wider segment splits at its midpoint: advance the
-        primal to mid, snapshot, push [mid, hi).  Exactly 2N-1 machine
-        iterations reverse the trips in order N-1 .. 0 with O(N log N)
-        total recompute (see strategy.simulate_schedule)."""
-        b = self.b
-        rec = self._ckpt[op]
-        ntrips = rec["ntrips"]
-        lo_arr = b.alloc(rec["nslots"], I64, name="ck_lo")
-        hi_arr = b.alloc(rec["nslots"], I64, name="ck_hi")
-        sp = b.alloc(1, I64, name="ck_sp")
-        b.store(0, lo_arr, 0)
-        b.store(ntrips, hi_arr, 0)
-        b.store(1, sp, 0)
-        total = b.max(b.sub(b.mul(ntrips, 2), 1), 0)
-        machine = ForOp(Constant(0, I64), total, Constant(1, I64),
-                        ivar_name="ckm")
-        b.emit(machine)
-        with b.at(machine.body):
-            top = b.sub(b.load(sp, 0), 1)
-            lo = b.load(lo_arr, top)
-            hi = b.load(hi_arr, top)
-            iff = IfOp(b.cmp("le", b.sub(hi, lo), 1))
-            b.emit(iff)
-            with b.at(iff.then_body):
-                # Youturn: reverse the single iteration `lo` and pop.
-                self._ckpt_restore(rec, top)
-                ivar = b.add(rec["lb"], b.mul(lo, rec["step"]))
-                self.pm[op.body.args[0]] = ivar
-                self._forward_block(op.body)
-                inner = _Scope(scope, op, iff.then_body, machine)
-                inner.bind(op.body.args[0], ivar)
-                self._reverse_block(op.body, inner)
-                b.store(top, sp, 0)
-            with b.at(iff.else_body):
-                # Split: advance the primal over [lo, mid), snapshot at
-                # mid, and push the [mid, hi) segment.
-                mid = b.add(lo, b.idiv(b.sub(hi, lo), 2))
-                self._ckpt_restore(rec, top)
-                adv = ForOp(lo, mid, Constant(1, I64), ivar_name="ckj")
-                b.emit(adv)
-                with b.at(adv.body):
-                    self.pm[op.body.args[0]] = b.add(
-                        rec["lb"], b.mul(adv.body.args[0], rec["step"]))
-                    self._run_primal_only(op.body)
-                spv = b.load(sp, 0)
-                self._ckpt_snapshot(rec, spv)
-                b.store(mid, hi_arr, top)
-                b.store(mid, lo_arr, spv)
-                b.store(hi, hi_arr, spv)
-                b.store(b.add(spv, 1), sp, 0)
-        # The machine leaves the primal at iteration 0's recompute
-        # point; restore the final state so the caller-visible buffers
-        # match the cache-all plan bit for bit.
-        self._ckpt_restore(rec, rec["final_slot"])
+    def _adjoint_step(self, op: ForOp, ivar: Value, scope: _Scope,
+                      anchor: Op) -> None:
+        """One augmented run of the managed loop's body at ``ivar``
+        (single-iteration caching), then its reverse, into the block
+        being filled.  ``anchor`` is the op in ``scope``'s block that
+        holds this emission (hoisted code lands right before it)."""
+        self.pm[op.body.args[0]] = ivar
+        self._forward_block(op.body)
+        inner = _Scope(scope, op, self.b.block, anchor)
+        inner.bind(op.body.args[0], ivar)
+        self._reverse_block(op.body, inner)
 
     def _implicit_forward_loop(self, op: ForOp) -> None:
         """Implicit-adjoint forward sweep: run the fixed-point loop
@@ -1483,9 +1410,8 @@ class ADTransform:
         self._ckpt[op] = rec
         new = ForOp(lb, ub, step, ivar_name=op.body.args[0].name)
         b.emit(new)
-        self.pm[op.body.args[0]] = new.body.args[0]
         with b.at(new.body):
-            self._run_primal_only(op.body)
+            self._primal_step(op, new.body.args[0])
         for p, n, snap in rec["state"]:
             b.memcpy(snap, p, n)
         # The reverse Neumann rounds re-run the body as the *last*
@@ -1511,12 +1437,7 @@ class ADTransform:
         with b.at(new.body):
             for p, n, snap in rec["state"]:
                 b.memcpy(p, snap, n)
-            ivar = rec["last_ivar"]
-            self.pm[op.body.args[0]] = ivar
-            self._forward_block(op.body)
-            inner = _Scope(scope, op, new.body, new)
-            inner.bind(op.body.args[0], ivar)
-            self._reverse_block(op.body, inner)
+            self._adjoint_step(op, rec["last_ivar"], scope, new)
         # Leave the primal at the converged state (each round advanced
         # it one step past the snapshot).
         for p, n, snap in rec["state"]:

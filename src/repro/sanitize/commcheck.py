@@ -985,19 +985,6 @@ class CommReport:
             lines.append(render_summary(self.summary))
         return "\n".join(lines)
 
-    def to_json(self) -> dict:
-        return {
-            "tool": "commcheck",
-            "fn": self.fn,
-            "sizes": list(self.sizes),
-            "duality": self.duality,
-            "checked": self.checked,
-            "counts": {"error": len(self.errors),
-                       "warn": len(self.warnings)},
-            "summary": self.summary,
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
-        }
-
 
 class CommCheckError(Exception):
     """Raised when commcheck (run with ``on_error='raise'``) finds

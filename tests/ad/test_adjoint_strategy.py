@@ -9,13 +9,16 @@ IR round-trip of the ``adjoint`` loop attribute.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.ad import ADConfig, Const, Duplicated, autodiff, autodiff_transform
 from repro.ad.strategy import (CacheAllAdjoint, CheckpointAdjoint,
-                               ImplicitAdjoint, resolve_strategy,
-                               simulate_schedule, strategy_fingerprint)
+                               ImplicitAdjoint, binomial_split,
+                               resolve_strategy, simulate_schedule,
+                               stack_bits, strategy_fingerprint)
 from repro.interp import ExecConfig, Executor
 from repro.ir import (I64, IRBuilder, Ptr, VerificationError, parse_module,
                       print_module, verify_module)
@@ -27,20 +30,65 @@ BACKENDS = ["interp", "compiled"]
 # The pure-Python revolve schedule
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 13, 64, 100])
+@functools.lru_cache(maxsize=None)
+def _reverse_cost(width, free):
+    """Fewest primal-only steps the reverse machine can spend on a
+    stored segment of ``width`` trips with ``free`` slots above it,
+    minimised over every split point."""
+    if width <= 1:
+        return 0
+    if free == 0:   # youturn at hi - 1, then the rest
+        return width - 1 + _reverse_cost(width - 1, 0)
+    return min(m + _reverse_cost(width - m, free - 1) + _reverse_cost(m, free)
+               for m in range(1, width))
+
+
+@functools.lru_cache(maxsize=None)
+def _spine_cost(width, free):
+    """The same when the forward sweep lays the spine: its advances are
+    paid by the forward sweep itself."""
+    if width <= 1 or free == 0:
+        return _reverse_cost(width, free)
+    return min(_reverse_cost(m, free) + _spine_cost(width - m, free - 1)
+               for m in range(1, width))
+
+
+def _min_primal_steps(n):
+    return n + _spine_cost(n, stack_bits(n)) if n > 0 else 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 8, 13, 32, 33, 64,
+                               100])
 def test_simulate_schedule(n):
-    order, peak, advance = simulate_schedule(n)
-    assert order == list(range(n - 1, -1, -1))
+    sched = simulate_schedule(n)
+    assert sched.order == list(range(n - 1, -1, -1))
     if n == 0:
-        assert peak == 0 and advance == 0
+        assert sched.peak == 0 and sched.primal_steps == 0
     elif n == 1:
-        assert peak == 1 and advance == 0
+        assert sched.peak == 1 and sched.primal_steps == 1
     else:
-        # ceil(log2 n) + 1 snapshot slots — the select chain in
-        # _ckpt_forward_loop computes exactly this bound.
-        assert peak == (n - 1).bit_length() + 1
-        # O(N log N) primal recompute.
-        assert advance <= n * (n - 1).bit_length()
+        # ceil(log2 n) + 1 stack slots: the bound the emitted IR sizes
+        # its snapshot store with (stack_bits), all of it in use.
+        assert sched.peak == (n - 1).bit_length() + 1
+    if n <= 64:
+        assert sched.primal_steps <= 1.05 * _min_primal_steps(n)
+    # Bisection spent 112 primal-only steps, 64 restores and 33
+    # snapshots at n = 32; 256 / 128 / 65 at n = 64.
+    if n == 32:
+        assert sched[2:] == (63, 52, 26)
+    if n == 64:
+        assert sched[2:] == (150, 107, 50)
+
+
+def test_binomial_split_is_optimal_in_both_roles():
+    for free in range(1, 7):
+        for width in range(2, 65):
+            m = binomial_split(width, free)
+            assert 1 <= m < width
+            assert (m + _reverse_cost(width - m, free - 1)
+                    + _reverse_cost(m, free)) == _reverse_cost(width, free)
+            assert (_reverse_cost(m, free) + _spine_cost(width - m, free - 1)
+                    == _spine_cost(width, free))
 
 
 def test_resolve_strategy():
@@ -81,23 +129,46 @@ def _step_loop_module(adjoint_tag=None):
     return b.module
 
 
-def _grad_step_loop(adjoint, steps, backend, n=5, tag=None):
+def _run_step_loop(adjoint, steps, backend, n=5, tag=None):
     m = _step_loop_module(tag)
     g = autodiff(m, "step_loop", [Duplicated, Const, Const],
                  ADConfig(adjoint=adjoint) if adjoint else ADConfig())
     ex = Executor(m, ExecConfig(backend=backend))
     x = np.linspace(0.1, 0.9, n)
     dx = np.ones(n)
-    ex.run(g, x, dx, n, steps)
+    with np.errstate(over="ignore"):   # x diverges over long loops
+        ex.run(g, x, dx, n, steps)
+    return x, dx, ex
+
+
+def _grad_step_loop(adjoint, steps, backend, n=5, tag=None):
+    _, dx, ex = _run_step_loop(adjoint, steps, backend, n, tag)
     return dx, ex.adjoint_stats()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("steps", [0, 1, 2, 3, 7, 64])
 def test_checkpoint_bit_identical(backend, steps):
-    g_ca, _ = _grad_step_loop("cache-all", steps, backend)
-    g_ck, _ = _grad_step_loop("checkpoint", steps, backend)
+    x_ca, g_ca, _ = _run_step_loop("cache-all", steps, backend)
+    x_ck, g_ck, _ = _run_step_loop("checkpoint", steps, backend)
     np.testing.assert_array_equal(g_ca, g_ck)
+    np.testing.assert_array_equal(x_ca, x_ck)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 5, 8, 13, 33, 64])
+def test_emitted_machine_matches_simulate_schedule(backend, steps):
+    """The IR runs as many primal-only steps as the model says.  One
+    step of the module costs 3 flops per element; the machine's own
+    compares are costed as flops too, but do not depend on the element
+    count, so the n = 0 run cancels them."""
+    def extra_flops(n):
+        return (_run_step_loop("checkpoint", steps, backend, n)[2].cost.flops
+                - _run_step_loop("cache-all", steps, backend, n)[2].cost.flops)
+
+    n = 5
+    assert (extra_flops(n) - extra_flops(0)) / (3 * n) == \
+        simulate_schedule(steps).primal_steps
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

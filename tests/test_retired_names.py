@@ -5,7 +5,8 @@ Each entry is a regular expression searched in every text file under
 certifier and the backend-ratio benchmark were removed (``bench_e2e`` is
 the benchmark and ``certify_bounds`` the bounds entry point); the private
 index walkers gave way to ``IntervalAnalysis.index_strides`` /
-``.variance``; access plans replaced the monotonicity helper family.
+``.variance``; access plans replaced the monotonicity helper family;
+``CheckpointAdjoint`` emits its own binomial sweeps.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ RETIRED = [
     # its deterministic access-plan cases test_mono_* after the algebra)
     r"(?<!test_)mono_(add|neg|scale|relax)", "_make_mono_helpers",
     r"_ldmu?\b", r"_stmu?\b", "_ngat", "_nsca",
+    # the bisection checkpoint machine (the strategy emits its sweeps)
+    "_ckpt_forward_loop", "_ckpt_reverse_loop",
 ]
 
 #: keeps reference copies of the index walkers for differential tests
