@@ -10,6 +10,7 @@ passing, with:
   or atomic shadow accumulation (:mod:`repro.ad.tls`),
 * min-cut recompute-vs-cache planning with the paper's three cache
   allocation strategies (:mod:`repro.ad.cacheplan`),
+* binomial checkpointing of time loops (:mod:`repro.ad.strategy`),
 * per-opcode adjoint rules (:mod:`repro.ad.rules`),
 * parallel-construct and shadow-request MPI handlers
   (:mod:`repro.ad.transform`, :mod:`repro.ad.mpi_rules`).
@@ -19,15 +20,11 @@ from .api import (Active, ADConfig, Const, Duplicated, autodiff,
                   autodiff_transform)
 from .cacheplan import CachePlan, CachePlanner, PlanError
 from .forward import autodiff_forward
-from .strategy import (AdjointPlan, AdjointStrategy, CacheAllAdjoint,
-                       CheckpointAdjoint, ImplicitAdjoint, resolve_strategy)
 from .transform import ADTransform, ADTransformError
 
 __all__ = [
     "Active", "ADConfig", "Const", "Duplicated", "autodiff",
     "autodiff_transform", "autodiff_forward",
     "CachePlan", "CachePlanner", "PlanError",
-    "AdjointPlan", "AdjointStrategy", "CacheAllAdjoint",
-    "CheckpointAdjoint", "ImplicitAdjoint", "resolve_strategy",
     "ADTransform", "ADTransformError",
 ]

@@ -105,8 +105,7 @@ def dims_for_op(op: Op, exclude=()) -> list[Op]:
     nest: worksharing iterations are cached by iteration index alone
     (§VI-B), independent of the thread that executed them.
 
-    ``exclude`` holds loops whose storage is managed by an
-    :class:`repro.ad.strategy.AdjointStrategy` (checkpoint / implicit):
+    ``exclude`` holds loops checkpointed by :mod:`repro.ad.strategy`:
     those loops re-run one augmented iteration at a time during the
     reverse sweep, so caches inside them hold a *single* iteration and
     the managed loop contributes no index dimension.
@@ -209,8 +208,8 @@ class CachePlanner:
         self.activity = activity
         self.cache_all = cache_all
         self.nominal_extent = nominal_extent
-        #: Loops whose storage an AdjointStrategy manages: they add no
-        #: cache dimension (single-iteration caches; see dims_for_op).
+        #: Checkpointed loops: they add no cache dimension
+        #: (single-iteration caches; see dims_for_op).
         self.managed_loops = managed_loops
         self.plan = CachePlan()
         self._slot_ids = 0

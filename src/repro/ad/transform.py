@@ -83,6 +83,8 @@ from .cacheplan import (
     nest_of,
 )
 from .rules import RULES, ZERO_DERIVATIVE
+from .strategy import (checkpoint_forward_sweep, checkpoint_reverse_sweep,
+                       select_managed_loops)
 from .tls import (
     ATOMIC,
     LANES,
@@ -153,15 +155,11 @@ class ADConfig:
     #: (``ADTransform.comm_result``) either way.
     commcheck: object = False
     #: Adjoint storage/recompute strategy: "cache-all" (the §IV-C
-    #: min-cut plan, default), "checkpoint" (binary checkpointing of
-    #: eligible counted time loops: O(log steps) live state), or
-    #: "implicit" (implicit-function-theorem adjoints of loops tagged
-    #: ``adjoint='implicit'``).  Per-loop ``adjoint`` attributes
-    #: override the global choice; see :mod:`repro.ad.strategy`.
+    #: min-cut plan, default) or "checkpoint" (binomial checkpointing
+    #: of eligible counted time loops: O(log steps) live state).
+    #: Per-loop ``adjoint`` attributes override the global choice; see
+    #: :mod:`repro.ad.strategy`.
     adjoint: str = "cache-all"
-    #: Reverse Neumann-iteration count for implicit adjoints (None:
-    #: use the primal trip count).
-    implicit_iters: Optional[int] = None
 
 
 def _top_level_ancestor(op: Op) -> Op:
@@ -301,15 +299,15 @@ class ADTransform:
         self.lint_result = None              # set when config.sanitize
         self.comm_result = None              # set when config.commcheck
         self._mpi_buffers: list = []
-        # Adjoint-strategy state (repro.ad.strategy): primal loop op ->
-        # (strategy, AdjointPlan) for loops whose storage/recompute
+        # Checkpointed loops (repro.ad.strategy): primal loop op -> its
+        # loop-carried state, for loops whose storage/recompute
         # schedule is managed outside the min-cut plan.
-        self.managed: dict[Op, tuple] = {}
+        self.managed: dict[Op, list] = {}
         self.adjoint_report: dict = {}
         self._ckpt: dict[Op, dict] = {}      # managed loop -> snapshot rec
         # When set, the forward emission clones primal ops only: no
-        # shadow twins, no cache stores (checkpoint/implicit recompute
-        # segments re-run these ops later in augmented form).
+        # shadow twins, no cache stores (checkpoint recompute segments
+        # re-run these ops later in augmented form).
         self._primal_only = False
 
     # ==================================================================
@@ -380,7 +378,6 @@ class ADTransform:
 
         self.activity = analyze_activity(self.fn, self.module, self.aliasing,
                                          duplicated, actives)
-        from .strategy import select_managed_loops
         self.managed, self.adjoint_report = select_managed_loops(self)
         planner = CachePlanner(self.fn, self.module, self.aliasing,
                                self.activity, cache_all=self.config.cache_all,
@@ -460,11 +457,6 @@ class ADTransform:
             attrs.append({})
         ret = F64 if self._active_scalar is not None else Void
         self.grad = Function(self.grad_name, args, ret, attrs)
-        # Strategy fingerprint: the compiled backend folds this into its
-        # memo/disk-cache keys so gradients generated under different
-        # adjoint strategies never share a compiled artifact.
-        from .strategy import strategy_fingerprint
-        self.grad.attrs["adjoint"] = strategy_fingerprint(self.config)
         self.module.add_function(self.grad)
 
         gi = iter(self.grad.args)
@@ -762,9 +754,8 @@ class ADTransform:
             if oc == "free":
                 continue  # deferred: buffers stay alive for the reverse
             if oc in ("for", "while"):
-                m = self.managed.get(op)
-                if m is not None:
-                    m[0].emit_forward_sweep(self, op)
+                if op in self.managed:
+                    checkpoint_forward_sweep(self, op)
                 else:
                     self._forward_loop(op)
             elif oc == "parallel_for":
@@ -1053,9 +1044,8 @@ class ADTransform:
                     scope, op, new.else_body, new))
             return
         if oc == "for":
-            m = self.managed.get(op)
-            if m is not None:
-                m[0].emit_reverse_sweep(self, op, scope)
+            if op in self.managed:
+                checkpoint_reverse_sweep(self, op, scope)
             else:
                 self._reverse_for(op, scope)
             return
@@ -1325,12 +1315,12 @@ class ADTransform:
             self._reverse_block(op.body, inner)
 
     # ==================================================================
-    # Managed adjoint strategies (repro.ad.strategy)
+    # Checkpointed loops (repro.ad.strategy)
     # ==================================================================
     def _run_primal_only(self, block: Block) -> None:
         """Re-emit ``block`` cloning primal ops only (no shadow twins,
-        no cache stores) — the recompute segments of checkpoint and
-        implicit adjoints."""
+        no cache stores) — the recompute segments of checkpointed
+        adjoints."""
         prev = self._primal_only
         self._primal_only = True
         try:
@@ -1344,28 +1334,25 @@ class ADTransform:
         return self.b.emit(CallOp("rt.buflen", [p], I64))
 
     def _managed_trip_bounds(self, op: ForOp):
-        """(lb, ub, step, ntrips) forward values of a managed loop."""
+        """(lb, step, ntrips) forward values of a managed loop."""
         b = self.b
         lb = self._fwd_val(op.operands[0])
         ub = self._fwd_val(op.operands[1])
         step = self._fwd_val(op.operands[2])
         ntrips = b.idiv(b.add(b.max(b.sub(ub, lb), 0), b.sub(step, 1)), step)
-        return lb, ub, step, ntrips
+        return lb, step, ntrips
 
-    def _managed_state(self, op: ForOp, nslots: Optional[Value],
-                       name: str) -> list:
+    def _managed_state(self, op: ForOp, nslots: Value) -> list:
         """Allocate snapshot storage for the loop-carried state of a
-        managed loop: ``nslots`` stacked copies of each state buffer
-        (None: a single copy).  Returns [(primal ptr, len, snap), ...]."""
+        managed loop: ``nslots`` stacked copies of each state buffer.
+        Returns [(primal ptr, len, snap), ...]."""
         b = self.b
-        _, plan = self.managed[op]
         state = []
-        for v in plan.state:
+        for v in self.managed[op]:
             p = self._fwd_val(v)
             n = self._buflen(p)
-            total = n if nslots is None else b.mul(n, nslots)
-            snap = b.alloc(total, v.type.elem, space=self.config.cache_space,
-                           name=name)
+            snap = b.alloc(b.mul(n, nslots), v.type.elem,
+                           space=self.config.cache_space, name="ckpt")
             snap.op.attrs["stream"] = True
             snap.op.attrs["adcache"] = True
             state.append((p, n, snap))
@@ -1399,49 +1386,6 @@ class ADTransform:
         inner = _Scope(scope, op, self.b.block, anchor)
         inner.bind(op.body.args[0], ivar)
         self._reverse_block(op.body, inner)
-
-    def _implicit_forward_loop(self, op: ForOp) -> None:
-        """Implicit-adjoint forward sweep: run the fixed-point loop
-        primal-only and snapshot the *final* (converged) state once."""
-        b = self.b
-        lb, ub, step, ntrips = self._managed_trip_bounds(op)
-        rec = {"lb": lb, "step": step, "ntrips": ntrips,
-               "state": self._managed_state(op, None, "fixpt")}
-        self._ckpt[op] = rec
-        new = ForOp(lb, ub, step, ivar_name=op.body.args[0].name)
-        b.emit(new)
-        with b.at(new.body):
-            self._primal_step(op, new.body.args[0])
-        for p, n, snap in rec["state"]:
-            b.memcpy(snap, p, n)
-        # The reverse Neumann rounds re-run the body as the *last*
-        # primal iteration (any index works at a true fixed point; the
-        # last one makes implicit_iters = N match unrolling exactly).
-        rec["last_ivar"] = b.add(
-            lb, b.mul(b.max(b.sub(ntrips, 1), 0), step))
-
-    def _implicit_reverse_loop(self, op: ForOp, scope: _Scope) -> None:
-        """Implicit-function-theorem reverse sweep: iterate the adjoint
-        map at the frozen fixed point.  Each round restores the
-        converged state, re-runs one augmented body step, and reverses
-        it — the shadow state becomes (J^T)^k x̄ while parameter
-        adjoints accumulate Σ_k (∂f/∂θ)^T (J^T)^k x̄, the Neumann series
-        of (I - J^T)^{-1} x̄."""
-        b = self.b
-        rec = self._ckpt[op]
-        iters = self.config.implicit_iters
-        count = Constant(iters, I64) if iters is not None else rec["ntrips"]
-        new = ForOp(Constant(0, I64), count, Constant(1, I64),
-                    ivar_name="nk")
-        b.emit(new)
-        with b.at(new.body):
-            for p, n, snap in rec["state"]:
-                b.memcpy(p, snap, n)
-            self._adjoint_step(op, rec["last_ivar"], scope, new)
-        # Leave the primal at the converged state (each round advanced
-        # it one step past the snapshot).
-        for p, n, snap in rec["state"]:
-            b.memcpy(p, snap, n)
 
     def _pop_dyn_arrays(self, anchor: Op, scope: _Scope) -> None:
         b = self.b

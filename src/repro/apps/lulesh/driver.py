@@ -78,7 +78,7 @@ class LuleshApp:
         self.machine = machine or c6i_metal()
         # The adjoint strategy rides on the time loop as a per-region
         # tag (so cache-all stays the global default for everything
-        # else) and on ADConfig for fingerprinting.
+        # else) and on ADConfig, which the gradient disk cache keys on.
         self.adjoint = adjoint
         self.module, self.fn = build_lulesh(
             flavor, nx, pr, params,
@@ -334,7 +334,7 @@ def main(argv: Optional[list] = None) -> int:
     ap.add_argument("--steps", type=int, default=8,
                     help="time-loop steps")
     ap.add_argument("--adjoint", default=None,
-                    choices=["cache-all", "checkpoint", "implicit"],
+                    choices=["cache-all", "checkpoint"],
                     help="adjoint strategy for the time loop "
                          "(default: the engine's cache-all plan)")
     ap.add_argument("--backend", default="interp",

@@ -180,7 +180,7 @@ def build_lulesh(flavor_name: str, nx: int, pr: int = 1,
     :data:`repro.apps.lulesh.mesh.ALL_FIELDS`.
 
     ``time_loop_adjoint`` tags the time loop with a per-region adjoint
-    strategy (``"checkpoint"`` / ``"implicit"`` / ``"cache-all"``); None
+    strategy (``"checkpoint"`` / ``"cache-all"``); None
     leaves the choice to ``ADConfig.adjoint``.
     """
     fl = FLAVORS[flavor_name]

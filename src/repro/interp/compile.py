@@ -582,19 +582,16 @@ class CompiledBackend:
 
     # -- compile cache -------------------------------------------------
     def get_compiled(self, fn: Function):
-        """Compiled code for ``fn``, or None if it is interpreter-only."""
-        # Gradients stamp the adjoint-strategy fingerprint on the
-        # function; folding it into the key keeps artifacts generated
-        # under different strategies from ever sharing a cache entry.
-        fingerprint = self.fingerprint
-        adjoint = fn.attrs.get("adjoint")
-        if adjoint:
-            fingerprint = f"{fingerprint}|adjoint={adjoint}"
-        key = (self.fusion, fingerprint)
+        """Compiled code for ``fn``, or None if it is interpreter-only.
+
+        The disk entry is keyed on the printed closure of ``fn``, which
+        already carries every ADConfig choice that shaped a gradient,
+        and on the ExecConfig fingerprint."""
+        key = (self.fusion, self.fingerprint)
         cached = getattr(fn, _CACHE_ATTR, None)
         if cached is None or getattr(fn, _CACHE_KEY_ATTR, None) != key:
             try:
-                cached = self._compile(fn, fingerprint)
+                cached = self._compile(fn, self.fingerprint)
                 self.lowered += cached.__lowered_source__ is not None
             except Exception as e:  # noqa: BLE001 - fallback must hold
                 if self.strict:

@@ -34,8 +34,8 @@ determines it:
   signatures and effects, argument attrs including ``extent``, function
   attrs — what ``certify_bounds`` and the lowerer read; it transitively
   encodes any ADConfig that shaped a gradient function);
-* an ExecConfig fingerprint (see :func:`config_fingerprint`), the
-  fusion flag and the gradient's adjoint-strategy tag;
+* an ExecConfig fingerprint (see :func:`config_fingerprint`) and the
+  fusion flag;
 * a digest of the ``repro.interp`` / ``repro.passes`` / ``repro.ir``
   sources (:func:`sources_digest`) — the code that lowers it; editing
   any of them is the version bump, there is no number to remember;

@@ -80,7 +80,7 @@ def register_default_intrinsics(module) -> None:
         doc="Configured shared-memory thread count.")
     reg("rt.buflen", [], I64, effects="pure", variadic=True,
         doc="Element count from a pointer to the end of its buffer "
-            "(snapshot sizing for checkpointed/implicit adjoints; "
+            "(snapshot sizing for checkpointed adjoints; "
             "variadic so any pointer element type is accepted).")
     reg("rt.assert_ge", [F64, F64], effects="any",
         doc="Abort if arg0 < arg1 (used by app error checks).")

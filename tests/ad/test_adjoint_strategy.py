@@ -1,24 +1,24 @@
-"""Pluggable adjoint strategies (repro.ad.strategy).
+"""Checkpointed adjoints (repro.ad.strategy).
 
 Covers the revolve reference schedule, the checkpointed adjoint's
 bit-identity with the cache-all plan under both backends, its
-O(log N) peak cached state, the implicit (fixed-point) adjoint, the
-eligibility fallbacks, per-region tags, the verifier rules, and the
-IR round-trip of the ``adjoint`` loop attribute.
+O(log N) peak cached state, the eligibility fallbacks, per-region tags,
+the verifier rules, and the IR round-trip of the ``adjoint`` loop
+attribute.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 
 import numpy as np
 import pytest
 
 from repro.ad import ADConfig, Const, Duplicated, autodiff, autodiff_transform
-from repro.ad.strategy import (CacheAllAdjoint, CheckpointAdjoint,
-                               ImplicitAdjoint, binomial_split,
+from repro.ad.strategy import (STRATEGY_NAMES, binomial_split,
                                resolve_strategy, simulate_schedule,
-                               stack_bits, strategy_fingerprint)
+                               stack_bits)
 from repro.interp import ExecConfig, Executor
 from repro.ir import (I64, IRBuilder, Ptr, VerificationError, parse_module,
                       print_module, verify_module)
@@ -92,23 +92,17 @@ def test_binomial_split_is_optimal_in_both_roles():
 
 
 def test_resolve_strategy():
-    assert isinstance(resolve_strategy(None), CacheAllAdjoint)
-    assert isinstance(resolve_strategy("cache-all"), CacheAllAdjoint)
-    assert isinstance(resolve_strategy("checkpoint"), CheckpointAdjoint)
-    assert isinstance(resolve_strategy("implicit"), ImplicitAdjoint)
-    strat = CheckpointAdjoint()
-    assert resolve_strategy(strat) is strat
-    with pytest.raises(ValueError, match="unknown adjoint strategy"):
-        resolve_strategy("bogus")
-
-
-def test_strategy_fingerprints_distinct():
-    fps = {strategy_fingerprint(ADConfig(adjoint=a))
-           for a in ("cache-all", "checkpoint", "implicit")}
-    assert len(fps) == 3
-    assert strategy_fingerprint(
-        ADConfig(adjoint="implicit", implicit_iters=5)) != \
-        strategy_fingerprint(ADConfig(adjoint="implicit"))
+    assert STRATEGY_NAMES == ("cache-all", "checkpoint")
+    for name in STRATEGY_NAMES:
+        assert resolve_strategy(name) == name
+    expected = re.escape(f"expected one of {STRATEGY_NAMES}")
+    for name in ("bogus", "implicit", None, "cache_all"):
+        with pytest.raises(ValueError, match="unknown adjoint strategy"):
+            resolve_strategy(name)
+        with pytest.raises(ValueError, match=expected):
+            autodiff_transform(_step_loop_module(), "step_loop",
+                               [Duplicated, Const, Const],
+                               ADConfig(adjoint=name))
 
 
 # ---------------------------------------------------------------------------
@@ -194,60 +188,6 @@ def test_per_region_tag_overrides_global_default():
     g_ca, _ = _grad_step_loop(None, 16, "interp")
     g_tag, st = _grad_step_loop(None, 16, "interp", tag="checkpoint")
     np.testing.assert_array_equal(g_ca, g_tag)
-
-
-# ---------------------------------------------------------------------------
-# Implicit (fixed-point) adjoint
-# ---------------------------------------------------------------------------
-
-def _fixpoint_module(tag=None):
-    """x[i] <- 0.5*x[i] + theta[i]: contraction to x* = 2*theta."""
-    b = IRBuilder()
-    with b.function("fixpt", [("x", Ptr()), ("theta", Ptr()),
-                              ("n", I64), ("steps", I64)]) as f:
-        x, theta, n, steps = f.args
-        with b.for_(0, steps, name="s", adjoint=tag):
-            with b.for_(0, n, name="i") as i:
-                b.store(b.add(b.mul(b.load(x, i), 0.5),
-                              b.load(theta, i)), x, i)
-    verify_module(b.module)
-    return b.module
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_implicit_matches_unrolled(backend):
-    steps, n = 60, 4
-
-    def run(tag):
-        m = _fixpoint_module(tag)
-        g = autodiff(m, "fixpt", [Duplicated, Duplicated, Const, Const],
-                     ADConfig())
-        ex = Executor(m, ExecConfig(backend=backend))
-        x = np.full(n, 3.0)
-        theta = np.linspace(0.5, 2.0, n)
-        dx, dtheta = np.ones(n), np.zeros(n)
-        ex.run(g, x, dx, theta, dtheta, n, steps)
-        return dtheta
-
-    unrolled = run(None)
-    implicit = run("implicit")
-    # After 60 halvings the map is numerically at its fixed point, so
-    # theta_bar = sum_k 0.5^k = 2 (per element, seed 1) for both.
-    np.testing.assert_allclose(implicit, unrolled, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(implicit, 2.0, rtol=0, atol=1e-10)
-
-
-def test_implicit_iters_truncates_neumann_series():
-    m = _fixpoint_module("implicit")
-    g = autodiff(m, "fixpt", [Duplicated, Duplicated, Const, Const],
-                 ADConfig(implicit_iters=3))
-    ex = Executor(m, ExecConfig())
-    n = 2
-    x, theta = np.full(n, 3.0), np.ones(n)
-    dx, dtheta = np.ones(n), np.zeros(n)
-    ex.run(g, x, dx, theta, dtheta, n, 50)
-    # 3 Neumann rounds: 1 + 0.5 + 0.25
-    np.testing.assert_allclose(dtheta, 1.75, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +297,7 @@ sys.stdout.write(print_module(b.module))
 """
 
 
-@pytest.mark.parametrize("adjoint", ["", "checkpoint", "implicit"])
+@pytest.mark.parametrize("adjoint", ["", "checkpoint"])
 def test_gradient_ir_deterministic_across_hash_seeds(adjoint, tmp_path):
     """Byte-identical gradient IR under different PYTHONHASHSEEDs: the
     strategy analysis (state discovery, snapshot order) must iterate in
@@ -389,13 +329,21 @@ def test_gradient_ir_deterministic_across_hash_seeds(adjoint, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_verifier_rejects_unknown_tag():
-    b = IRBuilder()
-    with b.function("f", [("n", I64)]) as f:
-        (n,) = f.args
-        with b.for_(0, n, adjoint="bogus"):
-            pass
-    with pytest.raises(VerificationError, match="unknown adjoint strategy"):
-        verify_module(b.module)
+    from repro.apps.lulesh.driver import LuleshApp
+
+    for tag in ("bogus", "implicit"):
+        b = IRBuilder()
+        with b.function("f", [("n", I64)]) as f:
+            (n,) = f.args
+            with b.for_(0, n, adjoint=tag):
+                pass
+        with pytest.raises(VerificationError,
+                           match="unknown adjoint strategy"):
+            verify_module(b.module)
+        # The app tags its time loop, so it fails while building.
+        with pytest.raises(VerificationError,
+                           match=f"unknown adjoint strategy '{tag}'"):
+            LuleshApp("serial", 2, adjoint=tag)
 
 
 def test_verifier_rejects_simd_with_adjoint_tag():

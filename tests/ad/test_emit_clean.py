@@ -28,19 +28,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.ad import ADConfig, Const, Duplicated, autodiff, transform
+from repro.ad import (ADConfig, Const, Duplicated, autodiff,
+                      autodiff_transform, transform)
 from repro.apps.lulesh.driver import LuleshApp
 from repro.apps.lulesh.kernels import FLAVORS
 from repro.apps.minibude import MinibudeApp
 from repro.apps.minibude.deck import make_deck
 from repro.apps.minibude.kernels import VARIANTS
 from repro.interp import ExecConfig, Executor
-from repro.ir import IRBuilder, print_function, verify_function
+from repro.ir import I64, IRBuilder, Ptr, print_function, verify_function
 
 from ..properties import simd_programs as sp
 from ..properties.test_adjoint_equivalence import _time_stepped
 from ..properties.test_roundtrip_properties import _STMT
-from .test_adjoint_strategy import _fixpoint_module
 from .test_gradient_roundtrip import APPS, _assert_same_run, _run
 
 plain_emitter = mock.patch.object(transform, "FoldingBuilder", IRBuilder)
@@ -115,17 +115,24 @@ def test_raw_gradient_uses_only_values_it_defines(name):
     verify_function(app.module.functions[app.grad_fn()], app.module)
 
 
-@pytest.mark.parametrize("cfg", [
-    ADConfig(post_opt=False),
-    ADConfig(post_opt=False, implicit_iters=3),
-    ADConfig(post_opt=False, adjoint="checkpoint"),
-], ids=["implicit", "implicit-truncated", "checkpoint"])
-def test_raw_managed_loop_gradient_verifies(cfg):
-    module = _fixpoint_module(None if cfg.adjoint == "checkpoint"
-                              else "implicit")
-    grad = autodiff(module, "fixpt", [Duplicated, Duplicated, Const, Const],
-                    cfg)
-    verify_function(module.functions[grad], module)
+@pytest.mark.parametrize("adjoint,tag", [("checkpoint", None),
+                                         ("cache-all", "checkpoint")],
+                         ids=["checkpoint", "checkpoint-tag"])
+def test_raw_managed_loop_gradient_verifies(adjoint, tag):
+    """A checkpointed time loop, chosen globally or by its loop tag."""
+    b = IRBuilder()
+    with b.function("relax", [("x", Ptr()), ("theta", Ptr()),
+                              ("n", I64), ("steps", I64)]) as f:
+        x, theta, n, steps = f.args
+        with b.for_(0, steps, name="s", adjoint=tag):
+            with b.for_(0, n, name="i") as i:
+                b.store(b.add(b.mul(b.load(x, i), 0.5),
+                              b.load(theta, i)), x, i)
+    tr = autodiff_transform(b.module, "relax",
+                            [Duplicated, Duplicated, Const, Const],
+                            ADConfig(post_opt=False, adjoint=adjoint))
+    assert [e["loop"] for e in tr.adjoint_report["managed"]] == ["s"]
+    verify_function(tr.grad, b.module)
 
 
 # ---------------------------------------------------------------------------

@@ -36,18 +36,20 @@ def test_minibude_jvp_vjp_consistency():
     assert jvp == pytest.approx(vjp, rel=1e-10)
 
 
-def test_lulesh_serial_app_jvp_vjp_consistency():
+@pytest.mark.parametrize("adjoint,steps", [(None, 3), ("checkpoint", 5)])
+def test_lulesh_serial_app_jvp_vjp_consistency(adjoint, steps):
     """The whole serial LULESH time loop (every kernel a ``simd`` loop,
     reversed as ``simd`` loops): v·(J u) == u·(Jᵀ v) for random u on all
-    inputs and random v on all outputs, over three steps."""
+    inputs and random v on all outputs.  Under ``checkpoint`` the time
+    loop is checkpointed, so the tangent oracle checks the revolve
+    machine independently of the cache-all gradient."""
     from repro.apps.lulesh.driver import (
         LuleshApp,
         domain_args,
         gradient_activities,
     )
     from repro.apps.lulesh.mesh import ALL_FLOAT_FIELDS
-    app = LuleshApp("serial", nx=2)
-    steps = 3
+    app = LuleshApp("serial", nx=2, adjoint=adjoint)
     fwd = autodiff_forward(app.module, app.fn, gradient_activities())
 
     rng = np.random.default_rng(11)
@@ -61,6 +63,8 @@ def test_lulesh_serial_app_jvp_vjp_consistency():
 
     shadows = {f: v[f].copy() for f in ALL_FLOAT_FIELDS}
     app.run_gradient(app.make_domains(1.0e4), steps, 1, [shadows])
+    if adjoint:
+        assert [e["loop"] for e in app.adjoint_report["managed"]] == ["s"]
     vjp = sum(float(shadows[f] @ u[f]) for f in ALL_FLOAT_FIELDS)
     assert jvp == pytest.approx(vjp, rel=1e-10)
 

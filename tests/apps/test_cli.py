@@ -42,6 +42,13 @@ def test_app_cli_runs_its_driver_once(app):
     assert proc.stderr == ""
 
 
+def test_lulesh_cli_rejects_an_unknown_adjoint():
+    with pytest.raises(subprocess.CalledProcessError) as err:
+        _python(["-m", "repro.apps.lulesh", "--adjoint", "implicit"])
+    assert err.value.returncode == 2
+    assert "invalid choice: 'implicit'" in err.value.stderr
+
+
 @pytest.fixture(scope="module")
 def cli_runs(tmp_path_factory):
     """Two CLI processes against one empty cache directory, each running

@@ -127,13 +127,9 @@ def test_ad_config_change_is_a_miss(tmp_path):
 
 
 def test_adjoint_strategy_change_is_a_miss(tmp_path):
-    """ADConfig.adjoint reaches the key two ways: the generated IR
-    differs (and its printed closure carries the function attrs), and
-    the gradient function carries the strategy fingerprint in
-    ``attrs['adjoint']``, which CompiledBackend folds into the
-    ExecConfig fingerprint — so strategies can never share a cache
-    entry even if their IR ever coincided."""
-    from repro.ad.strategy import strategy_fingerprint
+    """ADConfig.adjoint reaches the key through the generated IR: the
+    two strategies' gradients print different closures, so they never
+    share a cache entry."""
 
     def loop_module():
         b = IRBuilder()
@@ -148,35 +144,18 @@ def test_adjoint_strategy_change_is_a_miss(tmp_path):
         return b.module
 
     cache = CompileCache(str(tmp_path))
-    base_fp = config_fingerprint(ExecConfig())
-    sources, fps = [], []
+    fp = config_fingerprint(ExecConfig())
+    sources = []
     for cfg in (ADConfig(), ADConfig(adjoint="checkpoint")):
         mod = loop_module()
         grad = autodiff(mod, "f", [Duplicated, None, None], cfg)
-        fn = mod.functions[grad]
-        assert fn.attrs["adjoint"] == strategy_fingerprint(cfg)
         sources.append(_key_text(mod, grad))
-        # The fold CompiledBackend.get_compiled applies:
-        fps.append(f"{base_fp}|adjoint={fn.attrs['adjoint']}")
     src_a, src_b = sources
-    fp_a, fp_b = fps
-    assert src_a != src_b                      # IR-level separation
-    assert fp_a != fp_b                        # fingerprint separation
-    assert cache.key(src_a, fp_a) != cache.key(src_a, fp_b)
-    cache.store(src_a, fp_a, compile("pass", "<t>", "exec"))
-    assert cache.load(src_a, fp_b) is None
-    assert cache.load(src_a, fp_a) is not None
-
-
-def test_implicit_iters_changes_fingerprint():
-    """implicit_iters changes generated code (the Neumann round count),
-    so it must show up in the strategy fingerprint."""
-    from repro.ad.strategy import strategy_fingerprint
-
-    assert strategy_fingerprint(ADConfig(adjoint="implicit")) != \
-        strategy_fingerprint(ADConfig(adjoint="implicit", implicit_iters=8))
-    assert strategy_fingerprint(ADConfig()) != \
-        strategy_fingerprint(ADConfig(adjoint="checkpoint"))
+    assert src_a != src_b
+    assert cache.key(src_a, fp) != cache.key(src_b, fp)
+    cache.store(src_a, fp, compile("pass", "<t>", "exec"))
+    assert cache.load(src_b, fp) is None
+    assert cache.load(src_a, fp) is not None
 
 
 def test_fusion_flag_changes_source_and_key(tmp_path):
@@ -426,7 +405,7 @@ _OTHER_ADCONFIG = {
     "prefix": "grad_", "opt_level": "none", "openmp_opt": True,
     "post_opt": False, "cache_space": "gc", "sanitize": True,
     "force_increment_kind": "atomic", "commcheck": (2,),
-    "adjoint": "checkpoint", "implicit_iters": 3,
+    "adjoint": "checkpoint",
 }
 
 
@@ -807,7 +786,7 @@ _OTHER_EXECCONFIG = {
     dict(module=dict(callee_scale=2.0)),
     dict(module=dict(effects="read")),
     dict(fusion=False),
-    dict(fingerprint=f"{_BASE_FP}|adjoint=checkpoint"),
+    dict(fingerprint=f"{_BASE_FP}|native=cc-1"),   # NativeBackend's fold
     dict(sources="0" * 64),
 ] + [dict(config={name: value})
      for name, value in _OTHER_EXECCONFIG.items()],

@@ -6,7 +6,9 @@ certifier and the backend-ratio benchmark were removed (``bench_e2e`` is
 the benchmark and ``certify_bounds`` the bounds entry point); the private
 index walkers gave way to ``IntervalAnalysis.index_strides`` /
 ``.variance``; access plans replaced the monotonicity helper family;
-``CheckpointAdjoint`` emits its own binomial sweeps.
+the checkpoint sweeps are emitted by ``repro.ad.strategy`` itself; the
+implicit (fixed-point) adjoint, the adjoint-strategy class layer and the
+strategy stamp on gradients went.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ RETIRED = [
     r"_ldmu?\b", r"_stmu?\b", "_ngat", "_nsca",
     # the bisection checkpoint machine (the strategy emits its sweeps)
     "_ckpt_forward_loop", "_ckpt_reverse_loop",
+    # the implicit adjoint and the strategy plug-in layer
+    "ImplicitAdjoint", "implicit_iters", "_implicit_(forward|reverse)_loop",
+    "strategy_fingerprint", "CacheAllAdjoint", "_ManagedStrategy",
+    r"\bAdjointStrategy\b",
 ]
 
 #: keeps reference copies of the index walkers for differential tests
