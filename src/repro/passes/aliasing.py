@@ -22,6 +22,17 @@ function (stores, atomics, memset/memcpy, writing intrinsics such as
 can be rematerialized in the reverse pass (only loads from read-only
 origins can — re-loading an overwritten location would observe the
 final, not the original, value).
+
+Pointers held in memory (closure records, the AD's per-thread pointer
+arrays) get a provenance that is the union of everything ever stored
+into the buffer.  :meth:`AliasInfo.stored_value` is the exact
+counterpart, the *stored-value fact*: a pointer ``load`` from an
+``alloc`` that never escapes stands for the one SSA value ``v`` that
+every store able to reach it wrote (see :func:`_stored_values`).  It
+names ``v``, not an instance of it: the load returns the ``v`` computed
+by whichever execution of its definition preceded the store.  Only
+bounds certification reads it; the cache planner, activity, LICM and
+OpenMPOpt keep the origin-level provenance above.
 """
 
 from __future__ import annotations
@@ -57,7 +68,8 @@ _NONWRITING_INTRINSICS = {
 class AliasInfo:
     """Result of provenance analysis over one function."""
 
-    def __init__(self) -> None:
+    def __init__(self, fn: Function) -> None:
+        self.fn = fn
         self.prov: dict[Value, frozenset] = {}
         self.written: set = set()
         self.has_unknown_write = False
@@ -65,6 +77,9 @@ class AliasInfo:
         #: (for pointers held in memory, e.g. closure records).
         self.stored_ptrs: dict = {}
         self._region_writes_cache: dict[Op, tuple[frozenset, bool]] = {}
+        #: Pointer load -> the value it stands for (or None); filled on
+        #: the first :meth:`stored_value` query.
+        self._stored: Optional[dict[Op, Optional[Value]]] = None
 
     # ------------------------------------------------------------------
     def provenance(self, ptr: Value) -> frozenset:
@@ -81,6 +96,13 @@ class AliasInfo:
         if self.has_unknown_write:
             return False
         return not (p & self.written)
+
+    def stored_value(self, load: Op) -> Optional[Value]:
+        """The SSA value the pointer-typed ``load`` stands for under the
+        stored-value fact, or None when the fact does not hold."""
+        if self._stored is None:
+            self._stored = _stored_values(self.fn, self)
+        return self._stored.get(load)
 
     def points_to_single_alloc(self, ptr: Value) -> Optional[Op]:
         p = self.provenance(ptr)
@@ -165,7 +187,7 @@ def provs_may_alias(pa: frozenset, pb: frozenset) -> bool:
 
 
 def analyze_aliasing(fn: Function, module: Module) -> AliasInfo:
-    info = AliasInfo()
+    info = AliasInfo(fn)
     prov = info.prov
 
     for arg in fn.args:
@@ -226,6 +248,10 @@ def analyze_aliasing(fn: Function, module: Module) -> AliasInfo:
                     update(op.result, frozenset([UNKNOWN]))
         if not changed:
             break
+    else:
+        # Provenance did not settle, so an escape may be missing from
+        # it: no load stands for a stored value.
+        info._stored = {}
 
     # Written origins.
     for op in fn.walk():
@@ -270,3 +296,115 @@ def _mark_written(info: AliasInfo, p: frozenset) -> None:
     if UNKNOWN in p:
         info.has_unknown_write = True
     info.written |= p
+
+
+def _slot(ptr: Value, idx: Value) -> tuple[Value, Optional[int]]:
+    """The ``ptradd`` root of ``ptr`` and the constant element an access
+    ``ptr[idx]`` touches in it (None when an offset is not constant)."""
+    offsets = [idx]
+    while isinstance(ptr, Result) and ptr.op.opcode == "ptradd":
+        offsets.append(ptr.op.operands[1])
+        ptr = ptr.op.operands[0]
+    if all(isinstance(o, Constant) and isinstance(o.value, int)
+           for o in offsets):
+        return ptr, sum(o.value for o in offsets)
+    return ptr, None
+
+
+def _stored_values(fn: Function, info: AliasInfo
+                   ) -> dict[Op, Optional[Value]]:
+    """The stored-value fact for every pointer ``load`` of ``fn``.
+
+    A load from an ``alloc`` buffer stands for ``v`` when
+
+    * the buffer does not escape: every pointer into it is only the base
+      of loads, stores and ``ptradd``s, or a value stored into buffers
+      this fact also tracks (so no ``memcpy``, ``memset``, ``atomic``,
+      call or pointer of unknown provenance can write it);
+    * every store that can reach the load — the stores to its constant
+      slot and the stores at a varying index, or every store when the
+      load's own index varies — stores ``v`` (up to this same fact).
+
+    A load through a pointer loaded from a tracked buffer finds its slot
+    through the fact too, so chains resolve: record → per-thread pointer
+    array → saved shadow-record array → argument."""
+    prov = info.prov
+    tracked: set = set()
+    escaped: set = set()
+    into: dict = {}     # origin -> origins its pointers are stored into
+    stores: dict = {}   # origin -> [(root, slot, stored value)]
+    loads: list[Op] = []
+
+    def escape(v: Value) -> None:
+        if isinstance(v.type, PointerType):
+            escaped.update(prov.get(v, ()))
+
+    for op in fn.walk():
+        oc = op.opcode
+        if oc == "alloc":
+            tracked.add(("alloc", op))
+        elif oc == "load":
+            if isinstance(op.result.type, PointerType):
+                loads.append(op)
+        elif oc == "ptradd":
+            pass                    # its result carries the origins on
+        elif oc == "store":
+            val, ptr, idx = op.operands
+            dest = prov.get(ptr, frozenset([UNKNOWN]))
+            if isinstance(val.type, PointerType):
+                for o in prov.get(val, ()):
+                    into.setdefault(o, set()).update(dest)
+            root, slot = _slot(ptr, idx)
+            for o in dest:
+                stores.setdefault(o, []).append((root, slot, val))
+        else:
+            for v in op.operands:
+                escape(v)
+    changed = True
+    while changed:
+        changed = False
+        for o in list(tracked):
+            if o in escaped or not into.get(o, set()) <= tracked:
+                tracked.discard(o)
+                changed = True
+
+    facts: dict[Op, Optional[Value]] = {}
+
+    def resolve(v: Value) -> Value:
+        """``v``, or what the pointer load defining it stands for."""
+        while isinstance(v, Result) and v.op.opcode == "load":
+            got = fact(v.op)
+            if got is None:
+                break
+            v = got
+        return v
+
+    def fact(load: Op) -> Optional[Value]:
+        if load in facts:
+            return facts[load]
+        facts[load] = None          # cuts cycles through memory
+        root, slot = _slot(*load.operands)
+        root = resolve(root)
+        origin = (("alloc", root.op) if isinstance(root, Result)
+                  and root.op.opcode == "alloc" else None)
+        if origin is None:
+            p = prov.get(load.operands[0], frozenset())
+            origin, slot = (next(iter(p)) if len(p) == 1 else None), None
+        if origin not in tracked:
+            return None
+        seen: Optional[Value] = None
+        for sroot, sslot, val in stores.get(origin, ()):
+            if resolve(sroot) is not root:
+                sslot = None
+            if slot is not None and sslot is not None and sslot != slot:
+                continue
+            val = resolve(val)
+            if val is load.result or (seen is not None and val is not seen):
+                return None
+            seen = val
+        facts[load] = seen
+        return seen
+
+    for op in loads:
+        fact(op)
+    return facts

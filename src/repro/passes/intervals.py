@@ -71,6 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..ir.function import Module
 from ..ir.ops import Op
 from ..ir.types import I64
 from ..ir.values import Argument, BlockArg, Constant, Result, Value
@@ -89,6 +90,13 @@ _INT64_MIN: int = -(2**63)
 
 #: Substitution fuel for bound evaluation (cyclic refinement guards).
 _FUEL: int = 32
+
+#: Intrinsics the default registry declares ``effects="pure"``: a call
+#: to one of them with uniform operands is uniform (see ``variance``).
+#: The lane variance is an SSA fact that needs no module.
+_PURE_INTRINSICS = frozenset(
+    name for name, info in Module().intrinsics.items()
+    if info.effects == "pure")
 
 
 def _clamp(b: Bound) -> Bound:
@@ -217,7 +225,10 @@ def _fill_variance(block: object, vector: bool,
         elif oc == "alloc":
             var[res] = vector
         elif oc == "call":
-            var[res] = None if vector else False
+            var[res] = False if not vector or (
+                op.attrs["callee"] in _PURE_INTRINSICS
+                and all(var.get(v, False) is False for v in op.operands)
+            ) else None
         elif oc == "cache_pop":
             var[res] = None
         else:
@@ -347,10 +358,16 @@ class IntervalAnalysis:
         self._variance: Optional[Dict[Value, Optional[bool]]] = None
         #: ``ptradd``-chain root and offset from it, per pointer.
         self._ptr_root: Dict[Value, Tuple[Value, Affine]] = {}
+        #: The same through the stored-value fact (see :meth:`origin`).
+        self._origin: Dict[Value, Tuple[Value, Affine, bool]] = {}
         #: Per access op (load/store/atomic): the bounds verdict.
         self.access: Dict[Op, AccessFact] = {}
         #: The last ``mpi.comm_size`` result in scope (rank bounds).
         self._comm_size: Optional[Value] = None
+        #: The configured thread count: every ``rt.num_threads()``
+        #: result and the thread count of every ``fork(0)`` equal it.
+        self._num_threads = Value(I64, "num_threads")
+        self._sym_range[self._num_threads] = Interval(1, POS_INF)
         #: Top-level directional bound evaluations performed: the
         #: analysis' unit of work, next to :meth:`counts`.
         self.evaluations = 0
@@ -390,8 +407,11 @@ class IntervalAnalysis:
         ``parallel_for`` body and the outermost ``simd`` loop (nested
         ones run serially).  Their induction variables and the ``alloc``s
         inside them vary; a ``call`` result inside them, a ``cache_pop``
-        and a ``spawn`` handle have run-time width; every other result
-        joins its operands (True wins over None over False)."""
+        and a ``spawn`` handle have run-time width, except that a call to
+        an intrinsic registered ``effects="pure"`` whose operands are all
+        uniform is uniform (``rt.num_threads()`` inside a reverse ``simd``
+        body); every other result joins its operands (True wins over None
+        over False)."""
         if self._variance is None:
             self._variance = {}
             _fill_variance(getattr(self.fn, "body"), False, self._variance)
@@ -676,6 +696,9 @@ class IntervalAnalysis:
         if isinstance(want, Constant) and isinstance(want.value, int) \
                 and want.value > 0:
             self._sym_range[nth] = Interval.const(want.value)
+        elif isinstance(want, Constant):
+            nt = Affine.of(self._num_threads)
+            self._push_bound(nth, nt, nt)
         else:
             self._sym_range[nth] = Interval(1, POS_INF)
         self._push_bound(tid, Affine(0), Affine.of(nth).shift(-1))
@@ -695,7 +718,8 @@ class IntervalAnalysis:
                 self._push_bound(res, Affine(0),
                                  Affine.of(self._comm_size).shift(-1))
         elif callee == "rt.num_threads":
-            self._sym_range[res] = Interval(1, POS_INF)
+            nt = Affine.of(self._num_threads)
+            self._push_bound(res, nt, nt)
         elif callee == "rt.buflen":
             self._sym_range[res] = Interval(0, POS_INF)
 
@@ -769,10 +793,40 @@ class IntervalAnalysis:
             self._ptr_root[ptr] = got
         return got
 
+    def origin(self, ptr: Value) -> Tuple[Value, Affine, bool]:
+        """:meth:`ptr_root` read through the stored-value fact
+        (:meth:`AliasInfo.stored_value`): the root, the exact offset from
+        it, and whether a pointer load was resolved on the way.
+
+        A resolved load returns the value one earlier execution stored,
+        so the resolution is taken only when that value has one instance
+        per call: its root and every term of its offset are arguments or
+        results of the function's top level."""
+        got = self._origin.get(ptr)
+        if got is None:
+            root, off = self.ptr_root(ptr)
+            got = (root, off, False)
+            stored = Affine(0)
+            while isinstance(root, Result) and root.op.opcode == "load":
+                v = self.aliasing.stored_value(root.op)
+                if v is None:
+                    break
+                root, voff = self.ptr_root(v)
+                stored = voff.add(stored)
+                if self._one_instance(root) and all(
+                        self._one_instance(t) for t in stored.terms):
+                    got = (root, stored.add(off), True)
+            self._origin[ptr] = got
+        return got
+
+    def _one_instance(self, v: Value) -> bool:
+        return isinstance(v, Argument) or (
+            isinstance(v, Result) and v.op.parent is getattr(self.fn, "body"))
+
     def ptr_offset(self, ptr: Value) -> Optional[Affine]:
         """Element offset of ``ptr`` relative to its origin base, or
         None when the pointer's derivation is opaque."""
-        root, off = self.ptr_root(ptr)
+        root, off, _ = self.origin(ptr)
         if isinstance(root, Argument) or (
                 isinstance(root, Result) and root.op.opcode == "alloc"):
             return off
@@ -780,22 +834,35 @@ class IntervalAnalysis:
 
     def _below(self, ptr: Value) -> Optional[int]:
         """``N`` when every element ``ptr`` can reach is in ``[0, N)``:
-        its single origin is an argument declaring ``below=N`` that no
-        write in the function may touch."""
-        prov = self.aliasing.provenance(ptr)
-        if len(prov) != 1:
-            return None
-        (origin,) = prov
-        below = origin[1].attrs.get("below") if origin[0] == "arg" else None
-        if isinstance(below, int) and self.aliasing.is_readonly(ptr):
+        its origin is an argument declaring ``below=N`` that no write in
+        the function may touch."""
+        root, _, through = self.origin(ptr)
+        if through and isinstance(root, Argument):
+            arg = root
+        else:
+            prov = self.aliasing.provenance(ptr)
+            if len(prov) != 1:
+                return None
+            (origin,) = prov
+            if origin[0] != "arg":
+                return None
+            arg = origin[1]
+        below = arg.attrs.get("below")
+        if isinstance(below, int) and self.aliasing.is_readonly(arg):
             return below
         return None
 
     def extent_of(self, ptr: Value) -> Tuple[Optional[Affine], str]:
         """Affine element count of the buffer ``ptr`` points into,
-        resolved through single-origin provenance; ``(None, why)``
-        when unknown."""
-        prov = self.aliasing.provenance(ptr)
+        resolved through the stored-value fact, else through
+        single-origin provenance; ``(None, why)`` when unknown."""
+        root, _, through = self.origin(ptr)
+        if through and isinstance(root, Result) \
+                and root.op.opcode == "alloc":
+            return self.affine_of(root.op.operands[0]), ""
+        prov = (frozenset([("arg", root)])
+                if through and isinstance(root, Argument)
+                else self.aliasing.provenance(ptr))
         if len(prov) != 1:
             return None, "pointer has multiple or unknown origins"
         (origin,) = prov
@@ -811,6 +878,43 @@ class IntervalAnalysis:
             return None, (f"argument {arg.name!r} declares no extent")
         return None, "pointer origin is unknown"
 
+    def row_major(self, addr: Affine, ext: Affine) -> bool:
+        """The affine proof's one product rule: ``a·m + r`` lies inside
+        a buffer of ``e·m'`` elements when ``m' = m``, ``0 ≤ a ≤ e-1``
+        and ``0 ≤ r ≤ m-1`` — a row-major index, such as the reverse
+        sweep's per-thread caches ``iteration·nthreads + tid`` against
+        ``max(steps, 0)·nthreads``.  ``e`` may be an ``imax``, which is
+        at least each of its operands; that bound is read here only, so
+        the constant-stride cache slots ``iteration·c + k`` against
+        ``c·max(steps, 0)`` stay unproven (ROADMAP item 2(c))."""
+        if ext.const or len(ext.terms) != 1 or next(
+                iter(ext.terms.values())) != 1:
+            return False
+        (prod,) = ext.terms
+        for t, k in addr.terms.items():
+            if k != 1:
+                continue
+            rest = Affine(addr.const, {v: c for v, c in addr.terms.items()
+                                       if v is not t})
+            for a, m in _factors(t):
+                fa, fm = self.affine_of(a), self.affine_of(m)
+                for e, m2 in _factors(prod):
+                    same = fm.sub(self.affine_of(m2))
+                    if not (self._bound(same, False) >= 0
+                            and self._bound(same, True) <= 0):
+                        continue
+                    tops = [e] + (list(e.op.operands) if isinstance(
+                        e, Result) and e.op.opcode == "imax" else [])
+                    if (self._bound(fa, False) >= 0
+                            and any(self._bound(self.affine_of(x).shift(-1)
+                                                .sub(fa), False) >= 0
+                                    for x in tops)
+                            and self._bound(rest, False) >= 0
+                            and self._bound(fm.shift(-1).sub(rest),
+                                            False) >= 0):
+                        return True
+        return False
+
     def _classify_access(self, ptr: Value, idx: Value) -> AccessFact:
         ext_aff, why = self.extent_of(ptr)
         off = self.ptr_offset(ptr)
@@ -821,6 +925,9 @@ class IntervalAnalysis:
             addr_aff = off.add(self.affine_of(idx))
         if addr_aff is None or ext_aff is None:
             return AccessFact(UNPROVEN, why)
+        # A product-shaped site fails the affine test below: ask first.
+        if self.row_major(addr_aff, ext_aff):
+            return AccessFact(PROVEN, "")
         # slack = extent - addr; slack >= 1 everywhere means in bounds.
         # The verdict reads two bounds when it certifies and four when
         # it does not; the intervals themselves are for OOB findings.
@@ -845,6 +952,14 @@ class IntervalAnalysis:
         if slack_lo < 1:
             parts.append(f"index may reach extent (slack {slack_lo})")
         return AccessFact(UNPROVEN, "; ".join(parts) or why)
+
+
+def _factors(v: Value) -> List[Tuple[Value, Value]]:
+    """Both orders of the factors of a non-constant ``imul``."""
+    if not (isinstance(v, Result) and v.op.opcode == "imul"):
+        return []
+    a, b = v.op.operands
+    return [(a, b), (b, a)]
 
 
 def certify_bounds(fn: object, module: object,

@@ -24,9 +24,11 @@ from repro.apps.minibude import MinibudeApp
 from repro.apps.minibude.deck import make_deck
 from repro.interp import (ExecConfig, Executor, lower_function,
                           probe_toolchain)
+from repro.interp.lowering import Lowerer
 from repro.interp.memory import ContractError
-from repro.ir import (F64, I64, IRBuilder, Module, Ptr, VerificationError,
-                      parse_function, print_function, verify_module)
+from repro.ir import (F64, I64, IRBuilder, Module, PointerType, Ptr,
+                      VerificationError, parse_function, print_function,
+                      verify_module)
 from repro.ir.function import IntrinsicInfo
 from repro.passes import certify_bounds
 
@@ -277,21 +279,32 @@ def test_gradient_text_with_contracts_is_stable_across_hash_seeds(flavor):
 
 #: ``unproven`` bound verdicts on the nx = 2 gradient; the gathers and
 #: scatter-adds through the index arrays are certified by their below=
-#: contracts (373 serial / 390 mpi before them)
-UNPROVEN_CEILING = {"serial": 133, "mpi": 150}
+#: contracts (373 serial / 390 mpi before them), in the closure-record
+#: flavours through the stored-value fact (907 openmp and raja / 1 314
+#: hybrid before it)
+UNPROVEN_CEILING = {"serial": 133, "mpi": 150, "openmp": 152, "raja": 152,
+                    "hybrid": 181}
+
+
+def _lowered_with_names(fn, facts):
+    lowerer = Lowerer(fn, bounds=facts)
+    return lowerer.build()[0], lowerer.names
 
 
 @pytest.mark.parametrize("flavor", sorted(UNPROVEN_CEILING))
 def test_below_contracts_leave_no_checked_gather_through_an_index(flavor):
     """A pointer loaded through a below= argument is an index: every
-    gather and scatter-add it feeds lowers to the unchecked form."""
-    app = LuleshApp(flavor, 2, pr=2 if flavor == "mpi" else 1)
+    gather and scatter-add it feeds lowers to the unchecked form — also
+    where the index array itself is reloaded from a closure record."""
+    pr = 2 if flavor in ("mpi", "hybrid") else 1
+    app = LuleshApp(flavor, 2, pr=pr)
     grad = app.module.functions[app.grad_fn()]
     facts = certify_bounds(grad, app.module)
     assert facts.counts()["unproven"] <= UNPROVEN_CEILING[flavor]
-    source = lower_function(grad, bounds=facts)[0]
-    index_args = "|".join(f"v{k + 1}" for k, a in enumerate(grad.args)
-                          if "below" in a.attrs)
+    source, names = _lowered_with_names(grad, facts)
+    index_ptrs = [names[v] for v in names if isinstance(v.type, PointerType)
+                  and "below" in getattr(facts.origin(v)[0], "attrs", {})]
+    index_args = "|".join(index_ptrs)
     indexes = set(re.findall(rf"(v\d+) = _lds?u?\(rt, (?:{index_args}),",
                              source))
     checked = [line.strip() for line in source.splitlines()
@@ -299,3 +312,15 @@ def test_below_contracts_leave_no_checked_gather_through_an_index(flavor):
                and set(re.findall(r"v\d+", line.rsplit(", ", 1)[-1]))
                & indexes]
     assert indexes and not checked, checked[:3]
+
+
+@pytest.mark.parametrize("flavor", ["serial", "openmp", "raja", "mpi",
+                                    "hybrid", "raja_mpi"])
+def test_cpp_lulesh_primals_certify_every_site(flavor):
+    """The C++ flavours' primals: every access proven, the fork bodies'
+    through the closure records included."""
+    pr = 2 if "mpi" in flavor or flavor == "hybrid" else 1
+    app = LuleshApp(flavor, 2, pr=pr)
+    counts = certify_bounds(app.module.functions[app.fn],
+                            app.module).counts()
+    assert counts["unproven"] == 0 and counts["proven"] > 250, counts

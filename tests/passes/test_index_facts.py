@@ -18,6 +18,13 @@ differ only where they are more exact:
 
 The lane variance may call a gather lane-varying where the old walker
 said "unknown", never where the lint's lane verdict depends on it.
+
+Bounds verdicts get the same treatment: a reference copy of the
+provenance-only extents, offsets and ``below=`` ranges that the
+stored-value fact (``AliasInfo.stored_value``) extended is run beside
+the shared analysis on every LULESH and miniBUDE flavour; per site, no
+proof is lost, and only the flavours that pass captured pointers
+through closure records gain any.
 """
 
 from __future__ import annotations
@@ -31,11 +38,15 @@ from hypothesis import given, settings
 
 from repro.ad import Duplicated, autodiff, transform
 from repro.ad.tls import classify_index, lane_loop, parallel_context
+from repro.apps.lulesh.driver import LuleshApp
+from repro.apps.minibude import MinibudeApp
+from repro.apps.minibude.deck import make_deck
 from repro.interp import ExecConfig, Executor
 from repro.ir import I64, IRBuilder, Ptr, verify_module
+from repro.ir.function import IntrinsicInfo
 from repro.ir.opinfo import OP_INFO
 from repro.ir.values import Argument, BlockArg, Constant, Result, Value
-from repro.passes.intervals import IntervalAnalysis, inside
+from repro.passes.intervals import Affine, IntervalAnalysis, inside
 from repro.sanitize import lint_function
 
 from ..ad.test_gradient_roundtrip import APPS
@@ -393,19 +404,26 @@ def test_ineg_index_increment_is_serial_and_race_free():
 # The lane variance, one definition
 # ---------------------------------------------------------------------------
 
+_COUNT = IntrinsicInfo("ext.count", [], I64, effects="any")
+
+
 def test_variance_rules():
     b = IRBuilder()
+    b.module.register_intrinsic(_COUNT)
     probe = {}
     with b.function("f", [("x", Ptr()), ("n", I64)]) as f:
         x, n = f.args
-        probe["top_call"] = b.call("rt.num_threads")
+        probe["top_call"] = b.call("ext.count")
         with b.for_(0, n, simd=True, name="i") as i:
             probe["ivar"] = i
-            probe["call"] = b.call("rt.num_threads")
+            probe["call"] = b.call("ext.count")
+            probe["pure_call"] = b.call("rt.num_threads")
             probe["alloc"] = b.alloc(2)
+            probe["pure_of_lanes"] = b.call("rt.buflen", probe["alloc"])
             probe["scalar"] = b.load(x, 0)
             probe["gather"] = b.load(x, b.ftoi(b.load(x, i)))
             probe["mixed"] = b.add(probe["scalar"], probe["call"])
+            probe["pure_mixed"] = b.add(probe["scalar"], probe["pure_call"])
             with b.for_(0, n, simd=True, name="j") as j:
                 probe["inner"] = j           # nested simd: serial
         with b.parallel_for(0, n) as p:
@@ -413,5 +431,82 @@ def test_variance_rules():
     facts = IntervalAnalysis(b.module.functions["f"], b.module)
     got = {k: facts.variance(v) for k, v in probe.items()}
     assert got == {"top_call": False, "ivar": True, "call": None,
-                   "alloc": True, "scalar": False, "gather": True,
-                   "mixed": None, "inner": False, "pfor": True}
+                   "pure_call": False, "alloc": True,
+                   "pure_of_lanes": None, "scalar": False, "gather": True,
+                   "mixed": None, "pure_mixed": False, "inner": False,
+                   "pfor": True}
+
+
+# ---------------------------------------------------------------------------
+# Bounds verdicts: the stored-value fact only adds proofs
+# ---------------------------------------------------------------------------
+
+class _ProvenanceOnly(IntervalAnalysis):
+    """Bounds certification as it was before the stored-value fact and
+    the product rule: extents, offsets and ``below=`` read off the
+    origin-level provenance alone (verbatim)."""
+
+    def row_major(self, addr, ext):
+        return False
+
+    def ptr_offset(self, ptr):
+        root, off = self.ptr_root(ptr)
+        if isinstance(root, Argument) or (
+                isinstance(root, Result) and root.op.opcode == "alloc"):
+            return off
+        return None
+
+    def _below(self, ptr):
+        prov = self.aliasing.provenance(ptr)
+        if len(prov) != 1:
+            return None
+        (origin,) = prov
+        below = origin[1].attrs.get("below") if origin[0] == "arg" else None
+        if isinstance(below, int) and self.aliasing.is_readonly(ptr):
+            return below
+        return None
+
+    def extent_of(self, ptr):
+        prov = self.aliasing.provenance(ptr)
+        if len(prov) != 1:
+            return None, "pointer has multiple or unknown origins"
+        (origin,) = prov
+        kind = origin[0]
+        if kind == "alloc":
+            alloc_op = origin[1]
+            return self.affine_of(alloc_op.operands[0]), ""
+        if kind == "arg":
+            arg = origin[1]
+            ext = arg.attrs.get("extent")
+            if isinstance(ext, int) and not isinstance(ext, bool):
+                return Affine(ext), ""
+            return None, (f"argument {arg.name!r} declares no extent")
+        return None, "pointer origin is unknown"
+
+
+#: The flavours that pass captured pointers through closure records.
+_RECORDS = {"openmp", "raja", "hybrid", "raja_mpi", "minibude-openmp"}
+_FLAVOURS = ["serial", "openmp", "raja", "julia", "mpi", "hybrid",
+             "raja_mpi", "julia_mpi", "minibude-serial", "minibude-openmp"]
+
+
+@pytest.mark.parametrize("flavour", _FLAVOURS)
+def test_stored_value_fact_only_adds_proofs(flavour):
+    """Per site, primal and gradient: nothing the provenance proved goes
+    unproven, and only the closure-record flavours gain proofs."""
+    if flavour.startswith("minibude"):
+        app = MinibudeApp(flavour.split("-")[1], make_deck(4, 2, 6))
+    else:
+        pr = 2 if "mpi" in flavour or flavour == "hybrid" else 1
+        app = LuleshApp(flavour, 2, pr=pr)
+    for name in (app.fn, app.grad_fn()):
+        fn = app.module.functions[name]
+        new = IntervalAnalysis(fn, app.module).run()
+        old = _ProvenanceOnly(fn, app.module).run()
+        assert list(new.access) == list(old.access)
+        lost = [op for op in old.access if old.proven(op)
+                and not new.proven(op)]
+        gained = [op for op in old.access if new.proven(op)
+                  and not old.proven(op)]
+        assert not lost, (name, len(lost))
+        assert bool(gained) == (flavour in _RECORDS), (name, len(gained))

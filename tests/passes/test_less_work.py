@@ -539,7 +539,10 @@ def test_key_reads_attrs_and_only_numbers_pure_results():
 
 class _EagerAnalysis(IntervalAnalysis):
     """The old ``_classify_access``: index, slack and extent intervals
-    (six directional bounds) for every site, verdict read off them."""
+    (six directional bounds) for every site, verdict read off them, and
+    the product rule where they do not certify."""
+
+    row_major_sites = 0
 
     def _classify_access(self, ptr, idx):
         ext_aff, why = self.extent_of(ptr)
@@ -557,6 +560,9 @@ class _EagerAnalysis(IntervalAnalysis):
         slack = self.bound_affine(ext_aff.sub(addr_aff))
         extent = self.bound_affine(ext_aff)
         if index.lo >= 0 and slack.lo >= 1:
+            return AccessFact(PROVEN, "", index=index, extent=extent)
+        if self.row_major(addr_aff, ext_aff):
+            self.row_major_sites += 1
             return AccessFact(PROVEN, "", index=index, extent=extent)
         if index.hi < 0:
             return AccessFact(OOB, "index is always negative",
@@ -584,15 +590,17 @@ def _assert_verdicts_agree(fn, module):
     assert lazy.counts() == eager.counts()
     assert lazy.findings() == eager.findings()
     # the work: two bounds for a certified site, at most four for one
-    # that is not (six — two more for the extent — only for a finding);
-    # the rest is the ranges of non-affine integer ops
+    # that is not (six — two more for the extent — only for a finding),
+    # five more where the product rule certifies; the rest is the
+    # ranges of non-affine integer ops
     c = lazy.counts()
     nonaffine = sum(
         1 for op in fn.walk() if op.result is not None
         and op.result.type is I64
         and op.opcode in ("imod", "idiv", "imin", "imax", "select"))
     assert lazy.evaluations <= (2 * c[PROVEN] + 4 * c[UNPROVEN]
-                                + 6 * c[OOB] + 4 * nonaffine)
+                                + 6 * c[OOB] + 4 * nonaffine
+                                + 5 * eager.row_major_sites)
     assert lazy.evaluations <= eager.evaluations
     return lazy, eager
 

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
+from unittest import mock
 
 import pytest
 
+from repro.apps.lulesh.driver import LuleshApp
 from repro.ir import F64, I64, IRBuilder, Ptr
+from repro.passes import intervals
 from repro.passes.pass_manager import sanitize_pipeline
 from repro.sanitize import LintError, lint_function, lint_module
 
@@ -276,3 +280,27 @@ def test_lint_module_and_pipeline_registration():
 
     with pytest.raises(ValueError):
         sanitize_pipeline(on_error="explode")
+
+
+# ---------------------------------------------------------------------------
+# The lane variance the lint reads: a pure call with uniform operands
+# ---------------------------------------------------------------------------
+
+def _findings(fn, module):
+    return Counter((d.severity, d.code, d.op, d.related_op)
+                   for d in lint_function(fn, module).diagnostics)
+
+
+@pytest.mark.parametrize("flavor", ["openmp", "raja", "hybrid"])
+def test_pure_call_variance_only_shrinks_the_findings(flavor):
+    """``rt.num_threads()`` inside a reverse ``simd`` body is uniform now;
+    the lint reads the same variance, so on the closure-record gradients
+    its findings can only go (EXPERIMENTS.md has the per-code counts:
+    none moved)."""
+    app = LuleshApp(flavor, 2, pr=2 if flavor == "hybrid" else 1)
+    fn = app.module.functions[app.grad_fn()]
+    new = _findings(fn, app.module)
+    with mock.patch.object(intervals, "_PURE_INTRINSICS", frozenset()):
+        old = _findings(fn, app.module)
+    assert not new - old
+    assert not any(sev == "error" for sev, *_ in new)
