@@ -28,10 +28,13 @@ interpreter instance (``rt``) as shared runtime state:
   (``_lds``/``_sts``/``_ats``; ``u`` variants on bounds-certified
   sites) and the index vector is never computed; anything else
   (indirect, clamped, float-derived) is a gather (``_ld``/``_st``/
-  ``_at``, unchecked ``_ldu``/``_atu`` when certified).  These are
-  one-line calls on purpose — generated source size, not helper-call
-  overhead, is what sets ``compile()`` time and peak memory for a large
-  adjoint;
+  ``_at``, unchecked ``_ldu``/``_stu``/``_atu`` when certified).  These
+  are one-line calls on purpose — generated source size, not
+  helper-call overhead, is what sets ``compile()`` time and peak memory
+  for a large adjoint;
+* a statically scalar load/store is the same one-line call, except in a
+  serial loop whose whole nest is scalar (``Lowerer.hot``): it runs once
+  per element there, and is open-coded;
 * instruction-cost accounting is aggregated statically: each
   straight-line segment contributes one ``_acc(...)`` call instead of
   one ``CostVector`` update per op, with per-lane counts scaled by the
@@ -193,6 +196,15 @@ def _linear(const: int, terms: dict) -> str:
     return " + ".join(parts)
 
 
+def _scalar_nest(body) -> bool:
+    """True when ``body`` holds no ``fork``, ``parallel_for``, ``while``
+    or ``simd`` loop at any depth: a serial loop around it runs its
+    statically scalar accesses once per trip, element by element."""
+    return not any(op.opcode in ("fork", "parallel_for", "while")
+                   or (op.opcode == "for" and op.attrs.get("simd"))
+                   for op in body.walk())
+
+
 class Lowerer:
     """Lower one IR function to Python generator-function source."""
 
@@ -249,11 +261,16 @@ class Lowerer:
         self.masked = False
         #: Expression for the current per-lane width ("1" when scalar).
         self.wexpr = "1"
-        #: Loop-nesting depth (any flavor).  Inside loops, statically
-        #: scalar memory accesses are open-coded instead of calling the
-        #: ``_ld``/``_st`` helpers: the call overhead itself dominates
-        #: element-by-element adjoint sweeps.
-        self.loops = 0
+        #: Statically inside a serial loop whose whole nest is scalar
+        #: (``_scalar_nest``): the only place a statically scalar memory
+        #: access runs once per element, so the only place it is
+        #: open-coded — the ``_ld``/``_st`` call overhead dominates an
+        #: element-by-element adjoint sweep.  Elsewhere (function level,
+        #: fork and vectorised bodies, a loop around any of them) it runs
+        #: once per call, thread, chunk or step and lowers to the
+        #: one-line helper call: source size is what CPython's
+        #: ``compile()`` pays for in time and peak memory.
+        self.hot = False
         #: Pending straight-line cost: class -> [uniform, varying] counts.
         self._seg: dict[str, list[int]] = {}
         #: Trace fusion state (pending single-use expressions).
@@ -784,7 +801,6 @@ class Lowerer:
         else:
             name = f"_{kind}"
             args = f"{self.ref(ptr_v)}, {self.ref(idx_v)}"
-            proven = proven and vec and kind != "st"
         if proven:
             name += "u"
             stats.checks_elided += 1
@@ -817,9 +833,9 @@ class Lowerer:
         ptr_v, idx_v = op.operands
         proven = self._bounds_proven(op)
         scal = self.variance(op.result) is False
-        if scal and self.loops and not self.masked:
-            # Statically scalar inside a loop: open-code the access
-            # (element-by-element adjoint sweeps are bound on the
+        if scal and self.hot and not self.masked:
+            # Statically scalar inside a scalar nest: open-code the
+            # access (element-by-element adjoint sweeps are bound on the
             # per-access call overhead, not the numerics).
             b, x, dd = self._emit_scalar_access(ptr_v, idx_v, proven)
             res = self.bind(op.result)
@@ -842,7 +858,7 @@ class Lowerer:
         # here; otherwise ref() inlines it into the store as before.
         self.native_try_claim(val_v)
         val = self.ref(val_v)  # may inline a whole fused chain
-        if scal and self.loops and not self.masked:
+        if scal and self.hot and not self.masked:
             b, x, dd = self._emit_scalar_access(ptr_v, idx_v, proven)
             self.emit(f"{dd}[{x}] = {val}")
             self.emit(f"if {b}.stream: rt.cost.stream_bytes += 8")
@@ -877,15 +893,20 @@ class Lowerer:
         self.lane = (ivar, first, step, w)
         self._ind += 2
         self._shared_names, self._shared_ind = {}, self._ind
-        self.loops += 1
         self.lower_block(body)
-        self.loops -= 1
         self._ind -= 2
         self.lane, self._shared_ind = None, -1
         self.depth, self.wexpr = saved_depth, saved_w
         self.emit("finally:")
         self.emit("    rt.simd_depth -= 1")
         self.emit(f"    rt.simd_width = {sw}")
+
+    def _lower_serial_body(self, body) -> None:
+        """Lower the body of a serial ``for`` / ``while``: hot when its
+        whole nest is scalar."""
+        saved, self.hot = self.hot, _scalar_nest(body)
+        self.lower_block(body)
+        self.hot = saved
 
     def lower_for(self, op) -> None:
         self.flush_all()
@@ -931,9 +952,7 @@ class Lowerer:
                     rng = f"reversed({rng})"
                 self.emit(f"for {vi} in {rng}:")
                 self._ind += 1
-                self.loops += 1
-                self.lower_block(body)
-                self.loops -= 1
+                self._lower_serial_body(body)
                 self._ind -= 1
             if not op.attrs.get("nowait"):
                 self.emit("yield BarrierEvent()")
@@ -953,9 +972,7 @@ class Lowerer:
             vi = self.bind(ivar)
             self.emit(f"for {vi} in range({lb}, {ub}, {st}):")
             self._ind += 1
-            self.loops += 1
-            self.lower_block(body)
-            self.loops -= 1
+            self._lower_serial_body(body)
             self._ind -= 1
 
     def lower_parallel_for(self, op) -> None:
@@ -1084,9 +1101,7 @@ class Lowerer:
         self.emit("while True:")
         self._ind += 1
         self.emit(f"{vi} = {cnt}")
-        self.loops += 1
-        self.lower_block(body)
-        self.loops -= 1
+        self._lower_serial_body(body)
         self.emit(f"{cnt} += 1")
         self.emit(f"if {cnt} > {lim}:")
         self.emit(f"    raise InterpreterError('while loop exceeded ' + "

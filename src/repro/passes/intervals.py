@@ -32,6 +32,8 @@ Flow-sensitivity enters through *scoped bounds*:
   itself ``[1, +∞)`` (or the exact constant);
 * ``mpi.comm_rank`` results carry ``[0, size-1]`` against the matching
   ``mpi.comm_size`` result;
+* ``imin(a, b)`` carries ``a`` and ``b`` as upper bounds, ``imax(a, b)``
+  as lower bounds;
 * branch conditions over *uniform* ``i64`` values (:meth:`variance`
   ``False``) refine the compared values inside the taken region (``if
   i < n`` gives ``i ≤ n-1`` there).  Lane-varying conditions refine
@@ -368,9 +370,15 @@ class IntervalAnalysis:
         #: result and the thread count of every ``fork(0)`` equal it.
         self._num_threads = Value(I64, "num_threads")
         self._sym_range[self._num_threads] = Interval(1, POS_INF)
-        #: Top-level directional bound evaluations performed: the
+        #: Top-level directional bound evaluations requested: the
         #: analysis' unit of work, next to :meth:`counts`.
         self.evaluations = 0
+        #: Directional bounds evaluated under the scoped bounds active
+        #: now; emptied whenever one is pushed or popped.  A
+        #: ``_sym_range`` entry is set once, at its value's definition,
+        #: before any use, so it never stales an entry.
+        self._memo: Dict[Tuple[bool, int, Tuple[Tuple[Value, int], ...]],
+                         Bound] = {}
 
     @property
     def aliasing(self) -> AliasInfo:
@@ -528,9 +536,13 @@ class IntervalAnalysis:
         return Interval(self._bound(aff, False), self._bound(aff, True))
 
     def _bound(self, aff: Affine, want_hi: bool) -> Bound:
-        """One side of :meth:`bound_affine` (counted)."""
+        """One side of :meth:`bound_affine` (counted, memoised)."""
         self.evaluations += 1
-        return self._eval_dir(aff, want_hi, _FUEL)
+        key = (want_hi, aff.const, tuple(aff.terms.items()))
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = self._eval_dir(aff, want_hi, _FUEL)
+        return got
 
     def _eval_dir(self, aff: Affine, want_hi: bool, fuel: int) -> Bound:
         """Tightest upper (``want_hi``) / lower bound of ``aff``:
@@ -578,6 +590,7 @@ class IntervalAnalysis:
     # -- bound registration ---------------------------------------------
     def _push_bound(self, v: Value, lo: Optional[Affine],
                     hi: Optional[Affine]) -> None:
+        self._memo.clear()
         if v not in self._order:
             self._order[v] = self._next_order
             self._next_order += 1
@@ -587,6 +600,7 @@ class IntervalAnalysis:
             self._hi_bounds.setdefault(v, []).append(hi)
 
     def _pop_bound(self, v: Value, lo: bool, hi: bool) -> None:
+        self._memo.clear()
         if lo:
             self._lo_bounds[v].pop()
             if not self._lo_bounds[v]:
@@ -674,16 +688,20 @@ class IntervalAnalysis:
                 ends = [_floordiv(a.lo, b.lo), _floordiv(a.lo, b.hi),
                         _floordiv(a.hi, b.lo), _floordiv(a.hi, b.hi)]
                 self._sym_range[res] = Interval(min(ends), max(ends))
-        elif oc == "imin":
+        elif oc == "imin" or oc == "imax":
             a, b = (self.interval(op.operands[0]),
                     self.interval(op.operands[1]))
-            self._sym_range[res] = Interval(min(a.lo, b.lo),
-                                            min(a.hi, b.hi))
-        elif oc == "imax":
-            a, b = (self.interval(op.operands[0]),
-                    self.interval(op.operands[1]))
-            self._sym_range[res] = Interval(max(a.lo, b.lo),
-                                            max(a.hi, b.hi))
+            self._sym_range[res] = (
+                Interval(min(a.lo, b.lo), min(a.hi, b.hi)) if oc == "imin"
+                else Interval(max(a.lo, b.lo), max(a.hi, b.hi)))
+            # imin(a, b) <= a, b and imax(a, b) >= a, b: affine bounds
+            # the substitution cancels (``c·max(steps, 0)`` against a
+            # slot ``iteration·c + k``).
+            for x in op.operands:
+                aff = self.affine_of(x)
+                if res not in aff.terms:
+                    self._push_bound(res, None if oc == "imin" else aff,
+                                     aff if oc == "imin" else None)
         elif oc == "select":
             a, b = (self.interval(op.operands[1]),
                     self.interval(op.operands[2]))
@@ -799,9 +817,11 @@ class IntervalAnalysis:
         it, and whether a pointer load was resolved on the way.
 
         A resolved load returns the value one earlier execution stored,
-        so the resolution is taken only when that value has one instance
-        per call: its root and every term of its offset are arguments or
-        results of the function's top level."""
+        so the resolution is taken only when every term of its offset has
+        one instance per call (an argument or a result of the function's
+        top level) and so does its root — or the root is an ``alloc`` of
+        a constant count, whose every instance has that one extent (the
+        per-step cell a time loop stores into a pointer array)."""
         got = self._origin.get(ptr)
         if got is None:
             root, off = self.ptr_root(ptr)
@@ -813,8 +833,8 @@ class IntervalAnalysis:
                     break
                 root, voff = self.ptr_root(v)
                 stored = voff.add(stored)
-                if self._one_instance(root) and all(
-                        self._one_instance(t) for t in stored.terms):
+                if (self._one_instance(root) or _constant_alloc(root)) \
+                        and all(self._one_instance(t) for t in stored.terms):
                     got = (root, stored.add(off), True)
             self._origin[ptr] = got
         return got
@@ -883,10 +903,8 @@ class IntervalAnalysis:
         a buffer of ``e·m'`` elements when ``m' = m``, ``0 ≤ a ≤ e-1``
         and ``0 ≤ r ≤ m-1`` — a row-major index, such as the reverse
         sweep's per-thread caches ``iteration·nthreads + tid`` against
-        ``max(steps, 0)·nthreads``.  ``e`` may be an ``imax``, which is
-        at least each of its operands; that bound is read here only, so
-        the constant-stride cache slots ``iteration·c + k`` against
-        ``c·max(steps, 0)`` stay unproven (ROADMAP item 2(c))."""
+        ``max(steps, 0)·nthreads`` (``a ≤ e-1`` reads the ``imax``
+        bounds :meth:`_visit_compute` registered)."""
         if ext.const or len(ext.terms) != 1 or next(
                 iter(ext.terms.values())) != 1:
             return False
@@ -903,12 +921,9 @@ class IntervalAnalysis:
                     if not (self._bound(same, False) >= 0
                             and self._bound(same, True) <= 0):
                         continue
-                    tops = [e] + (list(e.op.operands) if isinstance(
-                        e, Result) and e.op.opcode == "imax" else [])
                     if (self._bound(fa, False) >= 0
-                            and any(self._bound(self.affine_of(x).shift(-1)
-                                                .sub(fa), False) >= 0
-                                    for x in tops)
+                            and self._bound(self.affine_of(e).shift(-1)
+                                            .sub(fa), False) >= 0
                             and self._bound(rest, False) >= 0
                             and self._bound(fm.shift(-1).sub(rest),
                                             False) >= 0):
@@ -952,6 +967,11 @@ class IntervalAnalysis:
         if slack_lo < 1:
             parts.append(f"index may reach extent (slack {slack_lo})")
         return AccessFact(UNPROVEN, "; ".join(parts) or why)
+
+
+def _constant_alloc(v: Value) -> bool:
+    return (isinstance(v, Result) and v.op.opcode == "alloc"
+            and isinstance(v.op.operands[0], Constant))
 
 
 def _factors(v: Value) -> List[Tuple[Value, Value]]:

@@ -28,8 +28,8 @@ from repro.passes import (DCE, PassManager, certify_bounds, cleanup_pipeline,
                           default_pipeline)
 from repro.passes.constfold import _CMP, _const, _is_const, fold_op
 from repro.passes.cse import value_key
-from repro.passes.intervals import (OOB, PROVEN, UNPROVEN, AccessFact,
-                                    IntervalAnalysis)
+from repro.passes.intervals import (_FUEL, OOB, PROVEN, UNPROVEN,
+                                    AccessFact, IntervalAnalysis)
 from repro.passes.pass_manager import FunctionPass
 
 from ..ad.test_gradient_roundtrip import APPS
@@ -540,9 +540,15 @@ def test_key_reads_attrs_and_only_numbers_pure_results():
 class _EagerAnalysis(IntervalAnalysis):
     """The old ``_classify_access``: index, slack and extent intervals
     (six directional bounds) for every site, verdict read off them, and
-    the product rule where they do not certify."""
+    the product rule where they do not certify.  Every bound is
+    evaluated afresh (no memo), so the two agreeing also checks that the
+    memo is emptied whenever the scoped bounds change."""
 
     row_major_sites = 0
+
+    def _bound(self, aff, want_hi):
+        self.evaluations += 1
+        return self._eval_dir(aff, want_hi, _FUEL)
 
     def _classify_access(self, ptr, idx):
         ext_aff, why = self.extent_of(ptr)
@@ -669,3 +675,22 @@ def test_findings_of_seeded_out_of_bounds_sites_are_unchanged():
     # 2 (proven) + 4 + 4 (unproven) + 6 + 5 + 6 + 5 (findings) + the
     # imax range; the eager analysis pays six for each of the seven
     assert lazy.evaluations == 32 + 2 and eager.evaluations == 42 + 2
+
+
+def test_memoised_bounds_follow_the_bound_scope():
+    """``x[n]`` before, inside and after ``if n == 3`` (whose else arm
+    refines nothing, so no bound is pushed between the last two): the
+    same affine index, three scopes.  A bound memoised outside the
+    branch must not answer inside it, nor one from inside after it."""
+    b = IRBuilder()
+    with b.function("f", [("x", Ptr()), ("n", I64)],
+                    arg_attrs=[{"extent": 10}, {}]) as f:
+        x, n = f.args
+        b.load(x, n)
+        with b.if_(b.cmp("eq", n, 3)):
+            b.load(x, n)
+        b.load(x, n)
+    fn = b.module.functions["f"]
+    lazy, _ = _assert_verdicts_agree(fn, b.module)
+    assert [fact.status for fact in lazy.access.values()] == [
+        UNPROVEN, PROVEN, UNPROVEN]

@@ -214,3 +214,86 @@ def test_row_major_index_against_a_product_extent():
     ex = Executor(module, ExecConfig(backend="compiled", num_threads=2))
     with pytest.raises(InterpreterError, match="out of bounds"):
         ex.run("f", 3, 1)
+
+
+def _cell_module(kind):
+    """A loop keeps each step's cell in a pointer array and writes
+    through the one step 0 stored (``arr[0]``): ``kind`` "constant" is a
+    2-element cell, "runtime" one of ``s+1`` elements, "varying" a
+    2-element cell stored at offset ``s``.  The last two put the site
+    out of bounds from step 1 (step 2) on, where a resolution read off
+    the current step's definition would certify it."""
+    b = IRBuilder()
+    with b.function("f", [("n", I64)]) as f:
+        (n,) = f.args
+        arr = b.alloc(n, Ptr())
+        with b.for_(0, n) as s:
+            cell = b.alloc(b.add(s, 1) if kind == "runtime" else 2)
+            b.store(b.ptradd(cell, s) if kind == "varying" else cell,
+                    arr, s)
+            first = b.load(arr, 0)
+            at = {"constant": 1, "runtime": s, "varying": b.sub(1, s)}
+            b.store(1.0, first, at[kind])
+    verify_module(b.module)
+    fn = b.module.functions["f"]
+    (site,) = [op for op in fn.walk() if op.opcode == "store"
+               and op.operands[0].type is F64]
+    return b.module, fn, site
+
+
+def test_a_constant_count_cell_of_each_iteration_is_resolved():
+    """Every instance of ``alloc 2`` has two elements, so the reload's
+    extent and offset are known whichever step stored it (the per-step
+    ``dt`` cell of the LULESH gradients)."""
+    module, fn, site = _cell_module("constant")
+    facts = certify_bounds(fn, module)
+    assert facts.proven(site)
+    for backend in ("interp", "compiled"):
+        Executor(module, ExecConfig(backend=backend)).run("f", 4)
+
+
+@pytest.mark.parametrize("kind", ["runtime", "varying"])
+@pytest.mark.parametrize("backend", ["interp", "compiled"])
+def test_a_cell_whose_extent_or_offset_varies_is_not_resolved(kind,
+                                                              backend):
+    module, fn, site = _cell_module(kind)
+    facts = certify_bounds(fn, module)
+    assert facts.status(site) == "unproven"
+    assert facts.access[site].reason == "pointer offset is not affine"
+    with pytest.raises(InterpreterError, match="out of bounds"):
+        Executor(module, ExecConfig(backend=backend)).run("f", 3)
+
+
+def _cache_slot_module(op):
+    """A cache of ``c`` slots per step, ``c·imax(steps, 0)`` elements,
+    written at ``iteration·c + k`` (the reverse sweep's constant-stride
+    slots), and the same through an ``imin`` bound on the trip count."""
+    b = IRBuilder()
+    with b.function("f", [("steps", I64), ("m", I64)]) as f:
+        steps, m = f.args
+        if op == "imax":
+            arr, trips = b.alloc(b.mul(b.max(steps, 0), 3)), steps
+        else:
+            arr, trips = b.alloc(b.mul(b.max(m, 0), 3)), b.min(steps, m)
+        with b.for_(0, trips) as s:
+            for k in range(3):
+                b.store(1.0, arr, b.add(b.mul(s, 3), k))
+            b.store(2.0, arr, b.add(b.mul(s, 3), 3))
+    verify_module(b.module)
+    return b.module
+
+
+@pytest.mark.parametrize("op", ["imax", "imin"])
+def test_imax_and_imin_bound_constant_stride_slots(op):
+    """``imax(a, b) ≥ a`` certifies the slots against the extent,
+    ``imin(a, b) ≤ b`` the trip count against it; one slot past the
+    stride stays unproven and raises on both tiers."""
+    module = _cache_slot_module(op)
+    fn = module.functions["f"]
+    facts = certify_bounds(fn, module)
+    stores = [op for op in fn.walk() if op.opcode == "store"]
+    assert [facts.status(op) for op in stores] == ["proven"] * 3 + [
+        "unproven"]
+    for backend in ("interp", "compiled"):
+        with pytest.raises(InterpreterError, match="out of bounds"):
+            Executor(module, ExecConfig(backend=backend)).run("f", 2, 2)
