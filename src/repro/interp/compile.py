@@ -6,10 +6,14 @@ once to Python source (a generator function), compiled with
 Function` object.  The generated code runs against the owning
 :class:`~repro.interp.interpreter.Interpreter` instance (``rt``) as
 shared runtime state — same :class:`~repro.interp.memory.Memory`, same
-:class:`~repro.perf.cost.CostVector` sinks, same simulated clock — so
-a compiled callee can hand any individual op back to the interpreter
-(an MPI intrinsic, a spawned task, a region the lowering rejected) and
-resume, with bit-identical results and timings.
+:class:`~repro.perf.cost.CostVector` sinks, same simulated clock.  Both
+tiers run each parallel region and each call through one driver, the
+interpreter's own: ``_rf`` is :meth:`Interpreter.run_fork` over
+compiled per-thread body generators, ``_rs`` is
+:meth:`Interpreter.run_spawn` over a compiled task body, ``_ca`` is
+:meth:`Interpreter.call_op` (user callees and intrinsics — MPI events
+yield upward through the compiled generator unchanged).  Results and
+timings are therefore bit-identical by construction there.
 
 The runtime helpers in this module are the out-of-line parts of the
 generated code.  Memory access comes in three statically-selected
@@ -31,9 +35,8 @@ checked and an unchecked build; sites the interval analysis certified
 in-bounds call the unchecked one under a ``u`` suffix (``_ldsu``,
 ``_ldu``, ...).
 
-Plus privatizing allocation (``_al``), segment cost accumulation
-(``_acc``), the fork-region phase driver (``_rf``), call dispatch
-(``_ca``) and the op-by-op interpreter bridge (``_bg``).
+Plus privatizing allocation (``_al``) and segment cost accumulation
+(``_acc``).
 
 Compilation itself is two-level cached: in-process on the Function
 object (fingerprint-checked, since ExecConfig.fusion changes codegen),
@@ -47,9 +50,10 @@ Fallback contract (who runs what):
 * ``ExecConfig(sanitize=True)`` never constructs this backend at all;
 * a tape (operator-overloading baseline) or a vectorized caller
   context pins the interpreter for that call;
-* a function whose lowering fails is marked interpreter-only;
-* inside compiled code, ops the lowering bridged execute through the
-  interpreter's own dispatch tables against shared state.
+* a function whose lowering fails — including one holding a construct
+  the lowering does not claim — is marked interpreter-only, the one
+  degradation granularity (``compile_stats()["interpreter_only"]``
+  names it and the cause).
 """
 
 from __future__ import annotations
@@ -369,78 +373,6 @@ def _mc(rt, dst, src, count_val):
     rt.cost.add_store(count * 8)
 
 
-def _bg(rt, op, env):
-    """Bridge one region-bearing op to the interpreter's dispatch."""
-    return (yield from rt._gen_dispatch[op.opcode](op, env))
-
-
-def _ca(rt, op, args):
-    """Call dispatch — mirror of ``Interpreter._exec_call``."""
-    callee = op.attrs["callee"]
-    if callee in rt.module.functions:
-        ret = yield from rt.call_user(rt.module.functions[callee], args)
-    else:
-        simple = rt.intrinsics_simple.get(callee)
-        if simple is not None:
-            ret = simple(rt, op, args)
-        else:
-            gen = rt.intrinsics_gen.get(callee)
-            if gen is None:
-                raise InterpreterError(f"no handler for callee {callee!r}")
-            ret = yield from gen(rt, op, args)
-    return ret
-
-
-def _rf(rt, nthreads, body_factory):
-    """Fork-region driver — mirror of ``Interpreter._exec_fork`` over
-    compiled per-thread body generators.  Never yields upward."""
-    if False:  # pragma: no cover - makes this a generator function
-        yield None
-    rt.flush_serial()
-    gens = [body_factory(t, nthreads) for t in range(nthreads)]
-    saved_cost = rt.cost
-    saved_thread = rt.current_thread
-    saved_width = rt._fork_width
-    rt._fork_width = nthreads
-    rt._noyield += 1
-    rt._fork_depth += 1
-    region_seconds = rt.machine.fork_overhead(nthreads)
-    pending = dict(enumerate(gens))
-    try:
-        while pending:
-            phase_costs = []
-            finished, at_barrier = [], []
-            for t in sorted(pending):
-                c = CostVector()
-                rt.cost = c
-                rt.current_thread = t
-                try:
-                    ev = next(pending[t])
-                    if not isinstance(ev, BarrierEvent):
-                        raise InterpreterError(
-                            f"unsupported event {ev!r} inside fork region")
-                    at_barrier.append(t)
-                except StopIteration:
-                    finished.append(t)
-                phase_costs.append(c)
-                rt.raw_total.merge(c)
-            for t in finished:
-                del pending[t]
-            if at_barrier and finished:
-                raise InterpreterError(
-                    "barrier deadlock: some threads finished while "
-                    "others wait at a barrier")
-            region_seconds += rt.machine.phase_time(
-                phase_costs, nthreads, rt.procs_on_node)
-    finally:
-        rt._noyield -= 1
-        rt._fork_depth -= 1
-        rt.cost = saved_cost
-        rt.current_thread = saved_thread
-        rt._fork_width = saved_width
-    rt.clock += region_seconds
-
-
 _HELPER_GLOBALS = {
     "np": np,
     "F64": F64,
@@ -453,8 +385,10 @@ _HELPER_GLOBALS = {
     "chunk_bounds": chunk_bounds,
     "_acc": _acc, "_aw": _aw, **_ACCESS_HELPERS,
     "_ldk": _ldk, "_stk": _stk, "_atk": _atk,
-    "_al": _al, "_ms": _ms, "_mc": _mc, "_bg": _bg, "_ca": _ca,
-    "_rf": _rf,
+    "_al": _al, "_ms": _ms, "_mc": _mc,
+    # The region and call drivers are the interpreter's own.
+    "_rf": Interpreter.run_fork, "_rs": Interpreter.run_spawn,
+    "_ca": Interpreter.call_op,
 }
 
 

@@ -52,7 +52,7 @@ stored gradient instead of differentiating, runs the checks its
 prints and hashes that, unmarshals the stored code object and resolves
 the recipe against the live function — no ``certify_bounds``, no
 lowering, no ``compile()``.  The IR itself stays in the warm path on
-purpose: bridged ops, ``alloc``/``call`` sites and ``wrap_args``' extent
+purpose: ``alloc``/``call`` sites and ``wrap_args``' extent
 contract run against the live function, and the code entry is addressed
 by the exact IR text it was lowered from plus a digest of the code that
 lowers it, so two processes that race different gradients into the

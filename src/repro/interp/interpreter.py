@@ -736,24 +736,29 @@ class Interpreter:
     _fork_width = 1
 
     def _exec_fork(self, op: Op, env: dict):
-        # Generator protocol: fork consumes its threads' barrier events
-        # internally and never yields upward.
+        want = int(self._get(op.operands[0], env))
+        body = op.regions[0]
+        tid, nth = body.args
+
+        def thread_body(t, nthreads):
+            env_t = dict(env)
+            env_t[tid] = t
+            env_t[nth] = nthreads
+            return self._exec_block(body, env_t)
+
+        yield from self.run_fork(
+            want if want > 0 else self.config.num_threads, thread_body)
+
+    def run_fork(self, nthreads: int, body_factory):
+        """Drive one fork region of ``nthreads`` threads, thread by
+        thread between barriers; ``body_factory(t, nthreads)`` returns
+        thread ``t``'s body generator.  The fork driver of both tiers
+        (compiled code calls it as ``_rf``).  Barrier events are
+        consumed here: the region never yields upward."""
         if False:  # pragma: no cover - makes this a generator function
             yield None
-        want = int(self._get(op.operands[0], env))
-        nthreads = want if want > 0 else self.config.num_threads
-        body = op.regions[0]
         self.flush_serial()
-
-        envs = []
-        gens = []
-        for t in range(nthreads):
-            env_t = dict(env)
-            env_t[body.args[0]] = t
-            env_t[body.args[1]] = nthreads
-            envs.append(env_t)
-            gens.append(self._exec_block(body, env_t))
-
+        gens = [body_factory(t, nthreads) for t in range(nthreads)]
         saved_cost = self.cost
         saved_thread = self.current_thread
         saved_width = self._fork_width
@@ -851,6 +856,14 @@ class Interpreter:
                 break
 
     def _exec_spawn(self, op: Op, env: dict):
+        env[op.result] = yield from self.run_spawn(
+            self._exec_block(op.regions[0], env))
+
+    def run_spawn(self, body):
+        """Run one task ``body`` (a generator) eagerly under its own
+        cost sink and thread id, then place it on the task scheduler;
+        returns its :class:`TaskVal`.  The spawn driver of both tiers
+        (compiled code calls it as ``_rs``)."""
         self.flush_serial()
         saved_cost = self.cost
         saved_thread = self.current_thread
@@ -866,7 +879,7 @@ class Interpreter:
             rc_task = rc.task_begin(rc_parent, f"task#{self._task_ids}")
             self._rc_tid = rc_task
         try:
-            yield from self._exec_block(op.regions[0], env)
+            yield from body
         finally:
             self._noyield -= 1
             self.cost = saved_cost
@@ -877,9 +890,9 @@ class Interpreter:
         task.rc_tid = rc_task
         self.tasks.procs_on_node = self.procs_on_node
         self.tasks.schedule(task)
-        env[op.result] = task
         if self.tape is not None:
             self.tape.on_parallel_region(self.config.num_threads)
+        return task
 
     # ------------------------------------------------------------------
     def call_user(self, fn, args: list):
@@ -905,22 +918,27 @@ class Interpreter:
         return result[1] if isinstance(result, tuple) else None
 
     def _exec_call(self, op: Op, env: dict):
-        callee = op.attrs["callee"]
-        args = [self._get(v, env) for v in op.operands]
-        if callee in self.module.functions:
-            ret = yield from self.call_user(self.module.functions[callee],
-                                            args)
-        else:
-            simple = self.intrinsics_simple.get(callee)
-            if simple is not None:
-                ret = simple(self, op, args)
-            else:
-                gen = self.intrinsics_gen.get(callee)
-                if gen is None:
-                    raise InterpreterError(f"no handler for callee {callee!r}")
-                ret = yield from gen(self, op, args)
+        ret = yield from self.call_op(
+            op, [self._get(v, env) for v in op.operands])
         if op.result is not None:
             env[op.result] = ret
+
+    def call_op(self, op: Op, args: list):
+        """Execute one ``call`` op on runtime argument values: a user
+        callee through :meth:`call_user`, an intrinsic through its
+        handler.  The call dispatch of both tiers (compiled code calls
+        it as ``_ca``)."""
+        callee = op.attrs["callee"]
+        if callee in self.module.functions:
+            return (yield from self.call_user(self.module.functions[callee],
+                                              args))
+        simple = self.intrinsics_simple.get(callee)
+        if simple is not None:
+            return simple(self, op, args)
+        gen = self.intrinsics_gen.get(callee)
+        if gen is None:
+            raise InterpreterError(f"no handler for callee {callee!r}")
+        return (yield from gen(self, op, args))
 
 
 # ---------------------------------------------------------------------------

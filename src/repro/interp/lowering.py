@@ -17,10 +17,15 @@ interpreter instance (``rt``) as shared runtime state:
   fused-kernel expression, often folded directly into the consuming
   store — Dr.Jit-style trace fusion at the source level;
 * vectorized ``if`` regions run masked, with the mask published to
-  ``rt.mask``/``rt.mask_count`` so memory helpers and interpreter
-  bridges see the exact interpreter state; the lowering tracks mask
-  state *statically*, so code outside masked branches uses memory
-  helpers with no mask handling at all;
+  ``rt.mask``/``rt.mask_count`` so memory helpers and calls see the
+  exact interpreter state; the lowering tracks mask state
+  *statically*, so code outside masked branches uses memory helpers
+  with no mask handling at all;
+* a ``fork`` body becomes a nested per-thread generator function
+  ``_fb<N>(tid, nthreads)`` and a ``spawn`` body a nested generator
+  function ``_sb<N>()``, both lowered at vector depth 0 and handed to
+  the interpreter's own region drivers (``_rf`` / ``_rs``); every
+  ``call`` goes through its call dispatch (``_ca``);
 * an unmasked vector load/store/atomic asks the affine form of *pointer
   offset + index* (:meth:`IntervalAnalysis.affine_of` / ``ptr_root``)
   for an **access plan**: when the address is ``a + t*lane`` with every
@@ -39,10 +44,10 @@ interpreter instance (``rt``) as shared runtime state:
   straight-line segment contributes one ``_acc(...)`` call instead of
   one ``CostVector`` update per op, with per-lane counts scaled by the
   region width local;
-* anything the lowering cannot translate (``spawn`` tasks, ``if`` with
-  a condition of statically-unknown vectorization, unknown opcodes)
-  falls back *op-by-op* to the interpreter through ``_bg`` bridges that
-  materialize the op's free SSA values into an interpreter ``env``.
+* anything the lowering does not translate (a ``fork`` or
+  ``parallel_for`` inside a vectorised region, an ``if`` on a condition
+  of run-time width, unknown opcodes) raises :class:`LoweringError`,
+  and the whole function runs on the interpreter.
 
 Bit-identity contract: every emitted expression either is the exact
 NumPy ufunc the interpreter would call, or a Python operator whose
@@ -64,7 +69,7 @@ from typing import Optional
 
 from ..ir.opinfo import OP_INFO
 from ..ir.ops import Op
-from ..ir.values import Argument, BlockArg, Constant, Result, Value
+from ..ir.values import Constant, Result, Value
 from ..passes.intervals import IntervalAnalysis
 from .fusion import (
     FUSE_CHAR_CAP,
@@ -104,52 +109,18 @@ _CMP_TEMPLATES = {
 _ACC_CLASSES = ("flop", "div", "special", "int")
 
 
-def free_values(op) -> list:
-    """SSA values used inside ``op`` (or its regions) but defined outside.
-
-    These are exactly the values an interpreter bridge must seed into
-    the ``env`` dict before handing the op to ``rt._gen_dispatch``.
-    """
-    defined = set()
-    used = []
-    for o in op.walk():
-        for region in o.regions:
-            defined.update(region.args)
-        if o.result is not None:
-            defined.add(o.result)
-        for v in o.operands:
-            if type(v) is not Constant:
-                used.append(v)
-    return [v for v in dict.fromkeys(used) if v not in defined]
-
-
 def const_recipe(fn, consts: dict) -> list:
     """Address every object in a lowered function's constant table by
     its position in ``fn`` — the table as it can be stored beside the
-    code.  The lowering references four kinds of object: ops (``alloc``,
-    ``call`` and bridged ops, with their opcode for the reader to check),
-    values (a bridged op's result or a free value it reads: an op
-    result, a function argument or a region's block argument) and
+    code.  The lowering references two kinds of object: ``alloc`` and
+    ``call`` ops (with their opcode for the reader to check) and
     ``OP_INFO`` evaluate functions.  Op positions are pre-order indexes
     of ``fn.walk()``; entry ``i`` addresses ``consts["_k<i>"]``."""
     index = {op: i for i, op in enumerate(fn.walk())}
     evaluates = {id(info.evaluate): oc for oc, info in OP_INFO.items()}
-    recipe: list = []
-    for obj in consts.values():
-        if isinstance(obj, Op):
-            recipe.append(("op", index[obj], obj.opcode))
-        elif isinstance(obj, Result):
-            recipe.append(("result", index[obj.op]))
-        elif isinstance(obj, Argument):
-            recipe.append(("arg", fn.args.index(obj)))
-        elif isinstance(obj, BlockArg):
-            r, blk = next((r, blk) for r, blk in enumerate(obj.owner.regions)
-                          if obj in blk.args)
-            recipe.append(("blockarg", index[obj.owner], r,
-                           blk.args.index(obj)))
-        else:
-            recipe.append(("evaluate", evaluates[id(obj)]))
-    return recipe
+    return [("op", index[obj], obj.opcode) if isinstance(obj, Op)
+            else ("evaluate", evaluates[id(obj)])
+            for obj in consts.values()]
 
 
 def resolve_consts(fn, recipe) -> dict:
@@ -162,19 +133,11 @@ def resolve_consts(fn, recipe) -> dict:
     for i, (kind, *at) in enumerate(recipe):
         if kind == "evaluate":
             obj = OP_INFO[at[0]].evaluate
-        elif kind == "arg":
-            obj = fn.args[at[0]]
         elif kind == "op":
             obj = ops[at[0]]
             if obj.opcode != at[1]:
                 raise ValueError(f"op {at[0]} is {obj.opcode!r}, the "
                                  f"recipe wants {at[1]!r}")
-        elif kind == "result":
-            obj = ops[at[0]].result
-            if obj is None:
-                raise ValueError(f"op {at[0]} has no result")
-        elif kind == "blockarg":
-            obj = ops[at[0]].regions[at[1]].args[at[2]]
         else:
             raise ValueError(f"unknown recipe entry {kind!r}")
         consts[f"_k{i}"] = obj
@@ -561,6 +524,8 @@ class Lowerer:
             self.lower_while(op)
         elif oc == "fork":
             self.lower_fork(op)
+        elif oc == "spawn":
+            self.lower_spawn(op)
         elif oc == "call":
             self.lower_call(op)
         elif oc == "barrier":
@@ -575,8 +540,6 @@ class Lowerer:
             self.emit("    raise InterpreterError('data-dependent while "
                       "inside a vectorized region')")
             self.emit(f"rt._while_flag = bool({c})")
-        elif oc == "spawn":
-            self.lower_bridge(op)
         else:
             raise LoweringError(f"no lowering for opcode {oc!r}")
 
@@ -977,8 +940,7 @@ class Lowerer:
 
     def lower_parallel_for(self, op) -> None:
         if self.depth > 0:
-            self.lower_bridge(op)
-            return
+            raise LoweringError("parallel_for inside a vectorised region")
         self.flush_all()
         lb, ub = self.fresh("_lb"), self.fresh("_ub")
         self.emit(f"{lb} = int({self.ref(op.operands[0])})")
@@ -1027,8 +989,7 @@ class Lowerer:
     def lower_if(self, op) -> None:
         cv = self.variance(op.operands[0])
         if cv is None:
-            self.lower_bridge(op)
-            return
+            raise LoweringError("if on a condition of run-time width")
         self.flush_all()
         then_body, else_body = op.regions
         if cv is False:
@@ -1047,7 +1008,7 @@ class Lowerer:
                 self._ind -= 1
             return
         # Masked (vectorized) if — mirrors Interpreter._exec_if,
-        # publishing the live mask to rt so loads/stores/bridges see it.
+        # publishing the live mask to rt so loads/stores/calls see it.
         # The condition is referenced by both mask expressions, so it
         # must be a materialized local.
         c = self.ref_local(op.operands[0])
@@ -1110,10 +1071,21 @@ class Lowerer:
         self.emit("    break")
         self._ind -= 1
 
+    def _lower_region_body(self, name: str, params: str, body) -> None:
+        """Emit ``body`` as the nested generator function ``name``: it
+        reads the enclosing locals it needs through its closure, and an
+        interpreter driver runs it (fork bodies, task bodies)."""
+        self.emit(f"def {name}({params}):")
+        self._ind += 1
+        self.emit("if False:")
+        self.emit("    yield")
+        self.lower_block(body)
+        self.emit("return")
+        self._ind -= 1
+
     def lower_fork(self, op) -> None:
         if self.depth > 0:
-            self.lower_bridge(op)
-            return
+            raise LoweringError("fork inside a vectorised region")
         self.flush_all()
         want, nt = self.fresh("_want"), self.fresh("_fnt")
         self.emit(f"{want} = int({self.ref(op.operands[0])})")
@@ -1122,14 +1094,18 @@ class Lowerer:
         tid = self.bind(body.args[0])
         nth = self.bind(body.args[1])
         fb = self.fresh("_fb")
-        self.emit(f"def {fb}({tid}, {nth}):")
-        self._ind += 1
-        self.emit("if False:")
-        self.emit("    yield")
-        self.lower_block(body)
-        self.emit("return")
-        self._ind -= 1
+        self._lower_region_body(fb, f"{tid}, {nth}", body)
         self.emit(f"yield from _rf(rt, {nt}, {fb})")
+
+    def lower_spawn(self, op) -> None:
+        """A task body lowers like a fork body; ``Interpreter.run_spawn``
+        runs it eagerly and returns the task handle."""
+        if self.depth > 0:
+            raise LoweringError("spawn inside a vectorised region")
+        self.flush_all()
+        sb = self.fresh("_sb")
+        self._lower_region_body(sb, "", op.regions[0])
+        self.emit(f"{self.bind(op.result)} = yield from _rs(rt, {sb}())")
 
     def lower_call(self, op) -> None:
         self.flush_all()
@@ -1141,24 +1117,6 @@ class Lowerer:
             self.emit(f"{res} = {call}")
         else:
             self.emit(call)
-
-    # ------------------------------------------------------------------
-    def lower_bridge(self, op) -> None:
-        """Hand one op (with regions) to the interpreter, op-by-op.
-
-        Free SSA values become an interpreter ``env``; the op executes
-        through ``rt._gen_dispatch`` against the same runtime state, so
-        results, costs and clock are bit-identical.
-        """
-        self.flush_all()
-        env = self.fresh("_env")
-        items = ", ".join(
-            f"{self.konst(v)}: {self.ref(v)}" for v in free_values(op))
-        self.emit(f"{env} = {{{items}}}")
-        self.emit(f"yield from _bg(rt, {self.konst(op)}, {env})")
-        if op.result is not None:
-            res = self.bind(op.result)
-            self.emit(f"{res} = {env}[{self.konst(op.result)}]")
 
 
 def lower_function(fn, fusion: bool = True, native=None,

@@ -217,7 +217,7 @@ def _fill_variance(block: object, vector: bool,
             _fill_variance(body, vector or lanes, var)
         elif op.regions:
             # fork (tid, nthreads) and while (the counter) bind uniform
-            # values; a spawn's handle is bridged.
+            # values; a spawn's handle is an opaque task value.
             for region in op.regions:
                 _fill_variance(region, vector, var)
             if res is not None:

@@ -52,6 +52,8 @@ APPS = {
     "minibude-serial": _minibude("serial"),
     "minibude-openmp": _minibude("openmp", threads=4),
     "minibude-mpi": _minibude("mpi"),
+    # spawned task bodies, lowered like fork bodies
+    "minibude-julia": _minibude("julia"),
 }
 
 

@@ -12,7 +12,7 @@ from repro.interp import (
     LoweringError,
     compile_function,
 )
-from repro.ir import F64, I64, IRBuilder, Ptr, verify_module
+from repro.ir import F64, I1, I64, IRBuilder, Ptr, verify_module
 from repro.parallel import mpi_run
 
 
@@ -94,6 +94,9 @@ def test_spawn_wait_parity():
     arrays, _, _, _ = run_both(
         b.module, "sp", lambda: (np.zeros(4),), (4,))
     np.testing.assert_allclose(arrays[0], [10.0, 1.0, 1.0, 1.0])
+    # both task bodies are compiled, run by the interpreter's driver
+    src = compile_function(b.module.functions["sp"]).__lowered_source__
+    assert src.count("yield from _rs(rt, _sb") == 2
 
 
 def test_masked_if_parity():
@@ -281,6 +284,72 @@ def test_lowering_failure_falls_back(monkeypatch):
     ex2.interp.backend.strict = True
     with pytest.raises(LoweringError, match="synthetic failure"):
         ex2.run("f", np.zeros(1))
+
+
+def _fork_in_simd(b, x, n):
+    with b.for_(0, n, simd=True) as i:
+        with b.fork(2):
+            b.atomic_add(b.itof(i), x, i)
+
+
+def _parallel_for_in_simd(b, x, n):
+    with b.for_(0, n, simd=True) as i:
+        with b.parallel_for(0, 2) as j:
+            b.atomic_add(b.itof(j), x, i)
+
+
+def _spawn_in_simd(b, x, n):
+    with b.for_(0, n, simd=True) as i:
+        with b.spawn() as t:
+            b.store(b.itof(i), x, i)
+        b.wait_task(t)
+
+
+def _if_on_cache_pop(b, x, n):
+    h = b.cache_create()
+    b.cache_push(h, b.cmp("gt", b.load(x, 0), 0.0))
+    with b.if_(b.cache_pop(h, I1)):
+        b.store(2.0, x, 1)
+
+
+def _if_on_call_in_simd(b, x, n):
+    with b.for_(0, n, simd=True) as i:
+        v = b.call("g", b.load(x, i))
+        with b.if_(b.cmp("gt", v, 1.0)):
+            b.store(v, x, i)
+
+
+#: Constructs the lowering does not claim: each makes its function run
+#: interpreter-only, the one degradation granularity of the tier.
+_UNLOWERED = {
+    "fork-in-simd": (_fork_in_simd, "fork inside a vectorised region"),
+    "parallel_for-in-simd": (_parallel_for_in_simd,
+                             "parallel_for inside a vectorised region"),
+    "spawn-in-simd": (_spawn_in_simd, "spawn inside a vectorised region"),
+    "if-on-cache_pop": (_if_on_cache_pop,
+                        "if on a condition of run-time width"),
+    "if-on-call-in-simd": (_if_on_call_in_simd,
+                           "if on a condition of run-time width"),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(_UNLOWERED))
+def test_unlowered_construct_runs_the_function_on_the_interpreter(edge):
+    emit, cause = _UNLOWERED[edge]
+    b = IRBuilder()
+    with b.function("g", [("v", F64)], F64) as g:
+        b.ret(b.mul(g.args[0], 2.0))
+    with b.function("f", [("x", Ptr()), ("n", I64)]) as f:
+        emit(b, *f.args)
+    verify_module(b.module)
+    make = lambda: (np.array([0.25, 1.0, 2.0, -1.0]),)  # noqa: E731
+    run_both(b.module, "f", make, (4,), num_threads=2, strict=False)
+    with pytest.raises(LoweringError, match=cause):
+        compile_function(b.module.functions["f"])
+    ex = Executor(b.module, ExecConfig(backend="compiled", num_threads=2))
+    ex.run("f", *make(), 4)
+    assert ex.compile_stats()["interpreter_only"] == {
+        "f": f"LoweringError: {cause}"}
 
 
 def test_compiled_code_cached_on_function():

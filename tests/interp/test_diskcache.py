@@ -686,8 +686,8 @@ def test_code_hit_is_the_code_a_miss_builds(name, tmp_path, monkeypatch):
     built: same bytecode, a constant table holding the live function's
     own objects, equal counters, bit-identical arrays / clock / cost /
     peak AD-cache bytes — with certification and lowering out of reach.
-    ``lulesh-mpi`` has bridged ``mpi.*`` calls, the julia flavour spawn
-    regions."""
+    ``lulesh-mpi`` has ``mpi.*`` calls, ``minibude-julia`` task
+    bodies."""
     make, threads = APPS[name]
     monkeypatch.setenv("REPRO_CACHE_DIR", "off")
     want = _run_app(make(), threads, "compiled")

@@ -43,7 +43,7 @@ from hypothesis import strategies as st
 
 from repro.ad import Duplicated, autodiff
 from repro.interp import ExecConfig, Executor
-from repro.ir import I64, IRBuilder, Ptr, verify_module
+from repro.ir import I64, IRBuilder, Ptr, Task, verify_module
 
 NA = {"noalias": True}
 M = 4           # size of the shared table z (gather targets collide)
@@ -189,7 +189,8 @@ def run_gradient(module, grad: str, n: int, seed: int,
 #      "accesses": [{"op": "load" | "store" | "atomic",
 #                    "c0": int, "s": int, "uniform": bool, "hops": int,
 #                    "masked": bool, "cell": [c, k] | None}, ...],
-#      "oob": None | [access number, "lo" | "hi"]}
+#      "oob": None | [access number, "lo" | "hi"],
+#      "tasks": None | {"serial": [bool, ...], "order": [int, ...]}}
 #
 # Access ``a`` touches ``buf[base_a + c0 + s*i + (u if uniform)]`` with
 # ``base_a`` chosen so that every lane is in range, the offset split
@@ -197,6 +198,10 @@ def run_gradient(module, grad: str, n: int, seed: int,
 # +-k.  With ``cell`` the value takes a round trip through element ``k``
 # of a lane-private ``alloc c`` first.  ``oob`` moves one access so that
 # exactly its lowest lane reads ``-1`` or its highest the buffer length.
+# With ``tasks`` the loop runs inside ``len(serial)`` spawned tasks
+# instead, task ``k`` holding it as a plain serial ``for`` when
+# ``serial[k]``; the handles go through a ``Task`` buffer and are waited
+# in ``order``.
 
 U = 3               # value of the uniform argument ``u``
 SPAN = 160          # length of x and y: covers every generated address
@@ -221,6 +226,10 @@ PLAN_SPEC = st.fixed_dictionaries({
     "accesses": st.lists(_ACCESS, min_size=1, max_size=4),
     "oob": st.one_of(st.none(), st.tuples(
         st.integers(0, 3), st.sampled_from(["lo", "hi"])).map(list)),
+    "tasks": st.one_of(st.none(), st.lists(
+        st.booleans(), min_size=1, max_size=3).flatmap(
+        lambda serial: st.permutations(range(len(serial))).map(
+            lambda order: {"serial": serial, "order": list(order)}))),
 })
 
 
@@ -244,6 +253,13 @@ def _plan_base(spec, k: int) -> int:
         else:
             base = SPAN - max(ends) - rest
     return base
+
+
+def vector_loops(spec) -> int:
+    """How many copies of the loop ``build_plan`` emits vectorised."""
+    if spec["tasks"] is None:
+        return 1
+    return spec["tasks"]["serial"].count(False)
 
 
 def build_plan(spec):
@@ -295,19 +311,36 @@ def build_plan(spec):
                     v = access()
             b.store(v, out, i)
 
-        lo, hi = _plan_ivs(spec)
-        if spec["loop"] == "parallel_for":
-            with b.parallel_for(lo, hi + 1) as i:
-                body(i)
-        elif spec["loop"] == "simd":
-            with b.for_(lo, hi + 1, spec["step"], simd=True) as i:
-                body(i)
-        else:
-            with b.fork(2):
-                with b.workshare(lo, hi + 1, spec["step"]) as i:
-                    if spec["loop"] == "reverse":
-                        i.owner.attrs["reverse_order"] = True
+        def loop(serial=False):
+            lo, hi = _plan_ivs(spec)
+            step = 1 if spec["loop"] == "parallel_for" else spec["step"]
+            if serial:
+                with b.for_(lo, hi + 1, step) as i:
                     body(i)
+            elif spec["loop"] == "parallel_for":
+                with b.parallel_for(lo, hi + 1) as i:
+                    body(i)
+            elif spec["loop"] == "simd":
+                with b.for_(lo, hi + 1, step, simd=True) as i:
+                    body(i)
+            else:
+                with b.fork(2):
+                    with b.workshare(lo, hi + 1, step) as i:
+                        if spec["loop"] == "reverse":
+                            i.owner.attrs["reverse_order"] = True
+                        body(i)
+
+        tasks = spec["tasks"]
+        if tasks is None:
+            loop()
+        else:
+            handles = b.alloc(len(tasks["serial"]), Task, name="tasks")
+            for k, serial in enumerate(tasks["serial"]):
+                with b.spawn() as t:
+                    loop(serial)
+                b.store(t, handles, k)
+            for k in tasks["order"]:
+                b.wait_task(b.load(handles, k))
     verify_module(b.module)
     return b.module
 

@@ -3,8 +3,9 @@
 For random ``simd`` / workshare / ``parallel_for`` programs whose
 addresses are ``c0 + s*iv + uniform`` with random sign and stride
 (0, +-1, +-k), through ``ptradd`` chains, lane-private ``alloc c``
-cells, masked branches, and optionally one access whose lowest or
-highest lane is exactly one cell out of range:
+cells, masked branches, optionally one access whose lowest or highest
+lane is exactly one cell out of range, and optionally inside spawned
+tasks (some holding the loop serial) waited in a shuffled order:
 
 * interp, compiled and native agree on every buffer, the clock and every
   ``CostVector`` field;
@@ -52,10 +53,12 @@ def test_plans_match_the_interpreter(spec):
 @given(spec=sp.PLAN_SPEC.filter(lambda s: s["oob"] is None))
 def test_in_range_programs_run_and_slice(spec):
     """No ``oob``: the program completes, and every unmasked access with
-    ``s != 0`` (or through a cell) is a slice."""
+    ``s != 0`` (or through a cell) is a slice in each vectorised copy of
+    the loop."""
     module, error = _check(spec)
     assert error is None
     src = compile_function(module.functions["plan"]).__lowered_source__
+    copies = sp.vector_loops(spec)
     for kind in ("ld", "st", "at"):
         op = {"ld": "load", "st": "store", "at": "atomic"}[kind]
         plain = [a for a in spec["accesses"]
@@ -64,15 +67,18 @@ def test_in_range_programs_run_and_slice(spec):
         # sliced load per cell, and the closing store to ``out``.
         extra = sum(1 for a in spec["accesses"] if a["cell"])
         extra = {"ld": extra, "st": extra + 1, "at": 0}[kind]
-        assert (src.count(f"_{kind}s(rt, ") - extra
-                == sum(1 for a in plain if a["s"] != 0))
+        assert (src.count(f"_{kind}s(rt, ")
+                == copies * (extra + sum(1 for a in plain if a["s"] != 0)))
     if all(a["s"] != 0 and not a["masked"] for a in spec["accesses"]):
-        # ... and no arithmetic ran on the induction vector.
-        iv = re.search(r"(v\d+) = np\.arange", src).group(1)
-        assert not re.search(rf"_k\d+\({iv}, ", src)
+        # ... and no arithmetic ran on an induction vector.
+        ivs = re.findall(r"(v\d+) = np\.arange", src)
+        assert len(ivs) == copies
+        for iv in ivs:
+            assert not re.search(rf"_k\d+\({iv}, ", src)
 
 
 _EDGE = {"loop": "simd", "lb": 2, "trips": 5, "step": 2, "oob": None,
+         "tasks": None,
          "accesses": [{"op": "store", "c0": 1, "s": -3, "uniform": True,
                        "hops": 2, "masked": False, "cell": None}]}
 

@@ -8,7 +8,7 @@ index walkers gave way to ``IntervalAnalysis.index_strides`` /
 ``.variance``; access plans replaced the monotonicity helper family;
 the checkpoint sweeps are emitted by ``repro.ad.strategy`` itself; the
 implicit (fixed-point) adjoint, the adjoint-strategy class layer and the
-strategy stamp on gradients went.
+strategy stamp on gradients went; the op-by-op interpreter bridge went.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ RETIRED = [
     "ImplicitAdjoint", "implicit_iters", "_implicit_(forward|reverse)_loop",
     "strategy_fingerprint", "CacheAllAdjoint", "_ManagedStrategy",
     r"\bAdjointStrategy\b",
+    # the op-by-op interpreter bridge of the compiled tier
+    "lower_bridge", r"\b_bg\b", "free_values",
 ]
 
 #: keeps reference copies of the index walkers for differential tests
