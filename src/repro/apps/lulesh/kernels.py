@@ -8,12 +8,15 @@ paper's framework variants:
 * ``serial`` — plain vectorizable loops;
 * ``openmp`` — ``__kmpc_fork`` closures + worksharing loops (Fig. 3
   lowering, through :class:`repro.frontends.openmp.OpenMP`);
-* ``raja``   — RAJA::forall lowering onto the same OpenMP substrate;
+* ``raja``   — RAJA::forall lowering onto the same OpenMP substrate
+  (:class:`repro.frontends.raja.RAJA`; the forks carry
+  ``framework='raja'``);
 * ``mpi``    — single-threaded ranks + face-ordered ghost-force
   exchange with nonblocking send/recv/wait;
 * ``hybrid`` — MPI exchange + OpenMP kernels (MPI_THREAD_FUNNELED);
 * ``julia`` / ``julia_mpi`` — GC array descriptors with per-kernel
-  ``jl.arrayptr`` indirection, MPI.jl wrappers under ``gc_preserve``.
+  ``jl.arrayptr`` indirection, MPI calls under ``gc_preserve``
+  (:class:`repro.frontends.julia.Julia`).
 
 Every flavor evaluates the *same arithmetic in the same order*, so all
 runs agree with :mod:`repro.apps.lulesh.reference` to rounding noise
@@ -26,18 +29,15 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from ...frontends.openmp import OpenMP
+from ...frontends import RAJA, Julia, OpenMP
 from ...ir import (
     F64,
     I64,
     IRBuilder,
-    CallOp,
     Module,
-    PointerType,
     Ptr,
-    Request,
     Value,
     verify_module,
 )
@@ -55,32 +55,37 @@ from .physics import DEFAULT_PARAMS, HEX_FACES, LuleshParams
 @dataclass(frozen=True)
 class Flavor:
     name: str
-    style: str            # "omp" | "simd" | "julia"
+    style: str            # "simd" | "omp" | "raja" | "julia"
     mpi: bool
-    raja_tag: bool = False
 
 
 FLAVORS: dict[str, Flavor] = {
     "serial": Flavor("serial", "simd", False),
     "openmp": Flavor("openmp", "omp", False),
-    "raja": Flavor("raja", "omp", False, raja_tag=True),
+    "raja": Flavor("raja", "raja", False),
     "mpi": Flavor("mpi", "simd", True),
     "hybrid": Flavor("hybrid", "omp", True),
-    "raja_mpi": Flavor("raja_mpi", "omp", True, raja_tag=True),
+    "raja_mpi": Flavor("raja_mpi", "raja", True),
     "julia": Flavor("julia", "julia", False),
     "julia_mpi": Flavor("julia_mpi", "julia", True),
 }
 
 
 class _Emitter:
-    """Flavor-directed loop and array-access emission."""
+    """Flavor-directed loop and array-access emission: every framework
+    construct comes from the flavor's :mod:`repro.frontends` object."""
 
     def __init__(self, b: IRBuilder, flavor: Flavor,
-                 julia_descs: set[Value]) -> None:
+                 arrays: Iterable[Value]) -> None:
         self.b = b
-        self.flavor = flavor
-        self.julia_descs = julia_descs
-        self.omp = OpenMP(b) if flavor.style == "omp" else None
+        #: RAJA::forall or ``omp parallel for`` (closure-capturing loops)
+        self.forall = None
+        if flavor.style == "raja":
+            self.forall = RAJA(b).forall
+        elif flavor.style == "omp":
+            self.forall = OpenMP(b).parallel_for
+        #: under Julia the array arguments are GC array descriptors
+        self.jl = Julia(b, arrays) if flavor.style == "julia" else None
 
     @contextlib.contextmanager
     def loop(self, count, used: Sequence[Value], name: str = "i"):
@@ -90,44 +95,22 @@ class _Emitter:
         in-region form (closure reload for OpenMP/RAJA, data-pointer
         extraction for Julia, identity otherwise).
         """
-        b = self.b
-        fl = self.flavor
-        if fl.style == "omp":
-            captured = [v for v in used]
-            with self.omp.parallel_for(0, count, captured=captured,
-                                       name=name) as (i, env):
-                if fl.raja_tag:
-                    # Tag the enclosing fork for reporting; RAJA needs
-                    # no AD support — it *is* the OpenMP lowering.
-                    ws = b.block.parent_op
-                    ws.parent.parent_op.attrs["framework"] = "raja"
+        if self.forall is not None:
+            with self.forall(0, count, captured=list(used),
+                             name=name) as (i, env):
                 yield i, (lambda v: env.get(v, v))
-        elif fl.style == "julia":
-            with b.for_(0, count, simd=True, name=name) as i:
-                memo: dict = {}
-
-                def g(v: Value) -> Value:
-                    if v in self.julia_descs:
-                        got = memo.get(v)
-                        if got is None:
-                            op = CallOp("jl.arrayptr", [v], v.type)
-                            b.emit(op)
-                            got = memo[v] = op.result
-                        return got
-                    return v
-
-                yield i, g
         else:
-            with b.for_(0, count, simd=True, name=name) as i:
-                yield i, (lambda v: v)
+            with self.b.for_(0, count, simd=True, name=name) as i:
+                yield i, (self.jl.resolver() if self.jl else (lambda v: v))
 
     def data(self, v: Value) -> Value:
         """Out-of-loop data pointer (Julia: one arrayptr call)."""
-        if v in self.julia_descs:
-            op = CallOp("jl.arrayptr", [v], v.type)
-            self.b.emit(op)
-            return op.result
-        return v
+        return self.jl.arrayptr(v) if self.jl else v
+
+    def preserve(self, *bufs: Value):
+        """``GC.@preserve`` around foreign (MPI) calls under Julia."""
+        return self.jl.gc_preserve(*bufs) if self.jl \
+            else contextlib.nullcontext()
 
 
 def _emit_face_geometry(b: IRBuilder, cx, cy, cz):
@@ -226,8 +209,7 @@ def build_lulesh(flavor_name: str, nx: int, pr: int = 1,
              ALL_FLOAT_FIELDS + INT_FIELDS + MASK_FIELDS}
         steps = f.arg("steps")
 
-        julia_descs = set(A.values()) if fl.style == "julia" else set()
-        em = _Emitter(b, fl, julia_descs)
+        em = _Emitter(b, fl, A.values())
 
         space = "gc" if fl.style == "julia" else "stack"
         fex = b.alloc(8 * nelem + 1, space=space, name="fex")
@@ -253,7 +235,7 @@ def build_lulesh(flavor_name: str, nx: int, pr: int = 1,
             with b.else_():
                 _emit_dt_candidate(b, em, A, cand, nelem, pow2, p, dt_cell)
             if fl.mpi:
-                _mpi_allreduce_min_dt(b, em, fl, dt_cell, dt_cells)
+                _mpi_allreduce_min_dt(b, em, dt_cell, dt_cells)
             dt = b.load(em.data(dt_cell), 0)
             tsd = em.data(ts)
             b.store(dt, tsd, 1)
@@ -263,7 +245,7 @@ def build_lulesh(flavor_name: str, nx: int, pr: int = 1,
             _emit_stress_and_hourglass(b, em, A, fex, fey, fez, nelem, p)
             _emit_corner_scatter(b, em, A, fex, fey, fez, nnode)
             if fl.mpi:
-                _emit_force_exchange(b, em, fl, A, sendbuf, recvbuf,
+                _emit_force_exchange(b, em, A, sendbuf, recvbuf,
                                      ns, pr, rx, ry, rz)
 
             # ---------------- node integration -----------------------
@@ -326,15 +308,11 @@ def _pad_and_reduce_min(b, em, cand, nelem, pow2):
         half //= 2
 
 
-def _mpi_allreduce_min_dt(b, em, fl, dt_cell, dt_cells):
+def _mpi_allreduce_min_dt(b, em, dt_cell, dt_cells):
     send = em.data(dt_cells)
     recv = b.ptradd(em.data(dt_cells), 1)
     b.store(b.load(em.data(dt_cell), 0), send, 0)
-    if fl.style == "julia":
-        tok = b.call("jl.gc_preserve_begin", dt_cells)
-        b.call("mpi.allreduce", send, recv, 1, op="min")
-        b.call("jl.gc_preserve_end", tok)
-    else:
+    with em.preserve(dt_cells):
         b.call("mpi.allreduce", send, recv, 1, op="min")
     b.store(b.load(recv, 0), em.data(dt_cell), 0)
 
@@ -398,8 +376,7 @@ def _emit_corner_scatter(b, em, A, fex, fey, fez, nnode):
             b.store(s, g(out), n)
 
 
-def _emit_force_exchange(b, em, fl, A, sendbuf, recvbuf, ns, pr,
-                         rx, ry, rz):
+def _emit_force_exchange(b, em, A, sendbuf, recvbuf, ns, pr, rx, ry, rz):
     """Dimension-ordered ghost-force summation (CommSBN, §VII-A)."""
     plane = ns * ns
 
@@ -439,16 +416,13 @@ def _emit_force_exchange(b, em, fl, A, sendbuf, recvbuf, ns, pr,
             me = b.call("mpi.comm_rank")
             peer = b.add(me, peer_delta * peer_stride)
             pack(axis, fixed_plane)
-            if fl.style == "julia":
-                tok = b.call("jl.gc_preserve_begin", sendbuf, recvbuf)
-            r1 = b.call("mpi.isend", em.data(sendbuf), 3 * plane, peer,
-                        send_tag)
-            r2 = b.call("mpi.irecv", em.data(recvbuf), 3 * plane, peer,
-                        recv_tag)
-            b.call("mpi.wait", r1)
-            b.call("mpi.wait", r2)
-            if fl.style == "julia":
-                b.call("jl.gc_preserve_end", tok)
+            with em.preserve(sendbuf, recvbuf):
+                r1 = b.call("mpi.isend", em.data(sendbuf), 3 * plane, peer,
+                            send_tag)
+                r2 = b.call("mpi.irecv", em.data(recvbuf), 3 * plane, peer,
+                            recv_tag)
+                b.call("mpi.wait", r1)
+                b.call("mpi.wait", r2)
             unpack_add(axis, fixed_plane)
 
     for axis, coord in ((0, rx), (1, ry), (2, rz)):

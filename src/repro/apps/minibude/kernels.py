@@ -16,20 +16,16 @@ compute-bound double loop of the original.
 
 from __future__ import annotations
 
-import contextlib
-from dataclasses import dataclass
 from typing import Optional
 
-from ...frontends.openmp import OpenMP
+from ...frontends import Julia, OpenMP
 from ...ir import (
     F64,
     I64,
     IRBuilder,
-    CallOp,
     Module,
     Ptr,
     Task,
-    Value,
     verify_module,
 )
 from .deck import (
@@ -77,23 +73,12 @@ def build_minibude(variant: str, nprotein: int, nligand: int,
                 _emit_pose_body(b, i, lambda v: env.get(v, v), A,
                                 nprotein, nligand)
         elif variant == "julia":
-            julia_descs = set(A.values())
+            jl = Julia(b, A.values())
 
             def fasten_region(lo: int, hi: int) -> None:
                 with b.for_(lo, hi, simd=True, name="pose") as i:
-                    memo: dict = {}
-
-                    def g(v: Value) -> Value:
-                        if v in julia_descs:
-                            got = memo.get(v)
-                            if got is None:
-                                op = CallOp("jl.arrayptr", [v], v.type)
-                                b.emit(op)
-                                got = memo[v] = op.result
-                            return got
-                        return v
-
-                    _emit_pose_body(b, i, g, A, nprotein, nligand)
+                    _emit_pose_body(b, i, jl.resolver(), A, nprotein,
+                                    nligand)
 
             tasks = b.alloc(ntasks, Task, space="gc", name="tasks")
             per = -(-nposes // ntasks)

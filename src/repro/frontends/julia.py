@@ -1,6 +1,6 @@
-"""Julia frontend: GC arrays, task parallelism, and MPI.jl wrappers.
+"""Julia frontend: GC array descriptors and GC preservation.
 
-Reproduces the three Julia-specific phenomena of the paper:
+Reproduces the two Julia-specific memory phenomena of the paper:
 
 * **Array descriptors with an extra indirection** (§VIII): a Julia
   array is a GC-allocated descriptor; the data pointer is extracted at
@@ -11,125 +11,62 @@ Reproduces the three Julia-specific phenomena of the paper:
   array, so foreign calls (MPI) must be wrapped in
   ``gc_preserve_begin/end`` — and the AD engine extends the preserve
   set with shadows and mirrors it in the reverse pass.
-* **Task parallelism** (§V-B): ``Threads.@threads``-style chunked
-  ``@spawn``/``wait``, recognized by Enzyme through the marked
-  ``spawn`` construct rather than a runtime symbol (Julia's JIT
-  randomizes names, so source-level marking is used — §V-A).
 
-MPI.jl wrappers resolve through a symbol table the way Enzyme.jl
-rewrites integer-address foreign calls back to names (§VI-C1): the
-``MPI_SYMBOLS`` dict is consulted at emission, modelling that lookup.
+Julia tasks (§V-B) are the marked ``b.spawn(framework="julia")``
+construct itself, and MPI.jl calls are the same ``mpi.*`` calls a C++
+rank makes (Enzyme.jl resolves the integer-address ``ccall`` back to
+the name, §VI-C1), so neither needs a wrapper here.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Optional, Sequence
+from typing import Callable, Iterable
 
 from ..ir.builder import IRBuilder
-from ..ir.types import F64, I64, Ptr, Request, Task
+from ..ir.ops import CallOp
 from ..ir.values import Value
-
-#: Julia runtime symbol table: ccall address-name resolution (§VI-C1).
-MPI_SYMBOLS = {
-    "MPI.Isend": "mpi.isend",
-    "MPI.Irecv!": "mpi.irecv",
-    "MPI.Wait": "mpi.wait",
-    "MPI.Send": "mpi.send",
-    "MPI.Recv!": "mpi.recv",
-    "MPI.Allreduce!": "mpi.allreduce",
-    "MPI.Bcast!": "mpi.bcast",
-    "MPI.Barrier": "mpi.barrier",
-    "MPI.Comm_rank": "mpi.comm_rank",
-    "MPI.Comm_size": "mpi.comm_size",
-}
-
-
-class JuliaArray:
-    """A GC-allocated Julia ``Vector{Float64}``.
-
-    ``.data()`` extracts the raw data pointer through ``jl.arrayptr``
-    (one extra indirection, opaque to alias analysis).
-    """
-
-    def __init__(self, b: IRBuilder, count, name: str = "jlarr") -> None:
-        self.b = b
-        self.desc = b.alloc(count, F64, space="gc", name=name)
-        self.count = count
-
-    def data(self) -> Value:
-        return self.b.call("jl.arrayptr", self.desc)
 
 
 class Julia:
-    def __init__(self, b: IRBuilder) -> None:
-        self.b = b
+    """Julia constructs over an :class:`IRBuilder`.
 
-    # ------------------------------------------------------------------
-    def zeros(self, count, name: str = "jlarr") -> JuliaArray:
-        return JuliaArray(self.b, count, name)
+    ``descs`` are the values that stand for array descriptors: their
+    data pointer is extracted through ``jl.arrayptr`` at use sites.
+    """
+
+    def __init__(self, b: IRBuilder, descs: Iterable[Value] = ()) -> None:
+        self.b = b
+        self.descs = frozenset(descs)
+
+    def arrayptr(self, v: Value) -> Value:
+        """The data pointer of ``v``: one ``jl.arrayptr`` call if ``v``
+        is a descriptor, ``v`` itself otherwise.  The call is typed like
+        its descriptor (``Ptr(I64)`` arrays stay integer arrays)."""
+        if v not in self.descs:
+            return v
+        return self.b.emit(CallOp("jl.arrayptr", [v], v.type))
+
+    def resolver(self) -> Callable[[Value], Value]:
+        """:meth:`arrayptr` memoised for one loop body: each
+        descriptor's data pointer is extracted once, at its first use
+        in the body."""
+        memo: dict[Value, Value] = {}
+
+        def g(v: Value) -> Value:
+            got = memo.get(v)
+            if got is None:
+                got = memo[v] = self.arrayptr(v)
+            return got
+
+        return g
 
     @contextlib.contextmanager
-    def gc_preserve(self, *arrays: JuliaArray):
-        """``GC.@preserve a b begin ... end``."""
+    def gc_preserve(self, *descs: Value):
+        """``GC.@preserve a b begin ... end`` over descriptors."""
         b = self.b
-        tok = b.call("jl.gc_preserve_begin",
-                     *[a.desc for a in arrays])
+        tok = b.call("jl.gc_preserve_begin", *descs)
         try:
             yield
         finally:
             b.call("jl.gc_preserve_end", tok)
-
-    def safepoint(self) -> None:
-        self.b.call("jl.safepoint")
-
-    # ------------------------------------------------------------------
-    # Threads.@threads-style chunked task parallelism
-    # ------------------------------------------------------------------
-    @contextlib.contextmanager
-    def threads_for(self, lb, ub, nchunks: Value, name: str = "i"):
-        """``Threads.@threads for i in lb:ub-1`` lowered to one spawned
-        task per chunk plus waits (Base.threads_for / enq_work).
-
-        Yields the per-element induction variable inside the task's
-        chunk loop.
-        """
-        b = self.b
-        tasks = b.alloc(nchunks, Task, name="jl_tasks")
-        span = b.sub(ub, lb)
-        per = b.idiv(b.add(span, b.sub(nchunks, 1)), nchunks)
-        with b.for_(0, nchunks, name="chunk") as c:
-            lo = b.add(lb, b.mul(c, per))
-            hi = b.min(b.add(lo, per), ub)
-            with b.spawn(framework="julia") as task:
-                with b.for_(lo, hi, simd=True, name=name) as i:
-                    yield i
-            b.store(task, tasks, c)
-        with b.for_(0, nchunks, name="w") as w:
-            b.call("task.wait", b.load(tasks, w))
-
-    # ------------------------------------------------------------------
-    # MPI.jl wrappers (resolved through the symbol table)
-    # ------------------------------------------------------------------
-    def mpi(self, jl_name: str, *args, **attrs):
-        callee = MPI_SYMBOLS[jl_name]
-        return self.b.call(callee, *args, **attrs)
-
-    def mpi_isend(self, arr: JuliaArray, count, dest, tag) -> Value:
-        return self.mpi("MPI.Isend", arr.data(), count, dest, tag)
-
-    def mpi_irecv(self, arr: JuliaArray, count, src, tag) -> Value:
-        return self.mpi("MPI.Irecv!", arr.data(), count, src, tag)
-
-    def mpi_wait(self, req: Value) -> None:
-        self.mpi("MPI.Wait", req)
-
-    def mpi_allreduce(self, send: JuliaArray, recv: JuliaArray, count,
-                      op: str = "sum") -> None:
-        self.mpi("MPI.Allreduce!", send.data(), recv.data(), count, op=op)
-
-    def comm_rank(self) -> Value:
-        return self.mpi("MPI.Comm_rank")
-
-    def comm_size(self) -> Value:
-        return self.mpi("MPI.Comm_size")

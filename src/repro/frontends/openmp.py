@@ -16,10 +16,10 @@ in paper Fig. 6 — no AD-specific handling exists for it anywhere.
 from __future__ import annotations
 
 import contextlib
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..ir.builder import IRBuilder
-from ..ir.types import F64, I64, PointerType, Ptr
+from ..ir.types import F64
 from ..ir.values import Value
 
 
@@ -60,8 +60,8 @@ class OpenMP:
     # ------------------------------------------------------------------
     @contextlib.contextmanager
     def parallel_for(self, lb, ub, captured: Sequence[Value] = (),
-                     schedule: str = "static", name: str = "i",
-                     simd: bool = True):
+                     name: str = "i", simd: bool = True,
+                     framework: str = "openmp"):
         """``#pragma omp parallel for`` with closure capture.
 
         Lowered the way Clang lowers it: a ``__kmpc_fork``-style region
@@ -69,22 +69,25 @@ class OpenMP:
         and runs the worksharing loop (paper Fig. 3).  Yields
         ``(i, env)`` where ``env`` maps each captured value to its
         in-region reload — use ``env[x]`` instead of ``x`` in the body,
-        exactly as the outlined function would.
+        exactly as the outlined function would.  ``framework`` names the
+        source construct on the fork (a report tag; differentiation
+        ignores it).
         """
         reload = self._capture(captured)
-        with self.b.fork(0, framework="openmp"):
+        with self.b.fork(0, framework=framework):
             env = reload()
             with self.b.workshare(lb, ub, simd=simd, name=name) as i:
                 yield i, env
 
     @contextlib.contextmanager
-    def parallel(self, captured: Sequence[Value] = (), num_threads: int = 0):
+    def parallel(self, captured: Sequence[Value] = (), num_threads: int = 0,
+                 framework: str = "openmp"):
         """``#pragma omp parallel`` (an explicit fork region).
 
         Yields ``(tid, nthreads, env)``.
         """
         reload = self._capture(captured)
-        with self.b.fork(num_threads, framework="openmp") as (tid, nth):
+        with self.b.fork(num_threads, framework=framework) as (tid, nth):
             env = reload()
             yield tid, nth, env
 
@@ -110,8 +113,3 @@ class OpenMP:
         cell = b.alloc(1, F64, name="fp")
         b.store(value, cell, 0)
         return cell
-
-    def reduction_min_scratch(self, nthreads: Value) -> Value:
-        """Per-thread partial array for a manual min reduction
-        (paper Fig. 7)."""
-        return self.b.alloc(nthreads, F64, name="min_per_thread")

@@ -60,10 +60,8 @@ class RAJA:
                name: str = "i"):
         """``RAJA::forall`` over a range segment; lowers to an OpenMP
         worksharing loop with a captured lambda."""
-        with self._omp.parallel_for(lb, ub, captured=captured,
-                                    name=name) as (i, env):
-            # Tag for reporting only; differentiation ignores this.
-            self.b.block.parent_op.attrs["framework"] = "raja"
+        with self._omp.parallel_for(lb, ub, captured=captured, name=name,
+                                    framework="raja") as (i, env):
             yield i, env
 
     @contextlib.contextmanager
@@ -73,8 +71,8 @@ class RAJA:
         parallel region with per-thread partials and a serial combine,
         exactly what RAJA's OpenMP backend emits."""
         b = self.b
-        with self._omp.parallel(captured=captured) as (tid, nth, env):
-            b.block.parent_op.attrs["framework"] = "raja"
+        with self._omp.parallel(captured=captured,
+                                framework="raja") as (tid, nth, env):
             locals_ = []
             for r in reducers:
                 cell = b.alloc(1, F64, name="rmin_local")

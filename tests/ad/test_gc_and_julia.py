@@ -1,5 +1,5 @@
 """AD of Julia constructs: GC preservation (§VI-C2), arrayptr
-indirection, MPI.jl wrappers under GC stress."""
+indirection, MPI calls on GC arrays under GC stress."""
 
 import numpy as np
 import pytest
@@ -15,9 +15,11 @@ def test_gradient_through_arrayptr():
     b = IRBuilder()
     with b.function("k", [("x", Ptr()), ("y", Ptr()), ("n", I64)]) as f:
         x, y, n = f.args
+        jl = Julia(b, [x, y])
         with b.for_(0, n, simd=True) as i:
-            raw_x = b.call("jl.arrayptr", x)
-            raw_y = b.call("jl.arrayptr", y)
+            g = jl.resolver()
+            raw_x = g(x)
+            raw_y = g(y)
             v = b.load(raw_x, i)
             b.store(v * v, raw_y, i)
     grad = autodiff(b.module, "k", [Duplicated, Duplicated, None])
@@ -36,9 +38,11 @@ def test_arrayptr_forces_caching():
                         arg_attrs=[{"noalias": True}, {"noalias": True},
                                    {}]) as f:
             x, y, n = f.args
+            jl = Julia(b, [x, y] if with_arrayptr else [])
             with b.for_(0, n, simd=True) as i:
-                src = b.call("jl.arrayptr", x) if with_arrayptr else x
-                dst = b.call("jl.arrayptr", y) if with_arrayptr else y
+                g = jl.resolver()
+                src = g(x)
+                dst = g(y)
                 v = b.load(src, i)
                 b.store(v * v, dst, i)
         grad = autodiff(b.module, "k", [Duplicated, Duplicated, None])
@@ -57,17 +61,18 @@ def test_gc_preserve_extended_to_shadow():
     with b.function("jlring", [("x", Ptr()), ("y", Ptr()),
                                ("n", I64)]) as f:
         x, y, n = f.args
-        jl = Julia(b)
-        rank = jl.comm_rank()
-        size = jl.comm_size()
-        tmp = jl.zeros(n)
+        rank = b.call("mpi.comm_rank")
+        size = b.call("mpi.comm_size")
+        tmp = b.alloc(n, F64, space="gc", name="jlarr")
+        jl = Julia(b, [tmp])
         with jl.gc_preserve(tmp):
             r1 = b.call("mpi.isend", x, n, (rank + 1) % size, 3)
-            r2 = jl.mpi_irecv(tmp, n, (rank + size - 1) % size, 3)
+            r2 = b.call("mpi.irecv", jl.arrayptr(tmp), n,
+                        (rank + size - 1) % size, 3)
             b.call("mpi.wait", r1)
             b.call("mpi.wait", r2)
             with b.for_(0, n, simd=True) as i:
-                t = b.load(tmp.data(), i)
+                t = b.load(jl.arrayptr(tmp), i)
                 b.store(t * t, y, i)
     grad = autodiff(b.module, "jlring", [Duplicated, Duplicated, None])
 
@@ -94,13 +99,13 @@ def test_reverse_pass_has_mirrored_preserve():
     b = IRBuilder()
     with b.function("k", [("x", Ptr()), ("n", I64)]) as f:
         x, n = f.args
-        jl = Julia(b)
-        arr = jl.zeros(n)
+        arr = b.alloc(n, F64, space="gc", name="jlarr")
+        jl = Julia(b, [arr])
         with jl.gc_preserve(arr):
             with b.for_(0, n, simd=True) as i:
-                b.store(b.load(x, i) * 2.0, arr.data(), i)
+                b.store(b.load(x, i) * 2.0, jl.arrayptr(arr), i)
             with b.for_(0, n, simd=True) as i:
-                b.store(b.load(arr.data(), i), x, i)
+                b.store(b.load(jl.arrayptr(arr), i), x, i)
     grad = autodiff(b.module, "k", [Duplicated, None])
     g = b.module.functions[grad]
     begins = [op for op in g.walk() if op.opcode == "call"

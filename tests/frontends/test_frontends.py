@@ -7,7 +7,8 @@ from repro.ad import Duplicated, autodiff
 from repro.frontends import Julia, OpenMP, RAJA
 from repro.frontends.raja import ReduceMin
 from repro.interp import ExecConfig, Executor
-from repro.ir import F64, I64, IRBuilder, Ptr, verify_module
+from repro.ir import (F64, I64, IRBuilder, Ptr, parse_function,
+                      print_function, verify_module)
 
 from ..conftest import run_verified
 
@@ -81,6 +82,46 @@ def test_raja_forall_is_openmp_lowering():
     np.testing.assert_allclose(dxs, 3.0)
 
 
+def test_raja_forall_tags_the_fork():
+    """The ``framework='raja'`` report tag lands on the fork at
+    construction, survives print → parse, and rides on every fork of
+    the gradient."""
+    b = IRBuilder()
+    with b.function("k", [("x", Ptr()), ("n", I64)]) as f:
+        x, n = f.args
+        with RAJA(b).forall(0, n, captured=[x, n]) as (i, env):
+            b.store(b.load(env[x], i) * 3.0, env[x], i)
+    fn = b.module.functions["k"]
+    forks = [op for op in fn.walk() if op.opcode == "fork"]
+    assert [op.attrs["framework"] for op in forks] == ["raja"]
+    ws = [op for op in fn.walk() if op.opcode == "for"
+          and op.attrs.get("workshare")]
+    assert len(ws) == 1 and "framework" not in ws[0].attrs
+
+    back = parse_function(print_function(fn))
+    assert [op.attrs["framework"] for op in back.walk()
+            if op.opcode == "fork"] == ["raja"]
+
+    grad = b.module.functions[autodiff(b.module, "k", [Duplicated, None])]
+    tags = [op.attrs["framework"] for op in grad.walk()
+            if op.opcode == "fork"]
+    assert tags and set(tags) == {"raja"}
+
+
+def test_lulesh_raja_forks_carry_the_tag_like_raja_forall():
+    """LULESH ``raja`` builds its loops with ``RAJA.forall``: every fork
+    of primal and gradient carries the tag, no workshare does."""
+    from repro.apps.lulesh.driver import LuleshApp
+    app = LuleshApp("raja", 2)
+    for name in (app.fn, app.grad_fn()):
+        fn = app.module.functions[name]
+        forks = [op for op in fn.walk() if op.opcode == "fork"]
+        assert forks
+        assert {op.attrs["framework"] for op in forks} == {"raja"}
+        assert not any("framework" in op.attrs for op in fn.walk()
+                       if op.opcode == "for")
+
+
 def test_raja_reduce_min_values_and_gradient():
     b = IRBuilder()
     with b.function("rmin", [("d", Ptr()), ("out", Ptr()), ("n", I64)]) as f:
@@ -105,48 +146,38 @@ def test_raja_reduce_min_values_and_gradient():
 
 
 def test_julia_arrays_and_arrayptr():
+    """A GC array is used through its data pointer: the resolver emits
+    one ``jl.arrayptr`` per loop body and passes other values through."""
     b = IRBuilder()
     with b.function("k", [("out", Ptr()), ("n", I64)]) as f:
         out, n = f.args
-        jl = Julia(b)
-        arr = jl.zeros(n)
+        arr = b.alloc(n, F64, space="gc", name="jlarr")
+        jl = Julia(b, [arr])
+        assert jl.arrayptr(out) is out
         with b.for_(0, n, simd=True) as i:
-            b.store(b.itof(i) * 2.0, arr.data(), i)
+            g = jl.resolver()
+            b.store(b.itof(i) * 2.0, g(arr), i)
+            assert g(arr) is g(arr) and g(out) is out
         with b.for_(0, n, simd=True) as i:
-            b.store(b.load(arr.data(), i), out, i)
+            b.store(b.load(jl.arrayptr(arr), i), out, i)
+    fn = b.module.functions["k"]
+    assert sum(1 for op in fn.walk() if op.opcode == "call"
+               and op.attrs["callee"] == "jl.arrayptr") == 2
     out = np.zeros(4)
     run_verified(b, "k", out, 4)
     np.testing.assert_allclose(out, [0, 2, 4, 6])
-
-
-def test_julia_threads_for_covers_range():
-    b = IRBuilder()
-    with b.function("k", [("x", Ptr()), ("n", I64)]) as f:
-        x, n = f.args
-        jl = Julia(b)
-        with jl.threads_for(0, n, 3) as i:
-            b.store(b.load(x, i) + 1.0, x, i)
-    xs = np.zeros(10)
-    run_verified(b, "k", xs, 10, num_threads=3)
-    np.testing.assert_allclose(xs, 1.0)
-
-
-def test_julia_mpi_symbol_table():
-    from repro.frontends import MPI_SYMBOLS
-    assert MPI_SYMBOLS["MPI.Isend"] == "mpi.isend"
-    assert MPI_SYMBOLS["MPI.Allreduce!"] == "mpi.allreduce"
 
 
 def test_julia_gc_preserve_context_manager():
     b = IRBuilder()
     with b.function("k", [("out", Ptr())]) as f:
         out = f.args[0]
-        jl = Julia(b)
-        arr = jl.zeros(2)
+        arr = b.alloc(2, F64, space="gc", name="jlarr")
+        jl = Julia(b, [arr])
         with jl.gc_preserve(arr):
-            jl.safepoint()
-            b.store(5.0, arr.data(), 0)
-            b.store(b.load(arr.data(), 0), out, 0)
+            b.call("jl.safepoint")
+            b.store(5.0, jl.arrayptr(arr), 0)
+            b.store(b.load(jl.arrayptr(arr), 0), out, 0)
     out = np.zeros(1)
     _, ex = run_verified(b, "k", out, gc_stress=True)
     assert out[0] == 5.0

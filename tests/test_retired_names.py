@@ -8,7 +8,9 @@ index walkers gave way to ``IntervalAnalysis.index_strides`` /
 ``.variance``; access plans replaced the monotonicity helper family;
 the checkpoint sweeps are emitted by ``repro.ad.strategy`` itself; the
 implicit (fixed-point) adjoint, the adjoint-strategy class layer and the
-strategy stamp on gradients went; the op-by-op interpreter bridge went.
+strategy stamp on gradients went; the op-by-op interpreter bridge went;
+the frontend code that only its own tests called and the apps' post-hoc
+RAJA tag went (the apps build every construct through the frontends).
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ RETIRED = [
     r"\bAdjointStrategy\b",
     # the op-by-op interpreter bridge of the compiled tier
     "lower_bridge", r"\b_bg\b", "free_values",
+    # frontend code no app called, and the post-hoc RAJA fork tag
+    "JuliaArray", "MPI_SYMBOLS", "threads_for", "reduction_min_scratch",
+    "raja_tag",
 ]
 
 #: keeps reference copies of the index walkers for differential tests
