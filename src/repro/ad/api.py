@@ -40,9 +40,10 @@ def autodiff_transform(module: Module, fn_name: str, activities: list,
 
     ``cache`` is a gradient store, e.g. ``open_cache(exec_config)`` from
     :mod:`repro.interp.diskcache`: a gradient it already holds for this
-    primal, activity list and config is parsed back instead of derived
+    primal, activity list and config is read back instead of derived
     (``tr.cache_event == "hit"``; ``tr.plan`` and ``tr.activity`` are
-    then ``None``)."""
+    then ``None``) — as text only (``tr.grad.text_only``) when code
+    lowered from it is stored too."""
     register_mpid_intrinsics(module)
     tr = ADTransform(module, fn_name, activities, config, cache)
     tr.build()

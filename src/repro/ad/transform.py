@@ -245,11 +245,14 @@ class ADTransform:
 
     ``cache`` is an optional gradient store (a
     :class:`repro.interp.diskcache.CompileCache`): on a hit
-    :meth:`build` parses the stored gradient into the module instead of
-    differentiating, and then verifies / lints / comm-checks it exactly
-    as it would a fresh one.  The analyses of a transform that did not
-    run are not there to inspect: ``plan`` and ``activity`` stay
-    ``None`` on a hit (``adjoint_report`` is stored with the gradient).
+    :meth:`build` reads the stored gradient into the module instead of
+    differentiating.  It stays text (``grad.text_only``) when code
+    lowered from that text is stored too, and is verified when its body
+    is built; otherwise it is parsed, then verified / linted /
+    comm-checked exactly as a fresh one (see :meth:`_check_gradient`).
+    The analyses of a transform that did not run are not there to
+    inspect: ``plan`` and ``activity`` stay ``None`` on a hit
+    (``adjoint_report`` is stored with the gradient).
     """
 
     def __init__(self, module: Module, fn_name: str, activities: list,
@@ -322,17 +325,24 @@ class ADTransform:
             key = cache.gradient_key(
                 print_closure(self.module, self.src_name),
                 self.activities, self.config)
-            hit = cache.load_gradient(key, self.module, self.grad_name)
+            # The race lint and the comm check read the body: with
+            # either set, the body is built at load.
+            hit = cache.load_gradient(
+                key, self.module, self.grad_name,
+                text_only=not (self.config.sanitize
+                               or self.config.commcheck),
+                check=self._verify if self.config.verify else None)
         if hit is not None:
             self.grad, self.adjoint_report = hit
             self.cache_event = "hit"
         else:
             self._differentiate()
-        self._check_gradient()
+        if not self.grad.text_only:
+            self._check_gradient()
         if cache is not None and hit is None:
             # Stored only once it has passed every configured check.
-            cache.store_gradient(key, print_function(self.grad),
-                                 self.grad.attrs, self.adjoint_report)
+            cache.store_gradient(key, self.grad, print_function(self.grad),
+                                 self.adjoint_report)
             self.cache_event = "miss"
         return self.grad_name
 
@@ -413,12 +423,21 @@ class ADTransform:
             from ..passes.pass_manager import cleanup_pipeline
             cleanup_pipeline().run_function(self.grad, self.module)
 
+    def _verify(self, fn: Function) -> None:
+        from ..ir.verifier import verify_function
+        verify_function(fn, self.module)
+
     def _check_gradient(self) -> None:
         """The checks the config asks of a gradient, differentiated or
-        read back: IR verifier, race lint, comm duality."""
+        read back: IR verifier, race lint, comm duality.
+
+        A gradient read back as text only (its entry is marked as
+        lowered, and neither ``sanitize`` nor ``commcheck`` is set)
+        skips this: the verifier runs when its body is built, if ever —
+        the code that runs it is the one lowered from that same text,
+        which passed these checks before it was stored."""
         if self.config.verify:
-            from ..ir.verifier import verify_function
-            verify_function(self.grad, self.module)
+            self._verify(self.grad)
         self.lint_result = None
         if self.config.sanitize:
             from ..sanitize.lint import LintError, lint_function

@@ -43,7 +43,8 @@ object (fingerprint-checked, since ExecConfig.fusion changes codegen),
 and optionally on disk (:mod:`repro.interp.diskcache`) keyed on the
 printed IR closure + config fingerprint + a digest of the lowering's own
 sources, so warm processes skip bounds certification, lowering and
-CPython's ``compile()`` for large adjoint functions.
+CPython's ``compile()`` for large adjoint functions — and, for a
+gradient read back from the disk cache as text, never build its IR.
 
 Fallback contract (who runs what):
 
@@ -69,7 +70,8 @@ from .events import BarrierEvent
 from .fusion import FusionStats
 from .interpreter import Interpreter, chunk_bounds
 from .memory import DynCache, InterpreterError, Memory, PtrVal
-from .lowering import LoweringError, lower_function, resolve_consts
+from .lowering import (LoweringError, join_records, lower_function,
+                       resolve_consts)
 
 #: Cache attributes stashed on Function objects (they have no
 #: __slots__).  ``_compiled_code`` holds the generator function (False
@@ -331,7 +333,11 @@ def _atk(rt, kind, via, val, ptr, idx):
 
 
 def _al(rt, op, count_val):
-    """Allocation with the interpreter's vector-lane privatization."""
+    """Allocation with the interpreter's vector-lane privatization.
+
+    ``op`` is the ``alloc`` op or its stand-in (see
+    :func:`~repro.interp.lowering.resolve_consts`); the buffer is named
+    by the op's result, looked up only when a message shows it."""
     if isinstance(count_val, np.ndarray) and count_val.size > 1:
         raise InterpreterError(
             "allocation size must be uniform inside vectorized regions")
@@ -341,7 +347,7 @@ def _al(rt, op, count_val):
     elem = op.result.type.elem
     if rt.simd_depth > 0 and rt.simd_width >= 1:
         w = rt.simd_width
-        ptr = rt.memory.alloc(count * w, elem, space, name=op.result.name,
+        ptr = rt.memory.alloc(count * w, elem, space, name=op.result,
                               thread_local_of=rt.current_thread)
         ptr = PtrVal(ptr.buffer, np.arange(w, dtype=np.int64) * count)
         ptr.buffer.stream = stream
@@ -349,7 +355,7 @@ def _al(rt, op, count_val):
             rt.memory.note_adcache(ptr.buffer)
         rt.cost.alloc_bytes += count * w * elem.size_bytes
     else:
-        ptr = rt.memory.alloc(count, elem, space, name=op.result.name,
+        ptr = rt.memory.alloc(count, elem, space, name=op.result,
                               thread_local_of=rt.current_thread)
         ptr.buffer.stream = stream
         if op.attrs.get("adcache"):
@@ -385,7 +391,7 @@ _HELPER_GLOBALS = {
     "chunk_bounds": chunk_bounds,
     "_acc": _acc, "_aw": _aw, **_ACCESS_HELPERS,
     "_ldk": _ldk, "_stk": _stk, "_atk": _atk,
-    "_al": _al, "_ms": _ms, "_mc": _mc,
+    "_al": _al, "_ms": _ms, "_mc": _mc, "_jr": join_records,
     # The region and call drivers are the interpreter's own.
     "_rf": Interpreter.run_fork, "_rs": Interpreter.run_spawn,
     "_ca": Interpreter.call_op,
@@ -405,9 +411,19 @@ def compile_function(fn: Function, fusion: bool = True, cache=None,
     CompileCache`, addressed by the printed IR closure of ``fn`` (what
     bounds certification and the lowering read) + ``fingerprint``.  On
     a hit nothing is certified, lowered or compiled: the stored module
-    is executed and its constant-table recipe resolved against the live
-    ``fn`` (``code.__lowered_source__`` is None then).  A hit that does
-    not resolve is dropped as corrupt and the miss path runs.
+    is executed and its constant-table recipe resolved against ``fn``
+    (``code.__lowered_source__`` is None then) — against its live ops,
+    each of which must match its record, or, while ``fn`` is a gradient
+    still held as text (``fn.text_only``), to stand-ins built from the
+    records alone; the live ops replace them if the body is ever built.
+    A hit that does not resolve is dropped as corrupt and the miss path
+    runs.  Neither a hit nor the closure print builds a text-only body;
+    a miss does (the lowering reads it).
+
+    Once code lowered from a gradient is stored — or found stored for a
+    gradient whose body is built — the gradient's disk entry is marked
+    as lowered (:meth:`~repro.interp.diskcache.CompileCache.
+    mark_lowered`), which is what lets the next process hold it as text.
 
     ``native`` is an optional :class:`~repro.interp.native.
     NativeEmitter`: the lowering then routes claimable kernels through
@@ -432,6 +448,8 @@ def compile_function(fn: Function, fusion: bool = True, cache=None,
                        f"|certified={module is not None}")
         code = _load_compiled(fn, cache, text, fingerprint)
         if code is not None:
+            if not fn.text_only:
+                cache.mark_lowered(fn, text)
             return code
     bounds = None
     if module is not None:
@@ -453,6 +471,8 @@ def compile_function(fn: Function, fusion: bool = True, cache=None,
             ) from e
         if cache is not None:
             cache.store(text, fingerprint, code_obj)
+            if native is None:
+                cache.mark_lowered(fn, text)
     globs = dict(_HELPER_GLOBALS)
     globs.update(consts)
     if native is not None:
@@ -474,12 +494,17 @@ def _load_compiled(fn: Function, cache, text: str, fingerprint: str):
     globs = dict(_HELPER_GLOBALS)
     try:
         exec(code_obj, globs)
-        globs.update(resolve_consts(fn, globs["_CONSTS"]))
+        recipe = globs["_CONSTS"]
+        globs.update(resolve_consts(fn, recipe))
         stats = FusionStats.from_dict(globs["_STATS"])
         code = globs["_compiled"]
     except Exception:  # noqa: BLE001 - corrupt entry => miss
         cache.reject(text, fingerprint)
         return None
+    if fn.text_only:
+        # Stand-ins until something builds the IR; the live ops after.
+        fn.when_built(lambda built: globs.update(
+            resolve_consts(built, recipe)))
     return _finish(fn, code, None, stats, None)
 
 

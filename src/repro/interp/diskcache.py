@@ -17,6 +17,11 @@ them is the version bump.  It is never keyed by the gradient's own
 text: a lookup costs one print of the small primal.  The text is
 lossless (``tests/ad/test_gradient_roundtrip.py``), so a function
 parsed back lowers to the same source as the one that was printed.
+Beside the text an entry holds the gradient's callee names in order of
+discovery (``callees``, what ``print_closure`` follows) and, once code
+lowered from that text is stored, ``lowered_sha256``: the digest of the
+text the compiled tier lowered, written into the entry by
+:meth:`CompileCache.mark_lowered` (an atomic rewrite, not a store).
 
 **Code objects** (``<root>/compiled-ir/``) sit above lowering.
 Certifying bounds, lowering and running CPython's ``compile()`` over the
@@ -25,8 +30,9 @@ between holding a function and being able to call it.  An entry is the
 *marshaled code object* of the generated module — the ``_compiled``
 generator function plus two literals the lowering appends: ``_CONSTS``,
 the *recipe* of the constant table (positions in the function, never
-objects; see :func:`repro.interp.lowering.resolve_consts`), and
-``_STATS``, the fusion counters.  It is keyed by everything that
+objects, with a record of what the code reads of each op; see
+:func:`repro.interp.lowering.resolve_consts`), and ``_STATS``, the
+fusion counters.  It is keyed by everything that
 determines it:
 
 * the printed IR closure it was lowered from (``print_closure``: the
@@ -46,21 +52,32 @@ The format version, source digest and CPython tag are in the entry as
 well as in the key, beside a SHA-256 of the blob (code and recipe
 together).
 
-A warm process therefore prints and hashes the primal, *parses* the
-stored gradient instead of differentiating, runs the checks its
-``ADConfig`` asks for (verify, lint, commcheck) on the parsed function,
-prints and hashes that, unmarshals the stored code object and resolves
-the recipe against the live function — no ``certify_bounds``, no
-lowering, no ``compile()``.  The IR itself stays in the warm path on
-purpose: ``alloc``/``call`` sites and ``wrap_args``' extent
-contract run against the live function, and the code entry is addressed
-by the exact IR text it was lowered from plus a digest of the code that
-lowers it, so two processes that race different gradients into the
-directory — or two checkouts that lower differently — can never be
-served each other's code.  The bounds checks a hit elides are exactly
+A warm process therefore prints and hashes the primal and reads the
+stored gradient instead of differentiating.  When the entry is marked
+as lowered (``lowered_sha256`` equals its ``sha256``) and the
+``ADConfig`` asks for neither ``sanitize`` nor ``commcheck``, the
+gradient stays *text*: only its header line is read
+(:func:`repro.ir.parser.read_function` — signature, argument contracts
+and attrs, which ``wrap_args`` checks), ``print_closure`` returns the
+stored text and callee list, and the code entry addressed by that text
+is unmarshaled with its recipe resolved to stand-ins built from the
+records it carries.  No parse, no verify, no print of the gradient, no
+``certify_bounds``, no lowering, no ``compile()``.  The body is parsed,
+and verified under the ``ADConfig``, only when something reads it — a
+code miss under another ``ExecConfig``, the interpreter, a message
+naming a buffer.  Any other entry is parsed at load and checked
+(verify, lint, commcheck) as today, so text edited after it was written
+still fails at load; its code hit then marks it.  The code entry is
+addressed by the exact IR text it was lowered from plus a digest of the
+code that lowers it, so two processes that race different gradients
+into the directory — or two checkouts that lower differently — can
+never be served each other's code, and the mark is only ever a hint
+that such code exists.  The bounds checks a hit elides are exactly
 those ``certify_bounds`` certified on the storing side, under the same
 IR text and the same ``repro.passes`` sources.  A recipe that does not
-resolve against the live function is a corrupt entry like any other.
+resolve against the live function (an op of another kind, or whose
+recorded alloc space, element type or flags or call attrs differ) is a
+corrupt entry like any other.
 (The native tier's emitter has to run during lowering to produce its C
 bindings, so ``backend="native"`` lowers on every compile and addresses
 its marshal entry by the lowered source through the same ``load`` /
@@ -102,10 +119,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..ir.parser import parse_function
+from ..ir.parser import parse_function, read_function
+from ..ir.printer import callees
 
 #: Bump when the on-disk entry layout changes.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Bump when the native .so entry layout changes.
 NATIVE_FORMAT_VERSION = 1
@@ -118,7 +136,12 @@ _SUBDIR = "compiled-ir"
 _NATIVE_SUBDIR = "native-so"
 
 #: Bump when the gradient-IR entry layout changes.
-GRADIENT_FORMAT_VERSION = 1
+GRADIENT_FORMAT_VERSION = 2
+
+#: Attribute of a gradient ``Function`` object (not of its IR attrs)
+#: naming the entry it was stored as or read from: ``(key, length of
+#: its text)``.
+_ENTRY_ATTR = "_gradient_entry"
 
 #: Sibling subdirectory holding printed gradient functions.
 _GRADIENT_SUBDIR = "gradient-ir"
@@ -289,9 +312,10 @@ class CompileCache:
             "code": base64.b64encode(blob).decode("ascii"),
         })
 
-    def _write_json(self, path: str, entry: dict) -> None:
+    def _write_json(self, path: str, entry: dict,
+                    count: bool = True) -> None:
         """Atomic best-effort write of one JSON entry (temp file +
-        ``os.replace``); counts a store when it lands."""
+        ``os.replace``); counts a store when it lands (and ``count``)."""
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
@@ -308,7 +332,7 @@ class CompileCache:
                 raise
         except OSError:
             return
-        self.stores += 1
+        self.stores += count
 
     # -- gradient IR ---------------------------------------------------
     # Printed gradient functions live under ``gradient-ir/``, keyed by
@@ -336,13 +360,22 @@ class CompileCache:
     def _gradient_path(self, key: str) -> str:
         return os.path.join(self.gradient_root, key[:2], key + ".json")
 
-    def load_gradient(self, key: str, module, name: str):
-        """Parse the stored gradient ``name`` into ``module``.
+    def load_gradient(self, key: str, module, name: str,
+                      text_only: bool = False, check=None):
+        """Read the stored gradient ``name`` into ``module``.
 
-        Returns ``(function, adjoint_report)``, or None on a miss.  An
-        entry that does not read, verify against its digest or parse
-        back is unlinked and counted in ``errors``; ``module`` is left
-        without a function ``name`` in that case."""
+        Returns ``(function, adjoint_report)``, or None on a miss.  With
+        ``text_only``, an entry marked as lowered (its
+        ``lowered_sha256`` equals its ``sha256``: code lowered from this
+        very text was stored, see :meth:`mark_lowered`) is read as its
+        header alone (:func:`repro.ir.parser.read_function`): the body
+        is parsed, and ``check(fn)`` run on it, only when something
+        reads it.  Any other entry is parsed now, and ``check`` is the
+        caller's to run.  Either way the function is tagged with the
+        entry, for :meth:`mark_lowered`.  An entry that does not read,
+        verify against its digest or parse back is unlinked and counted
+        in ``errors``; ``module`` is left without a function ``name``
+        in that case."""
         path = self._gradient_path(key)
         known = set(module.functions)
         try:
@@ -352,10 +385,16 @@ class CompileCache:
                     or entry.get("sources")
                     != sources_digest(_GRADIENT_SOURCES)):
                 raise ValueError("version skew")
-            text = entry["text"]
-            if hashlib.sha256(text.encode()).hexdigest() != entry["sha256"]:
+            text, digest = entry["text"], entry["sha256"]
+            if hashlib.sha256(text.encode()).hexdigest() != digest:
                 raise ValueError("gradient text digest mismatch")
-            fn = parse_function(text, module)
+            names = entry["callees"]
+            if not all(isinstance(c, str) for c in names):
+                raise ValueError("callee list holds a non-name")
+            if text_only and entry.get("lowered_sha256") == digest:
+                fn = read_function(text, module, names, check)
+            else:
+                fn = parse_function(text, module)
             if fn.name != name:
                 raise ValueError(f"entry holds {fn.name!r}, not {name!r}")
             fn.attrs.update(entry["attrs"])
@@ -369,20 +408,49 @@ class CompileCache:
             self._drop_corrupt(path)
             return None
         self.hits += 1
+        setattr(fn, _ENTRY_ATTR, (key, len(text)))
         return fn, report
 
-    def store_gradient(self, key: str, text: str, attrs: dict,
+    def store_gradient(self, key: str, fn, text: str,
                        report: dict) -> None:
-        """Persist a printed gradient with its function attrs and
-        adjoint report (best effort, like :meth:`store`)."""
+        """Persist the gradient ``fn``, printed as ``text``, with its
+        function attrs, callee list and adjoint report (best effort,
+        like :meth:`store`), and tag ``fn`` with the entry."""
         self._write_json(self._gradient_path(key), {
             "format": GRADIENT_FORMAT_VERSION,
             "sources": sources_digest(_GRADIENT_SOURCES),
             "sha256": hashlib.sha256(text.encode()).hexdigest(),
             "text": text,
-            "attrs": attrs,
+            "attrs": fn.attrs,
+            "callees": callees(fn),
             "report": report,
         })
+        setattr(fn, _ENTRY_ATTR, (key, len(text)))
+
+    def mark_lowered(self, fn, text: str) -> None:
+        """Record, in the gradient entry ``fn`` is tagged with, that code
+        lowered from its text is now stored: ``lowered_sha256`` becomes
+        the digest of the text the code was keyed on (``text``, the
+        closure, starts with the function's own).  The entry is
+        rewritten in place, and only when it still holds that text — a
+        rewrite is not a store and adds no file.  Best effort; a
+        function without a tag has nothing to mark."""
+        tag = getattr(fn, _ENTRY_ATTR, None)
+        if tag is None:
+            return
+        key, size = tag
+        digest = hashlib.sha256(text[:size].encode()).hexdigest()
+        path = self._gradient_path(key)
+        try:
+            with open(path, "rb") as f:
+                entry = json.load(f)
+        except (OSError, ValueError):
+            return
+        if (entry.get("sha256") != digest
+                or entry.get("lowered_sha256") == digest):
+            return
+        entry["lowered_sha256"] = digest
+        self._write_json(path, entry, count=False)
 
     # -- native kernel libraries ---------------------------------------
     # Compiled .so blobs for the native backend live beside the marshal

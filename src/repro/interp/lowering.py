@@ -65,10 +65,13 @@ source calls live in :mod:`repro.interp.compile`.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional
 
 from ..ir.opinfo import OP_INFO
 from ..ir.ops import Op
+from ..ir.parser import parse_type
+from ..ir.types import Ptr
 from ..ir.values import Constant, Result, Value
 from ..passes.intervals import IntervalAnalysis
 from .fusion import (
@@ -109,35 +112,118 @@ _CMP_TEMPLATES = {
 _ACC_CLASSES = ("flop", "div", "special", "int")
 
 
+def _op_record(op: Op) -> tuple:
+    """What compiled code and the intrinsic handlers read of an op the
+    constant table holds: an ``alloc``'s space, element type and
+    ``stream`` / ``adcache`` flags (``_al``), a ``call``'s attrs
+    (``_ca`` and the handlers)."""
+    if op.opcode == "alloc":
+        a = op.attrs
+        return (a["space"], str(op.result.type.elem),
+                bool(a.get("stream")), bool(a.get("adcache")))
+    return (dict(sorted(op.attrs.items())),)
+
+
 def const_recipe(fn, consts: dict) -> list:
     """Address every object in a lowered function's constant table by
     its position in ``fn`` — the table as it can be stored beside the
     code.  The lowering references two kinds of object: ``alloc`` and
-    ``call`` ops (with their opcode for the reader to check) and
-    ``OP_INFO`` evaluate functions.  Op positions are pre-order indexes
-    of ``fn.walk()``; entry ``i`` addresses ``consts["_k<i>"]``."""
+    ``call`` ops and ``OP_INFO`` evaluate functions.  An op entry is
+    ``("op", index, opcode, *record)``: its pre-order index in
+    ``fn.walk()``, its opcode and what the code reads of it
+    (:func:`_op_record`), so a function that is still stored text can
+    run without its IR.  Entry ``i`` addresses ``consts["_k<i>"]``."""
     index = {op: i for i, op in enumerate(fn.walk())}
     evaluates = {id(info.evaluate): oc for oc, info in OP_INFO.items()}
-    return [("op", index[obj], obj.opcode) if isinstance(obj, Op)
-            else ("evaluate", evaluates[id(obj)])
+    return [("op", index[obj], obj.opcode, *_op_record(obj))
+            if isinstance(obj, Op) else ("evaluate", evaluates[id(obj)])
             for obj in consts.values()]
+
+
+def _recipe_literal(recipe: list) -> str:
+    """The ``_CONSTS`` line's right-hand side: the recipe's addresses
+    (``("op", index, opcode)`` / ``("evaluate", opcode)``), then each
+    distinct op record once, with the op indexes that share it — a few
+    records cover the hundreds of ``alloc`` sites of an adjoint.
+    :func:`join_records` rebuilds the recipe when the module runs."""
+    groups: dict = {}
+    for entry in recipe:
+        if entry[0] == "op":
+            groups.setdefault(repr(entry[3:]), (entry[3:], []))[1].append(
+                entry[1])
+    addresses = [entry[:3] if entry[0] == "op" else entry
+                 for entry in recipe]
+    records = [(record, tuple(ops)) for record, ops in groups.values()]
+    return f"_jr({addresses!r}, {records!r})"
+
+
+def join_records(addresses: list, records: list) -> list:
+    """The recipe :func:`_recipe_literal` spelled out (``_jr`` in the
+    generated code): every op address followed by its record."""
+    of = {index: record for record, ops in records for index in ops}
+    return [entry + of[entry[1]] if entry[0] == "op" else entry
+            for entry in addresses]
+
+
+class _SiteResult:
+    """An alloc stand-in's result: its type, and its name read from the
+    IR — built then — when a message shows it."""
+
+    __slots__ = ("type", "_fn", "_index")
+
+    def __init__(self, type_, fn, index: int) -> None:
+        self.type = type_
+        self._fn = fn
+        self._index = index
+
+    @property
+    def name(self) -> str:
+        return next(islice(self._fn.walk(), self._index, None)).result.name
+
+
+class _Site:
+    """Stand-in for an ``alloc`` or ``call`` op of a function that is
+    still stored text: the record the code entry holds of it."""
+
+    __slots__ = ("opcode", "attrs", "result")
+
+    def __init__(self, fn, index: int, opcode: str, record) -> None:
+        self.opcode = opcode
+        self.result = None
+        if opcode == "alloc":
+            space, elem, stream, adcache = record
+            self.attrs = {"space": space, "stream": stream,
+                          "adcache": adcache}
+            self.result = _SiteResult(Ptr(parse_type(elem)), fn, index)
+        else:
+            (self.attrs,) = record
 
 
 def resolve_consts(fn, recipe) -> dict:
     """The constant table :func:`const_recipe` describes, rebuilt
-    against the live ``fn``.  Raises (``IndexError``, ``KeyError``,
-    ``ValueError``, ``TypeError``, ``AttributeError``) when the recipe
-    does not fit the function; nothing is returned in that case."""
-    ops = list(fn.walk())
+    against ``fn``: its live ops when its IR is in memory — each must
+    match its record — and :class:`_Site` stand-ins while it is text
+    only.  Raises (``IndexError``, ``KeyError``, ``ValueError``,
+    ``TypeError``, ``AttributeError``) when the recipe does not fit the
+    function; nothing is returned in that case."""
+    ops = None if fn.text_only else list(fn.walk())
     consts = {}
     for i, (kind, *at) in enumerate(recipe):
         if kind == "evaluate":
             obj = OP_INFO[at[0]].evaluate
         elif kind == "op":
-            obj = ops[at[0]]
-            if obj.opcode != at[1]:
-                raise ValueError(f"op {at[0]} is {obj.opcode!r}, the "
-                                 f"recipe wants {at[1]!r}")
+            index, opcode, *record = at
+            if opcode not in ("alloc", "call"):
+                raise ValueError(f"no constant-table record of a "
+                                 f"{opcode!r} op")
+            if ops is None:
+                obj = _Site(fn, index, opcode, record)
+            else:
+                obj = ops[index]
+                if (obj.opcode, *_op_record(obj)) != (opcode, *record):
+                    raise ValueError(f"op {index} is {obj.opcode!r} "
+                                     f"{_op_record(obj)}, the recipe "
+                                     f"wants {opcode!r} {tuple(record)}")
         else:
             raise ValueError(f"unknown recipe entry {kind!r}")
         consts[f"_k{i}"] = obj
@@ -376,7 +462,8 @@ class Lowerer:
             self.emit("pass")
         stats = self.fuser.stats
         stats.fused_ops = max(0, stats.ops - stats.kernels)
-        self.lines.append(f"_CONSTS = {const_recipe(fn, self.consts)!r}")
+        self.lines.append(
+            f"_CONSTS = {_recipe_literal(const_recipe(fn, self.consts))}")
         self.lines.append(f"_STATS = {stats.as_dict()!r}")
         # Break the lowerer <-> fuser cycle: the lowering's state is then
         # freed on return, not still live under ``compile()``'s peak.

@@ -86,11 +86,11 @@ class CellClocks:
 class Buffer:
     """A contiguous allocation of ``count`` slots of one element type."""
 
-    __slots__ = ("bid", "elem", "data", "space", "freed", "name",
+    __slots__ = ("bid", "elem", "data", "space", "freed", "_name",
                  "thread_local_of", "stream", "adcache", "shadow_meta")
 
     def __init__(self, count: int, elem: Type, space: str = "stack",
-                 name: str = "", data: Optional[np.ndarray] = None) -> None:
+                 name="", data: Optional[np.ndarray] = None) -> None:
         self.bid = next(_buffer_ids)
         self.elem = elem
         if data is not None:
@@ -103,7 +103,9 @@ class Buffer:
                 self.data = np.zeros(int(count), dtype=dt)
         self.space = space
         self.freed = False
-        self.name = name
+        #: A string, or the IR value that allocated the buffer (see
+        #: :attr:`name`).
+        self._name = name
         #: Streaming buffer (AD value cache): accesses bypass the cache
         #: hierarchy in the performance model.
         self.stream = False
@@ -121,6 +123,15 @@ class Buffer:
     @property
     def count(self) -> int:
         return len(self.data)
+
+    @property
+    def name(self) -> str:
+        """The buffer's name, shown only in messages.  Compiled code
+        hands over the allocating value itself, whose name is read here:
+        the value of a function still held as text reads it from the IR,
+        built for the purpose, so both tiers name the same buffer."""
+        n = self._name
+        return n if type(n) is str else n.name
 
     def check_alive(self) -> None:
         if self.freed:
@@ -257,7 +268,7 @@ class Memory:
             self.adcache_peak = self.adcache_bytes
 
     # ------------------------------------------------------------------
-    def alloc(self, count: int, elem: Type, space: str, name: str = "",
+    def alloc(self, count: int, elem: Type, space: str, name="",
               thread_local_of: Optional[int] = None) -> PtrVal:
         if count < 0:
             raise InterpreterError(f"negative allocation size {count}")

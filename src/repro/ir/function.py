@@ -2,15 +2,38 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from .ops import Block, Op
 from .types import Type, Void
 from .values import Argument, Value
 
 
+class _Stored:
+    """What a function read back from stored text keeps until its body
+    is built: the text, the module it parses into, the names it calls
+    (in order of discovery, for :func:`repro.ir.printer.print_closure`)
+    and the hooks :meth:`Function.when_built` registered."""
+
+    __slots__ = ("text", "module", "callees", "hooks")
+
+    def __init__(self, text: str, module, callees: list) -> None:
+        self.text = text
+        self.module = module
+        self.callees = list(callees)
+        self.hooks: list[Callable] = []
+
+
 class Function:
-    """A function: a name, typed arguments, one body region, a return type."""
+    """A function: a name, typed arguments, one body region, a return type.
+
+    A function read back from stored text
+    (:func:`repro.ir.parser.read_function`) has its signature and attrs
+    but not its body: the text is parsed on the first access of
+    :attr:`body` (:attr:`text_only` says whether that has happened).
+    Until then :func:`~repro.ir.printer.print_function` and
+    ``print_closure`` answer from the stored text.
+    """
 
     def __init__(self, name: str,
                  args: list[tuple[str, Type]],
@@ -22,10 +45,45 @@ class Function:
         arg_attrs = arg_attrs or [{} for _ in args]
         for i, ((aname, atype), attrs) in enumerate(zip(args, arg_attrs)):
             self.args.append(Argument(atype, aname, i, attrs))
-        self.body = Block()
-        self.body.parent_function = self
+        self._body: Optional[Block] = Block()
+        self._body.parent_function = self
+        #: Stored text while the body is not built (see :class:`_Stored`).
+        self.stored: Optional[_Stored] = None
         #: Free-form function attributes (e.g. {"noinline": True}).
         self.attrs: dict = {}
+
+    @property
+    def body(self) -> Block:
+        body = self._body
+        if body is None:
+            body = self._build_body()
+        return body
+
+    @property
+    def text_only(self) -> bool:
+        """True while the body is still the stored text."""
+        return self._body is None
+
+    def _build_body(self) -> Block:
+        """Parse the stored text into the body, then run the stored
+        hooks on it.  A hook that raises leaves the function text-only
+        (the next access parses and checks again)."""
+        from .parser import parse_body
+        stored = self.stored
+        self._body = parse_body(self, stored.text, stored.module)
+        try:
+            for hook in stored.hooks:
+                hook(self)
+        except BaseException:
+            self._body = None
+            raise
+        self.stored = None
+        return self._body
+
+    def when_built(self, hook: Callable) -> None:
+        """Run ``hook(self)`` once the body of this text-only function
+        is built."""
+        self.stored.hooks.append(hook)
 
     def arg(self, name: str) -> Argument:
         for a in self.args:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .function import Function, Module
+from .function import Function, Module, _Stored
 from .ops import (
     AllocOp,
     AtomicRMWOp,
@@ -159,6 +159,33 @@ def _form(table: dict, pattern: str, *keywords: str):
     return register
 
 
+def _header(line: str) -> Function:
+    """The function a ``func @name(args) -> type {`` line declares, with
+    an empty body."""
+    m = _FUNC_HEADER.match(line.strip())
+    if not m:
+        raise ParseError(f"bad function header: {line!r}")
+    name, argtext, ret = m.groups()
+    args, attrs = [], []
+    if argtext.strip():
+        for part in _split_top(argtext, ","):
+            part = part.strip()
+            am = _FUNC_ARG.match(part)
+            if not am:
+                raise ParseError(f"bad argument: {part!r}")
+            aname, atype, aattrs = am.groups()
+            args.append((aname, parse_type(atype)))
+            aa: dict = {}
+            for tok in aattrs.split():
+                if "=" in tok:
+                    k, v = tok.split("=", 1)
+                    aa[k] = int(v)
+                else:
+                    aa[tok] = True
+            attrs.append(aa)
+    return Function(name, args, parse_type(ret), attrs)
+
+
 class _Parser:
     def __init__(self, text: str, module: Optional[Module] = None) -> None:
         self.lines = [ln.rstrip() for ln in text.splitlines()]
@@ -208,33 +235,16 @@ class _Parser:
         return self.module
 
     def parse_function(self) -> Function:
-        header = self._next()
-        m = _FUNC_HEADER.match(header)
-        if not m:
-            raise ParseError(f"bad function header: {header!r}")
-        name, argtext, ret = m.groups()
-        args, attrs = [], []
-        if argtext.strip():
-            for part in _split_top(argtext, ","):
-                part = part.strip()
-                am = _FUNC_ARG.match(part)
-                if not am:
-                    raise ParseError(f"bad argument: {part!r}")
-                aname, atype, aattrs = am.groups()
-                args.append((aname, parse_type(atype)))
-                aa: dict = {}
-                for tok in aattrs.split():
-                    if "=" in tok:
-                        k, v = tok.split("=", 1)
-                        aa[k] = int(v)
-                    else:
-                        aa[tok] = True
-                attrs.append(aa)
-        fn = Function(name, args, parse_type(ret), attrs)
+        fn = _header(self._next())
         self.module.add_function(fn)
-        self.env = {f"%{a.name}": a for a in fn.args}
-        self._parse_block_into(fn.body)
+        self._parse_body(fn, fn.body)
         return fn
+
+    def _parse_body(self, fn: Function, block: Block) -> None:
+        """Parse the region after the header line into ``block``, over
+        ``fn``'s arguments."""
+        self.env = {f"%{a.name}": a for a in fn.args}
+        self._parse_block_into(block)
 
     # -- blocks -------------------------------------------------------------
     def _parse_block_into(self, block: Block) -> None:
@@ -465,3 +475,32 @@ def parse_function(text: str, module: Optional[Module] = None) -> Function:
     p = _Parser(text, module)
     fn = p.parse_function()
     return fn
+
+
+def read_function(text: str, module: Module, callees: list,
+                  check=None) -> Function:
+    """Add the function printed as ``text`` to ``module`` without
+    parsing its body: only the header line is read.  The body is parsed
+    on the first access of ``fn.body``, and ``check(fn)`` (a verifier,
+    say) runs on it then.  Until that happens ``print_function`` returns
+    ``text`` and ``print_closure`` follows ``callees`` — the names the
+    body calls, in order of discovery (:func:`repro.ir.printer.callees`
+    of the function ``text`` was printed from)."""
+    fn = _header(text[:text.find("\n")])
+    fn._body = None
+    fn.stored = _Stored(text, module, callees)
+    if check is not None:
+        fn.when_built(check)
+    module.add_function(fn)
+    return fn
+
+
+def parse_body(fn: Function, text: str, module: Module) -> Block:
+    """The body of ``text`` (a printed function whose header ``fn``
+    was read from), parsed over ``fn``'s arguments."""
+    block = Block()
+    block.parent_function = fn
+    p = _Parser(text, module)
+    p._next()
+    p._parse_body(fn, block)
+    return block

@@ -60,7 +60,8 @@ def print_closure(module: Module, fn_name: str) -> str:
     attrs, then the signature and effects of every intrinsic called.
 
     A digest input (the gradient disk cache keys on it), not parser
-    input."""
+    input.  A text-only function contributes its stored text and
+    stored callee list."""
     out = io.StringIO()
     seen = {fn_name}
     work = [fn_name]
@@ -70,10 +71,7 @@ def print_closure(module: Module, fn_name: str) -> str:
         out.write(print_function(fn))
         if fn.attrs:
             out.write(f"attrs {sorted(fn.attrs.items())!r}\n")
-        for op in fn.walk():
-            if op.opcode != "call":
-                continue
-            callee = op.attrs["callee"]
+        for callee in (fn.stored.callees if fn.text_only else callees(fn)):
             if callee in module.functions:
                 if callee not in seen:
                     seen.add(callee)
@@ -88,7 +86,15 @@ def print_closure(module: Module, fn_name: str) -> str:
     return out.getvalue()
 
 
+def callees(fn: Function) -> list:
+    """The names ``fn`` calls, each once, in order of discovery."""
+    return list(dict.fromkeys(op.attrs["callee"] for op in fn.walk()
+                              if op.opcode == "call"))
+
+
 def print_function(fn: Function) -> str:
+    if fn.text_only:
+        return fn.stored.text
     out = io.StringIO()
     namer = _Namer()
     args = ", ".join(

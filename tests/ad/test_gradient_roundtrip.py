@@ -5,7 +5,9 @@ This is what lets the gradient disk cache store text: for every app
 gradient, the function parsed back from ``print_function`` verifies,
 lowers to the same source and runs bit-identically — arrays, simulated
 clock, cost vector and peak AD-cache bytes — on ``backend="interp"`` and
-``"compiled"``.  (Attributes the printer used to drop — ``alloc
+``"compiled"``.  A warm process goes one step further and runs the
+stored code of a gradient it holds as text only: that leg must be
+bit-identical too, print the same closure, and never build the body.  (Attributes the printer used to drop — ``alloc
 {adcache, stream}``, ``for {reverse_order, nowait}``, ``fork
 {framework}``, the result type of a polymorphic intrinsic call — each
 moved the clock, the cost or ``peak_cached_bytes`` of one of these.)
@@ -22,7 +24,8 @@ from repro.apps.minibude import MinibudeApp
 from repro.apps.minibude.deck import make_deck
 from repro.apps.minibude.kernels import ARG_NAMES
 from repro.interp import ExecConfig, lower_function
-from repro.ir import parse_function, print_function, verify_function
+from repro.ir import (parse_function, print_closure, print_function,
+                      verify_function)
 from repro.parallel.mpi import SimMPI
 from repro.passes import certify_bounds
 
@@ -143,3 +146,28 @@ def test_simd_gradient_survives_its_own_text(spec, n, seed):
             np.testing.assert_array_equal(got[0][k], shadows[k])
         np.testing.assert_array_equal(got[1], out)
         assert got[2:] == (cost, clock)
+
+
+@pytest.mark.parametrize("name", sorted(APPS))
+def test_app_gradient_runs_from_its_text_alone(name, tmp_path, monkeypatch):
+    """The gradient a warm process reads as text runs, on the compiled
+    tier, exactly like the fresh one, and is never parsed."""
+    make, threads = APPS[name]
+    monkeypatch.setenv("REPRO_CACHE_DIR", "off")
+    want = _run(make(), threads, "compiled")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    cold = make()
+    _assert_same_run(_run(cold, threads, "compiled"), want)
+    assert not cold.module.functions[cold.grad_fn()].text_only
+
+    warm = make()
+    fn = warm.module.functions[warm.grad_fn()]
+    assert warm.gradient_cache["event"] == "hit" and fn.text_only
+    _assert_same_run(_run(warm, threads, "compiled"), want)
+    assert fn.text_only
+    closure = print_closure(warm.module, fn.name)
+    assert closure == print_closure(cold.module, cold.grad_fn())
+    assert fn.text_only
+    assert fn.body.ops  # built: the IR prints the closure the text stood for
+    assert not fn.text_only
+    assert print_closure(warm.module, fn.name) == closure

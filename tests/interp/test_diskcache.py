@@ -530,6 +530,220 @@ def test_corrupt_gradient_entry_is_a_miss_and_a_fresh_transform(
     assert again.cache_event == "hit"
 
 
+# ---------------------------------------------------------------------------
+# Text-only hits: a gradient entry marked as lowered is not parsed at load
+# ---------------------------------------------------------------------------
+
+def _run_compiled(module, grad, cache_dir, **config):
+    """``_run_gradient`` on the compiled tier (strict), plus its
+    compile stats."""
+    x, dx = np.linspace(0.1, 0.9, 5), np.ones(5)
+    ex = Executor(module, ExecConfig(backend="compiled",
+                                     compile_cache=cache_dir, **config))
+    ex.interp.backend.strict = True
+    ex.run(grad, x, dx, 5)
+    return (x, dx, ex.clock, ex.cost.as_dict()), ex.compile_stats()
+
+
+def _read_entry(path):
+    with open(path, "rb") as f:
+        return json.load(f)
+
+
+def _marked_entry(tmp_path, config=None):
+    """Path of the gradient entry of ``_nonlinear_module`` under
+    ``config``, marked as lowered: a process stored it, then compiled
+    the gradient (code store) and marked it."""
+    from repro.ad import autodiff_transform
+
+    cache = CompileCache(str(tmp_path))
+    module = _nonlinear_module()
+    tr = autodiff_transform(module, "f", _ACTS, config, cache=cache)
+    (path,) = _gradient_entry_paths(cache)
+    assert "lowered_sha256" not in _read_entry(path)
+    _, stats = _run_compiled(module, tr.grad_name, str(tmp_path))
+    assert stats["cache"]["stores"] == 1
+    entry = _read_entry(path)
+    assert entry["lowered_sha256"] == entry["sha256"]
+    assert entry["callees"] == []
+    return path
+
+
+def _counting(monkeypatch, module, name):
+    """Count calls of ``module.name`` (by first argument's name)."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(getattr(args[0], "name", args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_marked_entry_is_a_text_only_hit(tmp_path, monkeypatch):
+    import repro.ir.parser as parser
+    import repro.ir.verifier as verifier
+    from repro.ad import autodiff_transform
+
+    path = _marked_entry(tmp_path)
+    want = _fresh_run()
+    parses = _counting(monkeypatch, parser, "parse_body")
+    verifies = _counting(monkeypatch, verifier, "verify_function")
+    cache = CompileCache(str(tmp_path))
+    module = _nonlinear_module()
+    tr = autodiff_transform(module, "f", _ACTS, cache=cache)
+    assert tr.cache_event == "hit" and tr.grad.text_only
+    assert print_function(tr.grad) == _read_entry(path)["text"]
+    got, stats = _run_compiled(module, tr.grad_name, str(tmp_path))
+    _assert_same_run(got, want)
+    assert stats["cache"] == {"hits": 1, "misses": 0, "stores": 0,
+                              "errors": 0}
+    assert stats["lowered"] == 0
+    assert tr.grad.text_only and parses == []
+    assert "diffe_f" not in verifies
+
+
+def test_text_edited_after_the_mark_is_parsed_at_load_and_a_miss(
+        tmp_path, monkeypatch):
+    import repro.interp.diskcache as dc
+    from repro.ad import autodiff_transform
+
+    path = _marked_entry(tmp_path)
+    with open(path, "rb") as f:
+        raw = f.read()
+    with open(path, "wb") as f:
+        f.write(_unparsable_text(json.loads(raw), raw))
+    parses = _counting(monkeypatch, dc, "parse_function")
+    cache = CompileCache(str(tmp_path))
+    module = _nonlinear_module()
+    tr = autodiff_transform(module, "f", _ACTS, cache=cache)
+    assert len(parses) == 1
+    assert tr.cache_event == "miss" and tr.plan is not None
+    assert cache.stats() == {"hits": 0, "misses": 1, "stores": 1,
+                             "errors": 1}
+    _assert_same_run(_run_gradient(module, tr.grad_name), _fresh_run())
+
+
+def test_edited_lowered_digest_is_parsed_and_verified_at_load(
+        tmp_path, monkeypatch):
+    import repro.ir.verifier as verifier
+    from repro.ad import autodiff_transform
+
+    path = _marked_entry(tmp_path)
+    entry = _read_entry(path)
+    entry["lowered_sha256"] = "0" * 64
+    with open(path, "w") as f:
+        json.dump(entry, f)
+    want = _fresh_run()
+    verifies = _counting(monkeypatch, verifier, "verify_function")
+    cache = CompileCache(str(tmp_path))
+    module = _nonlinear_module()
+    tr = autodiff_transform(module, "f", _ACTS, cache=cache)
+    assert tr.cache_event == "hit" and not tr.grad.text_only
+    assert verifies.count("diffe_f") == 1
+    got, stats = _run_compiled(module, tr.grad_name, str(tmp_path))
+    _assert_same_run(got, want)
+    assert stats["cache"]["hits"] == 1 and verifies.count("diffe_f") == 1
+    # the code hit of a built gradient marks its entry again
+    entry = _read_entry(path)
+    assert entry["lowered_sha256"] == entry["sha256"]
+
+
+def test_text_only_hit_without_code_builds_the_body_once(tmp_path,
+                                                         monkeypatch):
+    """Code was stored for another ExecConfig: the body is built for
+    the lowering, verified once, and the run is the fresh one's."""
+    import repro.ir.parser as parser
+    import repro.ir.verifier as verifier
+    from repro.ad import autodiff_transform
+
+    path = _marked_entry(tmp_path)
+    fresh = _nonlinear_module()
+    want, _ = _run_compiled(fresh, autodiff(fresh, "f", _ACTS), "off",
+                            num_threads=2)
+    parses = _counting(monkeypatch, parser, "parse_body")
+    verifies = _counting(monkeypatch, verifier, "verify_function")
+    for lowered in (1, 0):
+        cache = CompileCache(str(tmp_path))
+        module = _nonlinear_module()
+        tr = autodiff_transform(module, "f", _ACTS, cache=cache)
+        assert tr.cache_event == "hit" and tr.grad.text_only
+        got, stats = _run_compiled(module, tr.grad_name, str(tmp_path),
+                                   num_threads=2)
+        _assert_same_run(got, want)
+        assert stats["lowered"] == lowered
+        assert tr.grad.text_only == (not lowered)
+        # built once, verified once — by the first process only
+        assert len(parses) == verifies.count("diffe_f") == 1
+        entry = _read_entry(path)
+        assert entry["lowered_sha256"] == entry["sha256"]
+
+
+@pytest.mark.parametrize("config, field", [
+    (ADConfig(sanitize=True), "lint_result"),
+    (ADConfig(commcheck=True), "comm_result"),
+], ids=["sanitize", "commcheck"])
+def test_sanitize_and_commcheck_build_the_body_at_load(tmp_path, config,
+                                                       field):
+    from repro.ad import autodiff_transform
+
+    _marked_entry(tmp_path, config)
+    cache = CompileCache(str(tmp_path))
+    module = _nonlinear_module()
+    tr = autodiff_transform(module, "f", _ACTS, config, cache=cache)
+    assert tr.cache_event == "hit" and not tr.grad.text_only
+    assert getattr(tr, field) is not None   # the check ran on the hit
+    _assert_same_run(_run_gradient(module, tr.grad_name), _fresh_run())
+
+
+def _gc_module():
+    """``f(x, out)``: a GC array, unpreserved across a safepoint, then
+    read — a freed-buffer fault under ``gc_stress``, in the gradient's
+    forward sweep too."""
+    b = IRBuilder()
+    with b.function("f", [("x", Ptr()), ("out", Ptr())]) as f:
+        x, out = f.args
+        arr = b.alloc(4, space="gc")
+        b.store(b.load(x, 0), arr, 0)
+        b.call("jl.safepoint")
+        b.store(b.mul(b.load(arr, 0), 2.0), out, 0)
+    verify_module(b.module)
+    return b.module
+
+
+def test_freed_buffer_fault_of_text_only_code_names_the_same_buffer(
+        tmp_path):
+    """The compiled code of a text-only gradient names the faulting
+    buffer after the IR value the interpreter names it after (the body
+    is built to look the name up)."""
+    from repro.ad import autodiff_transform
+    from repro.interp import InterpreterError
+
+    acts = [Duplicated, Duplicated]
+    args = (np.ones(1), np.zeros(1), np.ones(1), np.ones(1))
+    errors = []
+    for expect in ("miss", "hit"):
+        module = _gc_module()
+        tr = autodiff_transform(module, "f", acts,
+                                cache=CompileCache(str(tmp_path)))
+        assert tr.cache_event == expect
+        assert tr.grad.text_only == (expect == "hit")
+        ex = Executor(module, ExecConfig(backend="compiled", gc_stress=True,
+                                         compile_cache=str(tmp_path)))
+        ex.interp.backend.strict = True
+        with pytest.raises(InterpreterError, match="freed/collected") as e:
+            ex.run(tr.grad_name, *args)
+        assert ex.compile_stats()["lowered"] == (expect == "miss")
+        errors.append(str(e.value))
+    assert not tr.grad.text_only
+    with pytest.raises(InterpreterError) as e:
+        Executor(module, ExecConfig(gc_stress=True)).run(tr.grad_name, *args)
+    assert errors[1] == str(e.value)
+    assert re.search(r"buffer %\d+ \(space=gc\)", errors[1])
+
+
 def test_source_digest_change_moves_the_gradient_key(tmp_path, monkeypatch):
     """Editing anything under repro.ad / repro.passes / repro.ir is an
     AD version bump: old entries are simply never found."""
@@ -921,6 +1135,9 @@ def _truncated_blob(entry, raw):
     _recipe_edit(r"\('op', \d+, 'call'\)", "('op', 0, 'call')"),
     _recipe_edit(r"\('evaluate', '\w+'\)", "('evaluate', 'no_such_op')"),
     _recipe_edit(r"\('op', ", "('operation', "),
+    # the record of the alloc disagrees with the live op
+    _recipe_edit(r"\('stack', 'f64'", "('heap', 'f64'"),
+    _recipe_edit(r"\('stack', 'f64'", "('stack', 'i64'"),
     lambda entry, raw: _rewrite_code(
         entry, lambda source: source.replace("_CONSTS = ", "_CONSTANTS = ")),
     lambda entry, raw: _rewrite_code(
@@ -928,7 +1145,8 @@ def _truncated_blob(entry, raw):
                                      "_STATS = {'extra': 1, ", source)),
 ], ids=["truncated-file", "truncated-blob", "blob-digest", "sources-skew",
         "index-out-of-range", "wrong-kind-of-op", "unknown-evaluate",
-        "unknown-entry-kind", "missing-recipe", "stats-skew"])
+        "unknown-entry-kind", "alloc-space-skew", "alloc-type-skew",
+        "missing-recipe", "stats-skew"])
 def test_corrupt_code_entry_is_a_miss_and_a_fresh_compile(tmp_path, corrupt):
     """A code entry that does not read, does not match its digests or
     whose recipe does not resolve against the live function is dropped

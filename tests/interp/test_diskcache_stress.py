@@ -6,7 +6,9 @@ under its own ``PYTHONHASHSEED``.
 Whoever loses the race to store reads the winner's entries, so this is
 also the determinism test of the gradient IR: the entries are keyed on
 the printed primal (gradient) and on the printed gradient (code), and
-only one of each may exist afterwards."""
+only one of each may exist afterwards.  Whichever process rewrote the
+gradient entry last, the one it left is marked as lowered: a seventh
+process runs the stored code without building the gradient's body."""
 
 import json
 import os
@@ -32,7 +34,8 @@ print(json.dumps({
     "clock": run.time,
     "gradient": stats["gradient_cache"], "code": stats["cache"],
     "lowered": stats["lowered"],
-    "interpreter_only": stats["interpreter_only"]}))
+    "interpreter_only": stats["interpreter_only"],
+    "text_only": app.module.functions[app.grad_fn()].text_only}))
 """
 
 #: More workers than this box has cores.
@@ -84,3 +87,5 @@ def test_concurrent_processes_share_one_directory(tmp_path):
     assert late["code"] == {"hits": 1, "misses": 0, "stores": 0,
                             "errors": 0}
     assert late["lowered"] == 0 and late["interpreter_only"] == {}
+    # it ran the stored code of a gradient it never parsed
+    assert late["text_only"] is True
